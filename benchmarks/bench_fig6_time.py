@@ -9,10 +9,14 @@ magnitude worse).
 
 Note on constants: the paper's C implementation makes the wavelet's O(n)
 slide look slow next to polylog histogram maintenance; in this library
-the wavelet's O(n) is one numpy FFT-like pass while the histogram logic
-is interpreted Python, so *absolute* times favour the wavelet at small n.
-``herror_evals`` is the hardware-independent work measure; the scaling
-ablation (bench_ablation_scaling) carries the growth-rate comparison.
+the wavelet's O(n) is one numpy FFT-like pass, so *absolute* times still
+favour the wavelet at every window here.  Re-measured with each level's
+HERROR curve computed by one blocked numpy broadcast (2-core Intel Xeon,
+CPython 3.11, numpy 2.4, 40 arrivals): at B=8 the histogram takes
+1.5-9.8 ms per arrival at eps=0.5 and 1.6-19 ms at eps=0.1 for n=128-1024,
+the wavelet 0.08-0.25 ms.  ``herror_evals`` is the hardware-independent
+work measure; the scaling ablation (bench_ablation_scaling) carries the
+growth-rate comparison.
 """
 
 from __future__ import annotations

@@ -8,22 +8,26 @@ interval cover (paper section 4.4, Fig. 4).  Instead, on demand the builder
 rebuilds the interval cover of every level with the procedure
 ``CreateList[a, b, k]`` (paper Fig. 5):
 
-* level-k ``HERROR`` values are evaluated *lazily* -- a value at position
-  ``c`` is a minimization over the already-built level-(k-1) endpoint set
-  (one vectorized pass) plus the virtual split ``c - 1``, whose level-(k-1)
-  value is obtained by a memoized recursive evaluation (it covers the case
-  where the optimal split lies strictly inside the cover interval that
-  straddles ``c``);
+* level-k ``HERROR[c, k]`` is a minimization over the already-built
+  level-(k-1) endpoint set plus the virtual split ``c - 1``, priced by the
+  interval-cover property from the start of the level-(k-1) interval that
+  straddles ``c - 1`` (it covers the case where the optimal split lies
+  strictly inside that interval);
 * each interval's right end is located by a galloping (exponential +
   binary) search over the non-decreasing ``HERROR`` curve -- the paper's
   binary search, tightened so the cost per interval is logarithmic in the
   *interval length* rather than the window length.
 
-Only ``O(intervals * log n)`` positions per level are ever touched, giving
-Theorem 1's ``O((B^3 / eps^2) log^3 n)`` per-point cost.  The emitted
-histogram is recovered by walking the minimizations back down the levels,
-so its true SSE equals the computed estimate and genuinely satisfies
-``SSE <= (1 + eps) * OPT``.
+The searches consult only ``O(intervals * log n)`` positions per level --
+Theorem 1's ``O((B^3 / eps^2) log^3 n)`` work measure, reported as
+``RebuildStats.herror_evaluations``.  The arithmetic behind those values is
+done for a whole level at once: one numpy broadcast over (window positions
+x level-(k-1) endpoints), in row blocks of bounded size, which is
+``O(n * intervals)`` per level but costs a few numpy calls per block
+instead of one per consulted position.  The searches then run in plain
+Python over the finished curve.  The emitted histogram is recovered by
+walking the minimizations back down the levels, so its true SSE equals the
+computed estimate and genuinely satisfies ``SSE <= (1 + eps) * OPT``.
 """
 
 from __future__ import annotations
@@ -39,13 +43,21 @@ from .prefix import SlidingPrefixSums, as_stream_batch
 __all__ = ["FixedWindowHistogramBuilder", "RebuildStats"]
 
 
+#: Float64 elements per broadcast temporary: a row block holds at most this
+#: many (or a single row, when one level has more endpoints), so the
+#: rebuild's scratch memory does not grow with the window.
+_BLOCK_ELEMENTS = 16_384
+
+
 @dataclass
 class RebuildStats:
     """Operation counters for one rebuild (Theorem 1 ablations).
 
-    ``herror_evaluations`` counts memo misses (distinct positions whose
-    HERROR was computed), ``search_probes`` counts galloping/binary search
-    probes, ``intervals_per_level`` records the interval-cover sizes.
+    ``herror_evaluations`` counts the distinct (position, level) ``HERROR``
+    values the interval searches consulted, plus one for level B at the
+    last position; ``search_probes`` counts galloping and binary-search
+    probes; ``intervals_per_level`` records the interval-cover sizes.  All
+    three are fixed when the rebuild ends: later queries do not move them.
     """
 
     herror_evaluations: int = 0
@@ -58,31 +70,34 @@ class RebuildStats:
 
 
 class _Level:
-    """A freshly built interval cover of ``HERROR[., k]`` for one window.
+    """The interval cover of ``HERROR[., k]`` for one window.
 
-    Stores, per interval endpoint: its position, its HERROR value, and the
-    cumulative sum / sum-of-squares entries needed to price a final bucket
-    starting right after it -- everything the level-above minimization
-    touches, in parallel numpy arrays.
+    ``curve`` holds ``HERROR[c, k]`` for every window position ``c``.  The
+    other arrays are per interval: its start and end, the HERROR value at
+    the end, and the cumulative sum / sum-of-squares entries that price a
+    final bucket starting right after the end -- everything the level-above
+    minimization touches.
     """
 
-    __slots__ = ("ends", "herror", "cum_sum", "cum_sqsum", "starts", "herror_start")
+    __slots__ = (
+        "curve", "starts", "ends", "ends_float", "herror", "cum_sum", "cum_sqsum"
+    )
 
     def __init__(
         self,
+        curve: np.ndarray,
+        starts: list[int],
         ends: list[int],
-        herror: list[float],
         cum_sum: np.ndarray,
         cum_sqsum: np.ndarray,
-        starts: list[int],
-        herror_start: list[float],
     ) -> None:
+        self.curve = curve
+        self.starts = np.asarray(starts, dtype=np.intp)
         self.ends = np.asarray(ends, dtype=np.intp)
-        self.herror = np.asarray(herror, dtype=np.float64)
-        self.cum_sum = cum_sum
-        self.cum_sqsum = cum_sqsum
-        self.starts = starts
-        self.herror_start = np.asarray(herror_start, dtype=np.float64)
+        self.ends_float = self.ends.astype(np.float64)
+        self.herror = curve[self.ends]
+        self.cum_sum = cum_sum[self.ends + 1]
+        self.cum_sqsum = cum_sqsum[self.ends + 1]
 
 
 class FixedWindowHistogramBuilder:
@@ -98,14 +113,6 @@ class FixedWindowHistogramBuilder:
         Approximation slack; the histogram's SSE is within ``(1 + epsilon)``
         of the optimal B-bucket SSE of the current window.  The interval
         machinery uses ``delta = epsilon / (2 B)``.
-    engine:
-        ``"lazy"`` (default) is the paper's algorithm -- galloping binary
-        searches touch only ``O(intervals * log n)`` positions per level,
-        the polylog bound of Theorem 1.  ``"dense"`` evaluates every
-        position of every level in vectorized numpy passes: same interval
-        cover and guarantee, O(n * intervals) work per level, but small
-        constants that win on wall-clock for windows up to a few thousand
-        points in this Python implementation.
 
     The interval cover is rebuilt lazily: :meth:`append` only slides the
     window; the rebuild happens on :meth:`update` / :meth:`histogram`.  A
@@ -113,29 +120,19 @@ class FixedWindowHistogramBuilder:
     then ``update``.
     """
 
-    def __init__(
-        self,
-        window_size: int,
-        num_buckets: int,
-        epsilon: float,
-        engine: str = "lazy",
-    ) -> None:
+    def __init__(self, window_size: int, num_buckets: int, epsilon: float) -> None:
         if window_size < 1:
             raise ValueError("window_size must be >= 1")
         if num_buckets < 1:
             raise ValueError("need at least one bucket")
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if engine not in ("lazy", "dense"):
-            raise ValueError(f"unknown engine {engine!r}; use 'lazy' or 'dense'")
         self.window_size = window_size
         self.num_buckets = num_buckets
         self.epsilon = epsilon
-        self.engine = engine
         self.delta = epsilon / (2.0 * num_buckets)
         self._prefix = SlidingPrefixSums(window_size)
         self._levels: list[_Level] = []
-        self._memos: list[dict[int, float]] = []
         self._splits_cache: list[int] | None = None
         self._final_error = 0.0
         self._dirty = True
@@ -258,13 +255,13 @@ class FixedWindowHistogramBuilder:
 
         The builder's only durable state is its parameters and the raw
         window (interval covers are rebuilt per arrival anyway), so the
-        snapshot is small and exact.
+        snapshot is small and exact.  Snapshots written by earlier versions
+        also carry an ``"engine"`` key; :meth:`from_state` ignores it.
         """
         return {
             "window_size": self.window_size,
             "num_buckets": self.num_buckets,
             "epsilon": self.epsilon,
-            "engine": self.engine,
             "total_seen": self._prefix.total_seen,
             "window": self._prefix.values().tolist(),
         }
@@ -277,7 +274,6 @@ class FixedWindowHistogramBuilder:
             int(state["window_size"]),
             int(state["num_buckets"]),
             float(state["epsilon"]),
-            engine=state.get("engine", "lazy"),
         )
         builder._prefix = SlidingPrefixSums.restore(
             builder.window_size, state["window"], int(state["total_seen"])
@@ -290,258 +286,164 @@ class FixedWindowHistogramBuilder:
     # ------------------------------------------------------------------
 
     def _rebuild(self) -> None:
-        self.last_stats = RebuildStats()
+        stats = RebuildStats()
         prefix = self._prefix
         last = len(prefix) - 1
-        # The cumulative arrays are stable for the whole rebuild; grab the
-        # raw views once so HERROR evaluation avoids per-call indirection.
+        # Window-relative cumulative sums: entry c + 1 closes a bucket at c.
+        # They stay fixed until the next append, which marks the cover dirty.
         base = prefix._base()
-        self._cum_sum = prefix._cum_sum
-        self._cum_sqsum = prefix._cum_sqsum
-        self._base_index = base
-        self._memos = [dict() for _ in range(self.num_buckets + 1)]
-        self._splits_cache: list[int] | None = None
+        self._cum_sum = prefix._cum_sum[base : base + last + 2]
+        self._cum_sqsum = prefix._cum_sqsum[base : base + last + 2]
+        self._splits_cache = None
         self._levels = []
-        if self.engine == "dense":
-            self._rebuild_dense(last)
-        else:
-            for k in range(1, self.num_buckets):
-                self._levels.append(self._create_list(last, k))
-                self.last_stats.intervals_per_level.append(
-                    self._levels[-1].ends.size
-                )
-            self._final_error = self._evaluate(last, self.num_buckets)
-        self.lifetime_stats.herror_evaluations += self.last_stats.herror_evaluations
-        self.lifetime_stats.search_probes += self.last_stats.search_probes
+        positions = np.arange(last + 1)
+        for k in range(1, self.num_buckets):
+            self._levels.append(self._create_level(self._curve(k, positions), stats))
+            stats.intervals_per_level.append(self._levels[-1].ends.size)
+        self._final_error = float(self._curve(self.num_buckets, positions[last:])[0])
+        stats.herror_evaluations += 1
+        self.last_stats = stats
+        self.lifetime_stats.herror_evaluations += stats.herror_evaluations
+        self.lifetime_stats.search_probes += stats.search_probes
         self.rebuild_count += 1
 
-    def _rebuild_dense(self, last: int) -> None:
-        """Vectorized rebuild: evaluate every level at every position.
-
-        Same interval-cover semantics as the lazy engine (level-(k) minima
-        run over the level-(k-1) *cover endpoints*), but the whole HERROR
-        array of a level is computed in one batch of numpy passes and the
-        cover is read off by a linear scan -- no binary searches.  Does
-        O(n * intervals) work per level, which beats the lazy engine's
-        Python overhead for small windows; the virtual split uses the
-        exact HERROR[c-1, k-1] value, so dense estimates are never looser
-        than lazy ones.
-        """
-        m = last + 1
-        base = self._base_index
-        cum_sum = self._cum_sum[base : base + m + 1]
-        cum_sqsum = self._cum_sqsum[base : base + m + 1]
-
-        counts = np.arange(1, m + 1, dtype=np.float64)
-        dense = np.maximum(
-            (cum_sqsum[1:] - cum_sqsum[0])
-            - (cum_sum[1:] - cum_sum[0]) ** 2 / counts,
-            0.0,
-        )
-        positions = np.arange(m)
-        for k in range(1, self.num_buckets + 1):
-            if k > 1:
-                # HERROR[., k] from the level-(k-1) cover plus the exact
-                # virtual split (previous level shifted by one).
-                level = self._levels[k - 2]
-                nxt = np.full(m, np.inf)
-                for slot in range(level.ends.size):
-                    end = int(level.ends[slot])
-                    if end + 1 >= m:
-                        continue
-                    c = positions[end + 1 :]
-                    tails = (cum_sqsum[c + 1] - cum_sqsum[end + 1]) - (
-                        cum_sum[c + 1] - cum_sum[end + 1]
-                    ) ** 2 / (c - end)
-                    np.minimum(
-                        nxt[end + 1 :],
-                        float(level.herror[slot]) + tails,
-                        out=nxt[end + 1 :],
-                    )
-                np.minimum(nxt[1:], dense[:-1], out=nxt[1:])
-                nxt[: min(k, m)] = 0.0  # fewer points than buckets: exact
-                np.maximum(nxt, 0.0, out=nxt)
-                dense = nxt
-            self.last_stats.herror_evaluations += m
-            self._memos[k] = dict(enumerate(dense.tolist()))
-            if k < self.num_buckets:
-                self._levels.append(self._cover_from_dense(dense))
-                self.last_stats.intervals_per_level.append(
-                    self._levels[-1].ends.size
-                )
-        self._final_error = float(dense[last])
-
-    def _cover_from_dense(self, dense: np.ndarray) -> _Level:
-        """Interval cover of a fully evaluated HERROR array (linear scan)."""
-        scale = (1.0 + self.delta) * (1.0 + RELATIVE_TOLERANCE)
-        ends: list[int] = []
-        herrors: list[float] = []
-        starts: list[int] = []
-        herror_starts: list[float] = []
-        m = dense.size
-        a = 0
-        while a < m:
-            threshold = scale * float(dense[a]) + RELATIVE_TOLERANCE
-            c = a
-            while c + 1 < m and dense[c + 1] <= threshold:
-                c += 1
-            starts.append(a)
-            herror_starts.append(float(dense[a]))
-            ends.append(c)
-            herrors.append(float(dense[c]))
-            a = c + 1
-        base = self._base_index
-        end_array = np.asarray(ends, dtype=np.intp)
-        return _Level(
-            ends,
-            herrors,
-            self._cum_sum[base + end_array + 1],
-            self._cum_sqsum[base + end_array + 1],
-            starts,
-            herror_starts,
-        )
-
-    def _create_list(self, last: int, k: int) -> _Level:
-        """Build the level-k interval cover of ``[0 .. last]``.
-
-        Iterative form of the paper's recursive ``CreateList``: starting at
-        ``a``, search for the maximal ``c`` with ``HERROR[c, k] <=
-        (1 + delta) * HERROR[a, k]``, record the endpoint, continue from
-        ``c + 1``.
-        """
-        ends: list[int] = []
-        herrors: list[float] = []
-        starts: list[int] = []
-        herror_starts: list[float] = []
-        scale = (1.0 + self.delta) * (1.0 + RELATIVE_TOLERANCE)
-        a = 0
-        while a <= last:
-            start_value = self._evaluate(a, k)
-            threshold = scale * start_value + RELATIVE_TOLERANCE
-            c = self._search_interval_end(a, last, k, threshold)
-            starts.append(a)
-            herror_starts.append(start_value)
-            ends.append(c)
-            herrors.append(self._evaluate(c, k))
-            a = c + 1
-        base = self._base_index
-        end_array = np.asarray(ends, dtype=np.intp)
-        return _Level(
-            ends,
-            herrors,
-            self._cum_sum[base + end_array + 1],
-            self._cum_sqsum[base + end_array + 1],
-            starts,
-            herror_starts,
-        )
-
-    def _search_interval_end(self, a: int, last: int, k: int, threshold: float) -> int:
-        """Maximal ``c`` in ``[a, last]`` with ``HERROR[c, k] <= threshold``.
-
-        Galloping search: double the step while below the threshold, then
-        binary-search the bracket.  ``HERROR[a, k]`` is below the threshold
-        by construction.
-        """
-        probes = 0
-        lo = a
-        step = 1
-        hi = -1
-        while lo < last:
-            probe = min(a + step, last)
-            probes += 1
-            if self._evaluate(probe, k) <= threshold:
-                lo = probe
-                step *= 2
-            else:
-                hi = probe
-                break
-        if hi < 0:
-            self.last_stats.search_probes += probes
-            return last
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            probes += 1
-            if self._evaluate(mid, k) <= threshold:
-                lo = mid
-            else:
-                hi = mid
-        self.last_stats.search_probes += probes
-        return lo
-
-    def _evaluate(self, c: int, k: int) -> float:
-        """Lazy ``HERROR[c, k]`` over the current window, memoized.
+    def _curve(self, k: int, positions: np.ndarray) -> np.ndarray:
+        """``HERROR[c, k]`` over the current window for sorted ``positions``.
 
         For ``k >= 2`` the minimization runs over (i) the endpoints of the
-        already-built level-(k-1) cover that precede ``c`` (one vectorized
-        pass) and (ii) the virtual split ``c - 1``, which covers the case
-        where the optimal split lies strictly inside the cover interval
-        that straddles ``c``.  The virtual candidate is priced in O(1) by
-        the interval-cover property: ``HERROR[c-1, k-1] <= (1 + delta) *
+        already-built level-(k-1) cover that precede ``c`` and (ii) the
+        virtual split ``c - 1``.  The virtual candidate is priced by the
+        interval-cover property: ``HERROR[c-1, k-1] <= (1 + delta) *
         HERROR[start, k-1]`` for the interval containing ``c - 1``, which
         costs one extra ``(1 + delta)`` factor per level -- exactly the
         second factor the paper's ``delta = eps / (2B)`` budget reserves.
         """
-        memo = self._memos[k]
-        cached = memo.get(c)
-        if cached is not None:
-            return cached
-        self.last_stats.herror_evaluations += 1
-
-        if c + 1 <= k:
-            # Fewer points than buckets: exact, zero error.
-            memo[c] = 0.0
-            return 0.0
-
-        base = self._base_index
+        values = np.zeros(positions.size)
+        # c + 1 <= k: fewer points than buckets, exact, zero error.
+        first = int(positions.searchsorted(k))
+        c = positions[first:]
+        if c.size == 0:
+            return values
         cum_sum = self._cum_sum
         cum_sqsum = self._cum_sqsum
-        sum_c = cum_sum[base + c + 1]
-        sqsum_c = cum_sqsum[base + c + 1]
-
         if k == 1:
-            total = sum_c - cum_sum[base]
-            value = sqsum_c - cum_sqsum[base] - total * total / (c + 1)
-            value = value if value > 0.0 else 0.0
-            memo[c] = value
-            return value
+            totals = cum_sum[c + 1] - cum_sum[0]
+            value = (cum_sqsum[c + 1] - cum_sqsum[0]) - totals * totals / (c + 1)
+        else:
+            level = self._levels[k - 2]
+            # Virtual split at c - 1: the final bucket is the single point c.
+            straddle = level.ends.searchsorted(c - 1)
+            value = (1.0 + self.delta) * level.curve[level.starts[straddle]]
+            np.minimum(value, self._endpoint_minima(level, c), out=value)
+        values[first:] = np.where(value > 0.0, value, 0.0)
+        return values
 
-        level = self._levels[k - 2]
-        ends = level.ends
-        # Interval of the level-(k-1) cover containing c - 1, and the count
-        # of endpoints strictly before c (ends are strictly increasing).
-        straddle = int(ends.searchsorted(c - 1))
-        cutoff = straddle + 1 if ends[straddle] == c - 1 else straddle
-        # Virtual split at c - 1: final bucket is the single point c (zero
-        # error); HERROR[c-1, k-1] is bounded via the interval start.
-        value = (1.0 + self.delta) * float(level.herror_start[straddle])
-        if cutoff > 0:
-            totals = sum_c - level.cum_sum[:cutoff]
-            lengths = c - ends[:cutoff]
-            tails = (sqsum_c - level.cum_sqsum[:cutoff]) - totals * totals / lengths
-            best = float((level.herror[:cutoff] + tails).min())
-            if best < value:
-                value = best
-        value = value if value > 0.0 else 0.0
-        memo[c] = value
-        return value
+    def _endpoint_minima(self, level: _Level, c: np.ndarray) -> np.ndarray:
+        """``min(HERROR[e, k-1] + SQERROR[e+1, c])`` over cover ends ``e < c``.
+
+        One broadcast over (positions x endpoints) per row block; a
+        position with no endpoint before it gets ``inf``.
+        """
+        cutoffs = level.ends.searchsorted(c)  # endpoints strictly before c
+        best = np.full(c.size, np.inf)
+        sum_c = self._cum_sum[c + 1]
+        sqsum_c = self._cum_sqsum[c + 1]
+        rows_c = c.astype(np.float64)
+        rows = max(1, _BLOCK_ELEMENTS // level.ends.size)
+        scratch = np.empty((2, min(rows, c.size) * int(cutoffs[-1])))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for lo in range(0, c.size, rows):
+                hi = min(lo + rows, c.size)
+                cols = int(cutoffs[hi - 1])
+                if cols == 0:
+                    continue
+                tails = scratch[0, : (hi - lo) * cols].reshape(hi - lo, cols)
+                quotient = scratch[1, : (hi - lo) * cols].reshape(hi - lo, cols)
+                column = slice(lo, hi), None
+                np.subtract(sum_c[column], level.cum_sum[:cols], out=quotient)
+                np.multiply(quotient, quotient, out=quotient)
+                np.subtract(rows_c[column], level.ends_float[:cols], out=tails)
+                np.divide(quotient, tails, out=quotient)
+                np.subtract(sqsum_c[column], level.cum_sqsum[:cols], out=tails)
+                np.subtract(tails, quotient, out=tails)
+                np.add(level.herror[:cols], tails, out=tails)
+                # Endpoints at or past a row's position are not splits for it.
+                done = int(cutoffs[lo])
+                if done < cols:
+                    np.copyto(
+                        tails[:, done:],
+                        np.inf,
+                        where=level.ends[done:cols] >= c[column],
+                    )
+                np.minimum.reduce(tails, axis=1, out=best[lo:hi])
+        return best
+
+    def _create_level(self, curve: np.ndarray, stats: RebuildStats) -> _Level:
+        """Build the interval cover of one level's ``HERROR`` curve.
+
+        Iterative form of the paper's recursive ``CreateList``: starting at
+        ``a``, search for the maximal ``c`` with ``HERROR[c, k] <=
+        (1 + delta) * HERROR[a, k]``, record the endpoint, continue from
+        ``c + 1``.  Each search gallops -- doubling the step while below
+        the threshold -- then binary-searches the bracket.
+        """
+        values = curve.tolist()
+        last = len(values) - 1
+        scale = (1.0 + self.delta) * (1.0 + RELATIVE_TOLERANCE)
+        starts: list[int] = []
+        ends: list[int] = []
+        consulted = bytearray(last + 1)  # 1 marks a position the search read
+        probes = 0
+        a = 0
+        while a <= last:
+            consulted[a] = 1
+            threshold = scale * values[a] + RELATIVE_TOLERANCE
+            lo = a
+            hi = last + 1
+            step = 1
+            while lo < last:
+                probe = a + step
+                if probe > last:
+                    probe = last
+                probes += 1
+                consulted[probe] = 1
+                if values[probe] <= threshold:
+                    lo = probe
+                    step *= 2
+                else:
+                    hi = probe
+                    break
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                probes += 1
+                consulted[mid] = 1
+                if values[mid] <= threshold:
+                    lo = mid
+                else:
+                    hi = mid
+            starts.append(a)
+            ends.append(lo)
+            a = lo + 1
+        stats.herror_evaluations += consulted.count(1)
+        stats.search_probes += probes
+        return _Level(curve, starts, ends, self._cum_sum, self._cum_sqsum)
 
     def _best_split(self, c: int, k: int) -> int:
-        """A split index whose cost is within ``_evaluate(c, k)`` (``k >= 2``).
+        """A split index whose cost is within ``HERROR[c, k]`` (``k >= 2``).
 
-        Recomputes the endpoint minimization with warm memos and compares
-        it against the *exact* cost of the virtual split ``c - 1`` (its
-        interval-based price in :meth:`_evaluate` only over-estimates, so
-        picking the smaller of the two realizable costs keeps the walked
-        partition within the reported estimate).
+        Recomputes the endpoint minimization and compares it against the
+        *exact* cost of the virtual split ``c - 1`` (its interval-based
+        price in :meth:`_curve` only over-estimates, so picking the smaller
+        of the two realizable costs keeps the walked partition within the
+        reported estimate).
         """
-        virtual = self._evaluate(c - 1, k - 1)
         level = self._levels[k - 2]
+        virtual = level.curve[c - 1]
         cutoff = int(level.ends.searchsorted(c))
         if cutoff == 0:
             return c - 1
-        base = self._base_index
-        sum_c = self._cum_sum[base + c + 1]
-        sqsum_c = self._cum_sqsum[base + c + 1]
+        sum_c = self._cum_sum[c + 1]
+        sqsum_c = self._cum_sqsum[c + 1]
         totals = sum_c - level.cum_sum[:cutoff]
         lengths = c - level.ends[:cutoff]
         tails = (sqsum_c - level.cum_sqsum[:cutoff]) - totals * totals / lengths

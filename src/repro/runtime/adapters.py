@@ -95,7 +95,6 @@ class FixedWindowMaintainer(Maintainer):
         window_size: int,
         num_buckets: int,
         epsilon: float,
-        engine: str = "lazy",
         cache_synopsis: bool = False,
         name: str | None = None,
     ) -> None:
@@ -103,9 +102,7 @@ class FixedWindowMaintainer(Maintainer):
             name
             or f"fixed_window(n={window_size}, B={num_buckets}, eps={epsilon:g})"
         )
-        self._builder = FixedWindowHistogramBuilder(
-            window_size, num_buckets, epsilon, engine=engine
-        )
+        self._builder = FixedWindowHistogramBuilder(window_size, num_buckets, epsilon)
         self._cache_synopsis = cache_synopsis
         self._cached: Histogram | None = None
 

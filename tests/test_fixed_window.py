@@ -175,65 +175,32 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             FixedWindowHistogramBuilder.from_state(state)
 
-    def test_engine_preserved(self):
-        builder = FixedWindowHistogramBuilder(16, 3, 0.5, engine="dense")
-        builder.extend(np.arange(16.0))
-        restored = FixedWindowHistogramBuilder.from_state(builder.to_state())
-        assert restored.engine == "dense"
+    @pytest.mark.parametrize("engine", ["lazy", "dense"])
+    def test_legacy_engine_key_restores(self, engine):
+        """Snapshots written while the builder had an ``engine`` option
+        carry that key; they restore, through the builder and through the
+        runtime maintainer, to the same answers as a fresh builder."""
+        from repro.runtime import make_maintainer
 
+        rng = np.random.default_rng(8)
+        stream = rng.integers(0, 100, size=200).astype(float)
+        fresh = FixedWindowHistogramBuilder(48, 4, 0.25)
+        fresh.extend(stream)
+        state = dict(fresh.to_state(), engine=engine)
+        assert "engine" not in fresh.to_state()
 
-class TestDenseEngine:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            FixedWindowHistogramBuilder(8, 2, 0.1, engine="magic")
-
-    @given(longer_sequences, bucket_counts, epsilons)
-    @settings(max_examples=40, deadline=None)
-    def test_dense_guarantee(self, values, buckets, epsilon):
-        builder = FixedWindowHistogramBuilder(
-            values.size, buckets, epsilon, engine="dense"
+        restored = FixedWindowHistogramBuilder.from_state(state)
+        maintainer = make_maintainer(
+            "fixed_window", window_size=48, num_buckets=4, epsilon=0.25
         )
-        builder.extend(values)
-        sse = builder.histogram().sse(values)
-        assert sse <= (1.0 + epsilon) * optimal_error(values, buckets) + 1e-6
-        assert builder.error_estimate == pytest.approx(sse, rel=1e-6, abs=1e-6)
-
-    @given(longer_sequences)
-    @settings(max_examples=25, deadline=None)
-    def test_engines_agree_within_guarantee(self, values):
-        """Both engines satisfy the same bound; dense is never looser than
-        the guarantee even when covers differ."""
-        buckets, epsilon = 4, 0.25
-        results = {}
-        for engine in ("lazy", "dense"):
-            builder = FixedWindowHistogramBuilder(
-                values.size, buckets, epsilon, engine=engine
-            )
-            builder.extend(values)
-            results[engine] = builder.error_estimate
-        optimum = optimal_error(values, buckets)
-        bound = (1.0 + epsilon) * optimum + 1e-6
-        assert results["lazy"] <= bound
-        assert results["dense"] <= bound
-
-    def test_dense_sliding(self):
-        rng = np.random.default_rng(5)
-        stream = rng.integers(0, 80, size=150).astype(float)
-        builder = FixedWindowHistogramBuilder(24, 3, 0.2, engine="dense")
-        for index, value in enumerate(stream):
-            builder.append(value)
-            if index >= 23 and index % 11 == 0:
-                window = stream[index - 23 : index + 1]
-                assert builder.histogram().sse(window) <= (
-                    1.2 * optimal_error(window, 3) + 1e-6
-                )
-
-    def test_dense_records_stats(self):
-        builder = FixedWindowHistogramBuilder(32, 4, 0.25, engine="dense")
-        builder.extend(np.arange(32.0))
-        builder.update()
-        assert builder.last_stats.herror_evaluations >= 32
-        assert len(builder.last_stats.intervals_per_level) == 3
+        payload = maintainer.state_dict()
+        payload["backend"]["builder"] = state
+        maintainer.load_state_dict(payload)
+        for builder in (restored, maintainer.builder):
+            assert builder.splits() == fresh.splits()
+            assert builder.histogram() == fresh.histogram()
+            assert builder.herror_estimate == fresh.herror_estimate
+            assert builder.interval_counts() == fresh.interval_counts()
 
 
 class TestDiagnostics:
@@ -256,6 +223,31 @@ class TestDiagnostics:
         assert builder.last_stats.total_intervals == sum(
             builder.last_stats.intervals_per_level
         )
+
+    def test_queries_leave_rebuild_stats_alone(self):
+        """A rebuild's counters are final: querying the histogram after it
+        must not move them, and they equal the lifetime delta.  On this
+        stream the split walk reads HERROR values no search consulted;
+        those reads are not rebuild work."""
+        from repro.datasets import att_utilization_stream
+
+        stream = att_utilization_stream(1088, seed=1)
+        builder = FixedWindowHistogramBuilder(1024, 8, 0.1)
+        builder.extend(stream[:1024])
+        builder.update()
+        lifetime = builder.lifetime_stats
+        before = lifetime.herror_evaluations, lifetime.search_probes
+        builder.extend(stream[1024:])
+        builder.update()
+        stats = builder.last_stats
+        counters = stats.herror_evaluations, stats.search_probes
+        builder.histogram()
+        builder.splits()
+        assert builder.herror_estimate >= 0.0
+        assert (stats.herror_evaluations, stats.search_probes) == counters
+        assert builder.last_stats is stats
+        assert lifetime.herror_evaluations - before[0] == stats.herror_evaluations
+        assert lifetime.search_probes - before[1] == stats.search_probes
 
     def test_no_rebuild_without_new_points(self):
         builder = FixedWindowHistogramBuilder(16, 3, 0.5)
