@@ -21,17 +21,22 @@ rebuilds the interval cover of every level with the procedure
 The searches consult only ``O(intervals * log n)`` positions per level --
 Theorem 1's ``O((B^3 / eps^2) log^3 n)`` work measure, reported as
 ``RebuildStats.herror_evaluations``.  The arithmetic behind those values is
-done for a whole level at once: one numpy broadcast over (window positions
-x level-(k-1) endpoints), in row blocks of bounded size, which is
-``O(n * intervals)`` per level but costs a few numpy calls per block
-instead of one per consulted position.  The searches then run in plain
-Python over the finished curve.  The emitted histogram is recovered by
-walking the minimizations back down the levels, so its true SSE equals the
-computed estimate and genuinely satisfies ``SSE <= (1 + eps) * OPT``.
+done for a whole level at once with numpy, over (window positions x
+level-(k-1) endpoints), in blocks of bounded size.  Most of those pairs
+cannot win their position's minimum, so on levels large enough to pay for
+it a sparse pass over every 16th endpoint first bounds each position's
+result and cuts the endpoints that provably lose; only the band that is
+left is evaluated in full.  Rounding
+is accounted for by a margin, so every ``HERROR`` value is the one a full
+evaluation gives, bit for bit.  The searches then run in plain Python over
+the finished curve.  The emitted histogram is recovered by walking the
+minimizations back down the levels, so its true SSE equals the computed
+estimate and genuinely satisfies ``SSE <= (1 + eps) * OPT``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,10 +48,21 @@ from .prefix import SlidingPrefixSums, as_stream_batch
 __all__ = ["FixedWindowHistogramBuilder", "RebuildStats"]
 
 
-#: Float64 elements per broadcast temporary: a row block holds at most this
-#: many (or a single row, when one level has more endpoints), so the
-#: rebuild's scratch memory does not grow with the window.
+#: Elements per temporary of the HERROR evaluation, so the rebuild's
+#: scratch memory does not grow with the window.
 _BLOCK_ELEMENTS = 16_384
+
+#: The sparse pass of ``_endpoint_minima`` prices every this-many-th cover
+#: endpoint for every position.
+_SPARSE_STRIDE = 16
+
+#: Positions per rectangle in the band pass of ``_endpoint_minima``.
+_BAND_ROWS = 64
+
+#: Levels with fewer (position, endpoint) pairs are evaluated whole: the
+#: sparse pass costs a few dozen numpy calls, which pruning recovers only
+#: once a level spans several blocks.
+_PRUNE_MIN_PAIRS = 4 * _BLOCK_ELEMENTS
 
 
 @dataclass
@@ -98,6 +114,62 @@ class _Level:
         self.herror = curve[self.ends]
         self.cum_sum = cum_sum[self.ends + 1]
         self.cum_sqsum = cum_sqsum[self.ends + 1]
+
+
+def _bucket_tails(
+    rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+    cols: tuple[np.ndarray, np.ndarray, np.ndarray],
+    out: np.ndarray,
+    spare: np.ndarray,
+) -> None:
+    """``SQERROR[e+1, c]`` for every (position ``c``, cover end ``e``) pair.
+
+    ``rows`` holds ``SUM[c+1]``, ``c`` and ``SQSUM[c+1]``; ``cols`` holds
+    ``SUM[e+1]``, ``e`` and ``SQSUM[e+1]``, each shaped to broadcast into
+    ``out``.  The scalar formula ``(SQSUM[c+1] - SQSUM[e+1]) - (SUM[c+1] -
+    SUM[e+1])**2 / (c - e)`` runs with its operations in its order, so
+    every element rounds exactly as a scalar evaluation does.  Each row term
+    is copied into the block before the endpoint term is subtracted: the
+    same IEEE subtraction, which numpy runs faster than one that broadcasts
+    the row term across the block itself.
+    """
+    sum_c, c, sqsum_c = rows
+    sum_e, e, sqsum_e = cols
+    np.copyto(spare, sum_c)
+    np.subtract(spare, sum_e, out=spare)
+    np.multiply(spare, spare, out=spare)
+    np.copyto(out, c)
+    np.subtract(out, e, out=out)
+    np.divide(spare, out, out=spare)
+    np.copyto(out, sqsum_c)
+    np.subtract(out, sqsum_e, out=out)
+    np.subtract(out, spare, out=out)
+
+
+def _rectangles(first: np.ndarray, last: np.ndarray) -> list[list[int]]:
+    """Row blocks ``[lo, hi)`` with the endpoint range ``[low, high)`` that
+    covers the bands ``[first, last)`` of their rows.
+
+    Blocks start at ``_BAND_ROWS`` rows, and blocks with nothing left are
+    dropped.  Adjacent blocks merge while the merged rectangle still fits
+    ``_BLOCK_ELEMENTS``, which saves numpy calls where bands are narrow.
+    """
+    starts = np.arange(0, first.size, _BAND_ROWS)
+    lows = np.minimum.reduceat(first, starts).tolist()
+    highs = np.maximum.reduceat(last, starts).tolist()
+    stops = starts[1:].tolist() + [first.size]
+    blocks: list[list[int]] = []
+    for lo, hi, low, high in zip(starts.tolist(), stops, lows, highs):
+        if high <= low:
+            continue
+        if blocks and blocks[-1][1] == lo:
+            top = blocks[-1]
+            merged = min(top[2], low), max(top[3], high)
+            if (hi - top[0]) * (merged[1] - merged[0]) <= _BLOCK_ELEMENTS:
+                top[1:] = hi, *merged
+                continue
+        blocks.append([lo, hi, low, high])
+    return blocks
 
 
 class FixedWindowHistogramBuilder:
@@ -294,6 +366,7 @@ class FixedWindowHistogramBuilder:
         base = prefix._base()
         self._cum_sum = prefix._cum_sum[base : base + last + 2]
         self._cum_sqsum = prefix._cum_sqsum[base : base + last + 2]
+        self._margin = self._rounding_margin()
         self._splits_cache = None
         self._levels = []
         positions = np.arange(last + 1)
@@ -333,50 +406,202 @@ class FixedWindowHistogramBuilder:
             level = self._levels[k - 2]
             # Virtual split at c - 1: the final bucket is the single point c.
             straddle = level.ends.searchsorted(c - 1)
-            value = (1.0 + self.delta) * level.curve[level.starts[straddle]]
-            np.minimum(value, self._endpoint_minima(level, c), out=value)
+            virtual = (1.0 + self.delta) * level.curve[level.starts[straddle]]
+            value = self._endpoint_minima(level, c, virtual)
         values[first:] = np.where(value > 0.0, value, 0.0)
         return values
 
-    def _endpoint_minima(self, level: _Level, c: np.ndarray) -> np.ndarray:
-        """``min(HERROR[e, k-1] + SQERROR[e+1, c])`` over cover ends ``e < c``.
+    def _rounding_margin(self) -> float:
+        """Bound on how far a computed ``SQERROR[e+1, c]`` can sit from the
+        exact SSE of the window points ``e+1 .. c``.
 
-        One broadcast over (positions x endpoints) per row block; a
-        position with no endpoint before it gets ``inf``.
+        The cumulative arrays are running sums: each entry is one rounded
+        addition of a point (or of its rounded square) to the previous
+        entry.  With unit roundoff ``u = 2**-53``, ``A = max|SUM'|``,
+        ``Q = max SQSUM'`` and ``X = max|x|`` over the window, and a bucket
+        of ``L <= n`` points, the two differences of cumulative entries are
+        off from the exact sums by at most ``L*u*A`` and ``L*u*(X**2 + Q)``.
+        The five rounded operations of the formula add at most ``u*Q`` (the
+        subtraction of squares), ``~4u*L*X**2`` (the squared sum over
+        ``L``) and ``u*L*X**2`` (the final subtraction), and the squared
+        sum's error gives ``2u*L*A*X``.  To first order the error is below
+        ``u * ((n+1)*Q + 2n*A*X + 6n*X**2)``; ``2**-50 * (n+1) * (Q + A*X +
+        X**2)`` covers it with room for the second-order terms and for its
+        own rounding, and ``(n+3) * 2**-1074`` covers products that
+        underflow.  When an intermediate could overflow there is no such
+        bound: the margin is ``inf``, which disables pruning.
+        """
+        n = len(self._prefix)
+        largest_sum = float(np.abs(self._cum_sum).max())
+        largest_sqsum = float(self._cum_sqsum.max())
+        largest_point = float(np.abs(self._prefix.values()).max())
+        if not math.isfinite(largest_sqsum + 4.0 * largest_sum * largest_sum):
+            return math.inf
+        return 2.0**-50 * (n + 1) * (
+            largest_sqsum + largest_sum * largest_point + largest_point * largest_point
+        ) + (n + 3) * 2.0**-1074
+
+    def _endpoint_minima(
+        self, level: _Level, c: np.ndarray, virtual: np.ndarray
+    ) -> np.ndarray:
+        """``min(virtual, HERROR[e, k-1] + SQERROR[e+1, c])`` over ends ``e < c``.
+
+        Equal, value for value, to evaluating every (position, endpoint)
+        pair, but only pairs that can still win are evaluated in full:
+
+        1. *Sparse pass* (:meth:`_sparse_pass`).  Every
+           ``_SPARSE_STRIDE``-th endpoint is priced for every position.  A
+           position's ``bound`` is the minimum of its ``virtual`` value and
+           these candidates.  Each of them is a value the full minimum
+           ranges over, so the result is ``min(bound, band)`` for any band
+           that keeps every endpoint whose candidate could fall below
+           ``bound``.
+        2. *Cuts.*  The same pass proves which endpoints lose; what is left
+           of a position is one band ``[first, last)`` of endpoints.
+        3. *Band pass.*  Rectangles of positions (:func:`_rectangles`)
+           cover their bands and are evaluated in full.  Extra endpoints
+           inside a rectangle are harmless, being genuine candidates;
+           endpoints at or past a position are masked out.
+
+        A level with fewer than ``_PRUNE_MIN_PAIRS`` pairs skips the sparse
+        pass and evaluates every pair.
+
+        The minimum's value is unchanged because a skipped pair computes to
+        at least ``bound``; ties do not matter because only the value is
+        stored.  Every evaluated candidate rounds as the scalar formula
+        does (:func:`_bucket_tails`), and every temporary holds at most
+        ``_BLOCK_ELEMENTS`` elements.
         """
         cutoffs = level.ends.searchsorted(c)  # endpoints strictly before c
-        best = np.full(c.size, np.inf)
-        sum_c = self._cum_sum[c + 1]
-        sqsum_c = self._cum_sqsum[c + 1]
-        rows_c = c.astype(np.float64)
-        rows = max(1, _BLOCK_ELEMENTS // level.ends.size)
-        scratch = np.empty((2, min(rows, c.size) * int(cutoffs[-1])))
+        rows = (self._cum_sum[c + 1], c.astype(np.float64), self._cum_sqsum[c + 1])
+        scratch = np.empty((2, _BLOCK_ELEMENTS))
         with np.errstate(divide="ignore", invalid="ignore"):
-            for lo in range(0, c.size, rows):
-                hi = min(lo + rows, c.size)
-                cols = int(cutoffs[hi - 1])
-                if cols == 0:
-                    continue
-                tails = scratch[0, : (hi - lo) * cols].reshape(hi - lo, cols)
-                quotient = scratch[1, : (hi - lo) * cols].reshape(hi - lo, cols)
-                column = slice(lo, hi), None
-                np.subtract(sum_c[column], level.cum_sum[:cols], out=quotient)
-                np.multiply(quotient, quotient, out=quotient)
-                np.subtract(rows_c[column], level.ends_float[:cols], out=tails)
-                np.divide(quotient, tails, out=quotient)
-                np.subtract(sqsum_c[column], level.cum_sqsum[:cols], out=tails)
-                np.subtract(tails, quotient, out=tails)
-                np.add(level.herror[:cols], tails, out=tails)
-                # Endpoints at or past a row's position are not splits for it.
-                done = int(cutoffs[lo])
-                if done < cols:
-                    np.copyto(
-                        tails[:, done:],
-                        np.inf,
-                        where=level.ends[done:cols] >= c[column],
+            if c.size * level.ends.size < _PRUNE_MIN_PAIRS:
+                bound = virtual.copy()
+                first = np.zeros(c.size, dtype=np.intp)
+                last = cutoffs
+            else:
+                bound, first, last = self._sparse_pass(
+                    level, c, cutoffs, rows, virtual, scratch
+                )
+            columns = (level.cum_sum, level.ends_float, level.cum_sqsum)
+            for lo, hi, low, high in _rectangles(first, last):
+                block = slice(lo, hi)
+                count = hi - lo
+                block_rows = tuple(term[block, None] for term in rows)
+                done = int(cutoffs[lo])  # endpoints before every row's position
+                chunk = _BLOCK_ELEMENTS // count
+                for left in range(low, high, chunk):
+                    right = min(left + chunk, high)
+                    size = count * (right - left)
+                    tails = scratch[0, :size].reshape(count, -1)
+                    _bucket_tails(
+                        block_rows,
+                        tuple(column[left:right] for column in columns),
+                        tails,
+                        scratch[1, :size].reshape(count, -1),
                     )
-                np.minimum.reduce(tails, axis=1, out=best[lo:hi])
-        return best
+                    np.add(level.herror[left:right], tails, out=tails)
+                    if done < right:
+                        skip = max(done, left)
+                        np.copyto(
+                            tails[:, skip - left :],
+                            np.inf,
+                            where=level.ends[skip:right] >= c[block, None],
+                        )
+                    row_bound = bound[block]
+                    np.minimum(
+                        row_bound, np.minimum.reduce(tails, axis=1), out=row_bound
+                    )
+        return bound
+
+    def _sparse_pass(
+        self,
+        level: _Level,
+        c: np.ndarray,
+        cutoffs: np.ndarray,
+        rows: tuple[np.ndarray, np.ndarray, np.ndarray],
+        virtual: np.ndarray,
+        scratch: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each position's ``bound`` and the band ``[first, last)`` of
+        endpoints whose candidates could still fall below it.
+
+        With ``margin`` from :meth:`_rounding_margin`, every computed tail
+        ``SQERROR[e+1, c]`` lies within ``margin`` of the exact SSE of the
+        bucket ``e+1 .. c``, which never grows as ``e`` moves right.  The
+        endpoints are split into segments of ``stride`` starting at each
+        sparse endpoint, and two facts cut them:
+
+        * *Segment cut* (sets ``first``).  A candidate in segment ``g`` is
+          at least the segment's ``HERROR`` floor (the suffix minimum of
+          ``HERROR`` at its first endpoint) plus the next sparse endpoint's
+          computed tail, less ``2 * margin``: its exact SSE is at least that
+          endpoint's.  If this exceeds ``bound``, every candidate of the
+          segment computes to at least ``bound`` (rounding is monotone), and
+          the segment loses.  With a floor of 0 this is the prefix cut: an
+          endpoint whose tail alone exceeds ``bound + 2 * margin`` beats
+          every endpoint before it.  ``first`` starts the first segment
+          that survives.
+        * *Suffix cut* (sets ``last``).  A computed tail is at least
+          ``-margin``, so an endpoint with ``HERROR > bound + margin``
+          loses.  The suffix minimum of ``HERROR`` does not decrease, so
+          one ``searchsorted`` finds where that holds for every later
+          endpoint.
+
+        Thresholds are rounded up (``nextafter``), so a comparison of
+        computed values that passes also holds for the real numbers.
+        Positions run along the contiguous axis, which is the long one.
+        """
+        margin = self._margin
+        ends = level.ends
+        bound = virtual.copy()
+        first = np.empty(c.size, dtype=np.intp)
+        # At most _BLOCK_ELEMENTS sparse endpoints, so a row fits one block.
+        stride = max(_SPARSE_STRIDE, -(-ends.size // _BLOCK_ELEMENTS))
+        sparse_ends, sparse_herror, *sparse = (
+            np.ascontiguousarray(column[::stride, None])
+            for column in (
+                ends,
+                level.herror,
+                level.cum_sum,
+                level.ends_float,
+                level.cum_sqsum,
+            )
+        )
+        suffix_min = np.minimum.accumulate(level.herror[::-1])[::-1]
+        floors = np.ascontiguousarray(suffix_min[::stride][:-1, None])
+        width = sparse_ends.shape[0]
+        for lo in range(0, c.size, _BLOCK_ELEMENTS // width):
+            block = slice(lo, min(lo + _BLOCK_ELEMENTS // width, c.size))
+            size = (block.stop - lo) * width
+            tails = scratch[0, :size].reshape(width, -1)
+            candidates = scratch[1, :size].reshape(width, -1)
+            _bucket_tails(
+                tuple(term[block] for term in rows), tuple(sparse), tails, candidates
+            )
+            # No candidate where the endpoint is not before the position:
+            # NaN drops out of ``fmin`` and fails every comparison below.
+            done = -(-int(cutoffs[lo]) // stride)  # valid for every row
+            np.copyto(tails[done:], np.nan, where=sparse_ends[done:] >= c[block])
+            np.add(sparse_herror, tails, out=candidates)
+            row_bound = bound[block]
+            np.fmin(row_bound, np.fmin.reduce(candidates, axis=0), out=row_bound)
+            # Lower bounds of segments 0 .. width-2; a row's last segment
+            # (whose next sparse tail is NaN or missing) always survives.
+            lower = candidates
+            np.add(floors, tails[1:], out=lower[:-1])
+            lower[-1] = -np.inf
+            threshold = np.nextafter(row_bound + 2.0 * margin, np.inf)
+            first[block] = (lower > threshold).argmin(axis=0)
+        first *= stride
+        last = suffix_min.searchsorted(np.nextafter(bound + margin, np.inf), "right")
+        np.minimum(last, cutoffs, out=last)
+        # A row with nothing left must not widen its block's rectangle.
+        empty = first >= last
+        first[empty] = ends.size
+        last[empty] = 0
+        return bound, first, last
 
     def _create_level(self, curve: np.ndarray, stats: RebuildStats) -> _Level:
         """Build the interval cover of one level's ``HERROR`` curve.

@@ -119,7 +119,10 @@ class SlidingPrefixSums:
     two cumulative entries, so the anchor offset cancels; every ``capacity``
     arrivals the arrays are compacted (an O(n) rebase amortized over n
     arrivals).  Window-relative indices are 0-based with index 0 being the
-    oldest retained point.
+    oldest retained point.  Every cumulative entry is the previous entry
+    plus one point (or its rounded square) in one rounded addition, however
+    the points arrive; the fixed-window builder's pruning margin relies on
+    that.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -163,12 +166,14 @@ class SlidingPrefixSums:
         self._total_seen += 1
 
     def extend(self, values) -> None:
-        """Slide the window forward by a whole batch (vectorized).
+        """Slide the window forward by a whole batch.
 
-        Equivalent to ``append`` per value, but the cumulative arrays are
-        advanced with one ``cumsum`` per segment and the ring is written
-        with one fancy-index assignment, so the per-point Python overhead
-        is amortized across the batch.
+        Equivalent to ``append`` per value, bit for bit, but the cumulative
+        arrays and the ring are written with slice assignments, so the
+        per-point Python overhead is amortized across the batch.  The batch
+        is validated before anything is written: extend ingests all points
+        or none (callers attribute a failed batch to exactly the
+        un-ingested points).
         """
         unchecked = (
             isinstance(values, np.ndarray)
@@ -176,59 +181,59 @@ class SlidingPrefixSums:
             and values.ndim == 1
         )
         array = values if unchecked else _as_float_array(values)
-        if array.size < 16:
-            # Below this size the fixed cost of the vectorized path exceeds
-            # the scalar loop.  Validate the whole batch *before* the loop:
-            # extend must ingest all points or none (per-point validation
-            # inside `append` would leave a partial prefix applied when a
-            # later point is bad, breaking callers that attribute a failed
-            # batch to exactly the un-ingested points).
-            points = array.tolist()
-            if unchecked:
-                for value in points:
-                    if not math.isfinite(value):
-                        raise ValueError(
-                            "values must be finite (no NaN or inf)"
-                        )
-            append = self.append
-            for value in points:
-                append(value)
-            return
+        # Below this size numpy's per-call cost exceeds the arithmetic, so
+        # the running sums are kept as Python floats instead.
+        small = array.size < 16
+        points = array.tolist() if small else array
         if unchecked:
-            # One reduction instead of an elementwise isfinite pass: any NaN
-            # or +/-inf in the batch makes the sum non-finite.  +inf and -inf
-            # together yield NaN inside the reduction, which numpy would warn
-            # about even though rejection is exactly the point.
-            with np.errstate(invalid="ignore"):
-                total = float(np.sum(array))
-            if not math.isfinite(total):
+            if small:
+                finite = all(map(math.isfinite, points))
+            else:
+                # One reduction instead of an elementwise isfinite pass: any
+                # NaN or +/-inf in the batch makes the sum non-finite.  +inf
+                # and -inf together yield NaN inside the reduction, which
+                # numpy would warn about even though rejection is the point.
+                with np.errstate(invalid="ignore"):
+                    finite = math.isfinite(float(np.sum(array)))
+            if not finite:
                 raise ValueError("values must be finite (no NaN or inf)")
         capacity = self._capacity
         start = 0
-        while start < array.size:
+        while start < len(points):
             if self._filled == 2 * capacity:
                 self._rebase()
-            room = 2 * capacity - self._filled
-            chunk = array[start : start + room]
             head = self._filled
-            count = chunk.size
-            # Accumulate in place over [running total, chunk...] so the
-            # rounding matches per-point `append` bit for bit (same
-            # associativity), without allocating temporaries.
-            seg = self._cum_sum[head : head + 1 + count]
-            seg[1:] = chunk
-            np.add.accumulate(seg, out=seg)
-            seg = self._cum_sqsum[head : head + 1 + count]
-            np.multiply(chunk, chunk, out=seg[1:])
-            np.add.accumulate(seg, out=seg)
+            chunk = points[start : start + 2 * capacity - head]
+            count = len(chunk)
+            cum_sum = self._cum_sum[head : head + 1 + count]
+            cum_sqsum = self._cum_sqsum[head : head + 1 + count]
+            # Either way each entry is the previous one plus a point (or its
+            # square), the same additions in the same order as `append`.
+            if small:
+                total = float(cum_sum[0])
+                squares = float(cum_sqsum[0])
+                totals = []
+                sq_totals = []
+                for value in chunk:
+                    total += value
+                    squares += value * value
+                    totals.append(total)
+                    sq_totals.append(squares)
+                cum_sum[1:] = totals
+                cum_sqsum[1:] = sq_totals
+            else:
+                cum_sum[1:] = chunk
+                np.add.accumulate(cum_sum, out=cum_sum)
+                np.multiply(chunk, chunk, out=cum_sqsum[1:])
+                np.add.accumulate(cum_sqsum, out=cum_sqsum)
             # Ring update: only the last `capacity` chunk values can survive,
             # written as at most two contiguous slices.
             write = chunk if count <= capacity else chunk[count - capacity :]
-            pos = (self._total_seen + count - write.size) % capacity
-            first = min(write.size, capacity - pos)
+            pos = (self._total_seen + count - len(write)) % capacity
+            first = min(len(write), capacity - pos)
             self._ring[pos : pos + first] = write[:first]
-            if write.size > first:
-                self._ring[: write.size - first] = write[first:]
+            if len(write) > first:
+                self._ring[: len(write) - first] = write[first:]
             self._filled += count
             self._total_seen += count
             start += count

@@ -74,6 +74,7 @@ __all__ = [
     "QoSController",
     "QuotaExceededError",
     "TenantQuota",
+    "tier_controller",
 ]
 
 #: Ladder levels, index == severity.
@@ -360,6 +361,15 @@ class QoSController:
     # ------------------------------------------------------------------
     # Wiring (owning tier)
     # ------------------------------------------------------------------
+
+    def bind_registry(self, registry: MetricsRegistry) -> None:
+        """Record every later decision into ``registry`` (the owning
+        tier's), so ladder, shed and admit metrics reach the tier's
+        ``metrics()`` and Prometheus export."""
+        with self._lock:
+            self.registry = registry
+            self._level_gauge = registry.gauge(LEVEL_METRIC)
+            self._level_gauge.set(self._level)
 
     def set_signal_source(self, source) -> None:
         """``source()`` -> ``{"queue_fill": 0..1, "p99_latency": s}``."""
@@ -689,3 +699,29 @@ class QoSController:
                     for name, record in sorted(self._streams.items())
                 },
             }
+
+
+def tier_controller(
+    qos: QoSConfig | QoSController | None,
+    registry: MetricsRegistry,
+    signals,
+    drained,
+) -> QoSController | None:
+    """The QoS controller a tier runs, wired to that tier.
+
+    Built from a config, or the caller's own controller (which keeps its
+    clock).  Either way it records into the tier's ``registry`` and reads
+    the tier's ``signals`` and ``drained`` checks (see
+    :meth:`QoSController.set_signal_source` and
+    :meth:`QoSController.set_drained`).
+    """
+    if qos is None:
+        return None
+    if isinstance(qos, QoSController):
+        qos.bind_registry(registry)
+        controller = qos
+    else:
+        controller = QoSController(qos, registry=registry)
+    controller.set_signal_source(signals)
+    controller.set_drained(drained)
+    return controller

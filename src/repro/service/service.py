@@ -51,7 +51,7 @@ from ..obs.tracing import SpanRecord, Tracer
 from ..runtime.registry import make_maintainer
 from .deadletter import DeadLetterBuffer, DeadLetterRecord
 from .faults import FaultInjector
-from .qos import QoSConfig, QoSController
+from .qos import QoSConfig, QoSController, tier_controller
 from .queries import (
     MaterializedView,
     view_histogram,
@@ -208,7 +208,8 @@ class StreamService:
     old always-full behavior); ``qos`` attaches multi-tenant admission
     control and the graceful-degradation ladder (a
     :class:`~repro.service.qos.QoSConfig`, or a pre-built
-    :class:`~repro.service.qos.QoSController`).
+    :class:`~repro.service.qos.QoSController`, which then records into
+    this service's registry).
     """
 
     def __init__(
@@ -226,15 +227,9 @@ class StreamService:
             raise ValueError("restart_policy requires supervise=True")
         self.registry = MetricsRegistry()
         self.tracer = Tracer(self.registry)
-        if qos is None:
-            self._qos = None
-        elif isinstance(qos, QoSController):
-            self._qos = qos
-        else:
-            self._qos = QoSController(qos, registry=self.registry)
-        if self._qos is not None:
-            self._qos.set_signal_source(self._qos_signals)
-            self._qos.set_drained(self._qos_drained)
+        self._qos = tier_controller(
+            qos, self.registry, self._qos_signals, self._qos_drained
+        )
         self._store = (
             SnapshotStore(
                 snapshot_dir,

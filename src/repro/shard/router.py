@@ -58,7 +58,7 @@ from ..obs.export import samples_to_jsonl, samples_to_prometheus_text
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import SpanRecord
 from ..service.faults import FaultInjector
-from ..service.qos import QoSConfig, QoSController
+from ..service.qos import QoSConfig, QoSController, tier_controller
 from ..service.queries import UnsupportedQueryError
 from ..service.service import StreamSpec, UnknownStreamError, _valid_stream_name
 from ..service.supervisor import RestartPolicy, StreamFailedError
@@ -280,15 +280,9 @@ class ShardRouter:
         self._breaker_reset = float(breaker_reset)
         self._injector = fault_injector
         self.registry = MetricsRegistry()
-        if qos is None:
-            self._qos = None
-        elif isinstance(qos, QoSController):
-            self._qos = qos
-        else:
-            self._qos = QoSController(qos, registry=self.registry)
-        if self._qos is not None:
-            self._qos.set_signal_source(self._qos_signals)
-            self._qos.set_drained(self._qos_drained)
+        self._qos = tier_controller(
+            qos, self.registry, self._qos_signals, self._qos_drained
+        )
         self._send_latency = self.registry.histogram(
             "repro_router_send_seconds"
         )

@@ -75,8 +75,11 @@ _FULL_VARIANTS: dict[str, list[dict]] = {
     "fixed_window": [
         dict(window_size=64, num_buckets=8, epsilon=0.25),
         dict(window_size=128, num_buckets=4, epsilon=0.1),
-        # Wider than one broadcast row block: block edges meet the exact DP.
+        # Several row blocks per level: their edges meet the exact DP.
         dict(window_size=256, num_buckets=8, epsilon=0.1),
+        # Large enough for pruning on most profiles: sparse endpoints and
+        # band rectangles meet the exact DP.
+        dict(window_size=512, num_buckets=8, epsilon=0.1),
     ],
     "agglomerative": [
         dict(num_buckets=8, epsilon=0.25),

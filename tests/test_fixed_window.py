@@ -6,6 +6,8 @@ has SSE within ``(1 + eps)`` of the optimal B-bucket SSE of that window.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -248,6 +250,28 @@ class TestDiagnostics:
         assert builder.last_stats is stats
         assert lifetime.herror_evaluations - before[0] == stats.herror_evaluations
         assert lifetime.search_probes - before[1] == stats.search_probes
+
+    def test_rebuild_scratch_memory_is_bounded(self):
+        """One rebuild at n=8192 peaks at ~1.8 MB of allocations (curves,
+        covers, per-position rows and the blocked temporaries; 1.6 MB
+        without pruning).  A temporary spanning (positions x sparse
+        endpoints) would add ~2.8 MB here, so the bound catches scratch
+        that grows with the window."""
+        from repro.datasets import att_utilization_stream
+
+        window = 8192
+        stream = att_utilization_stream(window + 64, seed=1)
+        builder = FixedWindowHistogramBuilder(window, 8, 0.1)
+        builder.extend(stream[:window])
+        builder.update()
+        builder.extend(stream[window:])
+        tracemalloc.start()
+        try:
+            builder.update()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
     def test_no_rebuild_without_new_points(self):
         builder = FixedWindowHistogramBuilder(16, 3, 0.5)

@@ -8,9 +8,9 @@ HERROR estimate as ``float.hex``, the bucket splits, and the lifetime
 and after each of five 64-point slides.  Any change to the rebuild
 arithmetic or to the search path shows up here as an exact mismatch.
 
-The property test checks the broadcast arithmetic itself: every level's
-HERROR curve must equal, bit for bit, a scalar evaluation of each position
-(:func:`reference_herror`).
+The property test checks the curve arithmetic itself, pruning included:
+every level's HERROR curve must equal, bit for bit, a scalar evaluation of
+each position over every endpoint (:func:`reference_herror`).
 
 Regenerate (only when a change is *meant* to move the covers)::
 
@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import fixed_window
 from repro.core.fixed_window import FixedWindowHistogramBuilder
 from repro.datasets import att_utilization_stream
 
@@ -98,7 +100,7 @@ def test_rebuild_matches_golden(golden, name):
 
 def reference_herror(builder: FixedWindowHistogramBuilder, c: int, k: int) -> float:
     """``HERROR[c, k]`` of the builder's current rebuild, one position at a
-    time with scalar lookups: the oracle for the broadcast in ``_curve``."""
+    time with scalar lookups over every endpoint: the oracle for ``_curve``."""
     if c + 1 <= k:
         return 0.0  # fewer points than buckets: exact
     cum_sum = builder._cum_sum
@@ -133,28 +135,80 @@ _random_walks = st.lists(
 _plateaus = st.lists(
     st.tuples(st.integers(0, 20), st.integers(1, 60)), min_size=1, max_size=12
 ).map(lambda runs: [float(v) for v, count in runs for _ in range(count)])
+# Inputs where rounding is largest next to the SSE values: big offsets under
+# small variation, tiny noise on large values, +-1e8 integers, rare spikes,
+# constants.  The pruning margin must hold on all of them.
+_offsets = st.lists(st.integers(0, 20), min_size=2, max_size=360).map(
+    lambda values: [1e8 + v for v in values]
+)
+_noisy_large = st.lists(
+    st.floats(-1e-3, 1e-3, allow_nan=False), min_size=2, max_size=360
+).map(lambda noise: [5e6 + v for v in noise])
+_signed_large = st.lists(
+    st.tuples(st.sampled_from([-1e8, 1e8]), st.integers(-3, 3)),
+    min_size=2,
+    max_size=360,
+).map(lambda pairs: [sign + v for sign, v in pairs])
+_spikes = st.lists(
+    st.one_of(st.integers(995, 1005), st.just(20503)), min_size=2, max_size=360
+).map(lambda values: [float(v) for v in values])
+_constants = st.tuples(
+    st.floats(-1e9, 1e9, allow_nan=False), st.integers(2, 360)
+).map(lambda spec: [spec[0]] * spec[1])
+
+
+#: Tiny blocks, a short stride and no size floor for pruning: short windows
+#: then reach what only long ones reach with the real constants (many
+#: sparse-pass blocks, band rectangles and column chunks per level).  The
+#: property test runs every input under both sets of constants.
+SMALL_BLOCKS = dict(
+    _BLOCK_ELEMENTS=256, _SPARSE_STRIDE=4, _BAND_ROWS=16, _PRUNE_MIN_PAIRS=0
+)
 
 
 @given(
-    st.one_of(_integers, _random_walks, _plateaus),
-    st.integers(2, 300),
+    st.one_of(
+        _integers,
+        _random_walks,
+        _plateaus,
+        _offsets,
+        _noisy_large,
+        _signed_large,
+        _spikes,
+        _constants,
+    ),
+    st.integers(2, 360),
     st.integers(1, 9),
     st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
 )
-# ~200-260 intervals per level over 300 positions: four row blocks a level.
+# ~200-260 intervals per level over 300 positions: most levels are pruned,
+# with ~16 sparse endpoints and four band rectangles each.
 @example([float(i * 7919 % 101) for i in range(360)], 300, 9, 0.05)
-@settings(max_examples=60, deadline=None)
+# Rounding reorders the computed tails here: pruning without the rounding
+# margin gets levels 4 and 5 wrong.
+@example(
+    (1e8 + np.random.default_rng(0).integers(0, 20, 640)).tolist(), 640, 6, 0.25
+)
+# The benchmark's configuration: two or three sparse-pass blocks and 6-11
+# band rectangles a level, on the stream the golden fixture uses.
+@example(att_utilization_stream(1024 + SLIDE, seed=1).tolist(), 1024, 8, 0.1)
+@settings(max_examples=100, deadline=None)
 def test_level_curves_match_scalar_reference(points, window, buckets, epsilon):
-    builder = FixedWindowHistogramBuilder(window, buckets, epsilon)
-    builder.extend(np.asarray(points, dtype=np.float64))
-    builder.update()
-    positions = range(len(builder))
-    for k, level in enumerate(builder._levels, start=1):
-        expected = np.array([reference_herror(builder, c, k) for c in positions])
-        assert level.curve.tobytes() == expected.tobytes(), f"level {k}"
-    last = len(builder) - 1
-    final = reference_herror(builder, last, buckets)
-    assert float(builder.herror_estimate).hex() == float(final).hex()
+    for constants in (None, SMALL_BLOCKS):
+        builder = FixedWindowHistogramBuilder(window, buckets, epsilon)
+        builder.extend(np.asarray(points, dtype=np.float64))
+        if constants:
+            with mock.patch.multiple(fixed_window, **constants):
+                builder.update()
+        else:
+            builder.update()
+        positions = range(len(builder))
+        for k, level in enumerate(builder._levels, start=1):
+            expected = np.array([reference_herror(builder, c, k) for c in positions])
+            assert level.curve.tobytes() == expected.tobytes(), (constants, k)
+        last = len(builder) - 1
+        final = reference_herror(builder, last, buckets)
+        assert float(builder.herror_estimate).hex() == float(final).hex()
 
 
 def main(path: Path = GOLDEN) -> None:

@@ -159,6 +159,41 @@ class TestSlidingPrefixSums:
             )
 
     @given(
+        st.integers(min_value=1, max_value=20),
+        st.lists(
+            st.lists(
+                st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+                min_size=1,
+                max_size=15,
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=100)
+    def test_small_extend_matches_append_bit_for_bit(
+        self, capacity, batches, as_array
+    ):
+        """Batches of 1-15 points, across rebases and longer than the
+        capacity, leave every array exactly as per-point ``append`` does."""
+        extended = SlidingPrefixSums(capacity)
+        appended = SlidingPrefixSums(capacity)
+        for batch in batches:
+            extended.extend(np.asarray(batch) if as_array else batch)
+            for value in batch:
+                appended.append(value)
+            for name in ("_cum_sum", "_cum_sqsum", "_ring"):
+                assert (
+                    getattr(extended, name).tobytes()
+                    == getattr(appended, name).tobytes()
+                ), name
+            assert (extended._filled, extended.total_seen) == (
+                appended._filled,
+                appended.total_seen,
+            )
+
+    @given(
         st.lists(st.integers(0, 50), min_size=10, max_size=60),
         st.data(),
     )

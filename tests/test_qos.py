@@ -360,6 +360,16 @@ class TestServiceQoS:
             assert snapshot["admitted_points"] == 100
             assert service.health("gk")["degradation"] == "healthy"
 
+    def test_caller_built_controller_records_into_service_registry(self):
+        ctrl = make_controller()
+        with StreamService(qos=ctrl) as service:
+            service.create_stream("s", backend="gk_quantiles", params=GK)
+            ctrl.force_level("shed")
+            assert service.ingest("s", _stream(256)) < 256
+            names = {sample["name"] for sample in service.metrics()}
+            assert {TRANSITIONS_METRIC, SHED_METRIC} <= names
+            assert TRANSITIONS_METRIC in service.prometheus_metrics()
+
     def test_forced_shed_widens_reported_accuracy(self):
         ctrl = QoSController(QoSConfig())
         with StreamService(qos=ctrl) as service:
@@ -617,6 +627,19 @@ class TestRouterControlPlane:
             assert router.shard_states()[0]["breaker"] == "closed"
             assert router.shard_states()[0]["state"] == "up"
             assert router.shard_states()[0]["restarts"] == 0
+
+    def test_caller_built_controller_records_into_router_registry(self):
+        ctrl = make_controller()
+        with ShardRouter(num_shards=1, qos=ctrl) as router:
+            router.create_stream("s", backend="gk_quantiles", params=GK)
+            ctrl.force_level("shed")
+            assert router.ingest("s", _stream(256)) < 256
+            names = {
+                sample["name"]
+                for sample in router.metrics()
+                if sample["labels"]["shard"] == "router"
+            }
+            assert {TRANSITIONS_METRIC, SHED_METRIC} <= names
 
     def test_router_admission_propagates_shed_to_shard_accuracy(self):
         ctrl = QoSController(QoSConfig(seed=5))
