@@ -43,7 +43,9 @@ a non-blocking step and uploads both JSON files.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import os
 import platform
 import statistics
 import sys
@@ -266,6 +268,41 @@ def _percentiles(samples: list[float]) -> tuple[float, float]:
     return p50, p99
 
 
+def _write_format2_json(directory: Path, name: str, seq: int, payload: dict) -> Path:
+    """One format-2 JSON snapshot, laid out as the store used to write it.
+
+    The body carries format/stream/seq/created_at and a sha256 over its
+    canonical compact JSON; the file is indented, key-sorted, written to
+    a temp file, fsynced and renamed into place, and the directory is
+    fsynced.  The store only reads this layout now; the checkpoint
+    suite keeps it as the JSON baseline.
+    """
+    body = {
+        "format": 2,
+        "stream": name,
+        "seq": seq,
+        "created_at": time.time(),
+        **payload,
+    }
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    body["checksum"] = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    path = directory / f"{name}-{seq:08d}.json"
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as handle:
+        handle.write((json.dumps(body, indent=2, sort_keys=True) + "\n").encode())
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+    if seq > 1:
+        (directory / f"{name}-{seq - 1:08d}.json").unlink()
+    return path
+
+
 def run_checkpoint() -> dict:
     """Checkpoint bytes and latency: binary delta cadence vs JSON.
 
@@ -273,13 +310,11 @@ def run_checkpoint() -> dict:
     driven through ``CHECKPOINT_CYCLES`` base cycles of checkpoint
     barriers with ``CHECKPOINT_INTERVAL`` points per stream between
     them; every barrier's wall time and on-disk bytes are recorded.
-    The JSON columns write the exact format-2 payload the store used to
-    persist (full ``state_dict`` + listified tail, one file per stream)
-    into a scratch store, so both layouts are measured on identical
-    state in the same process.
+    The JSON columns write the format-2 file the store used to persist
+    (full ``state_dict`` + listified tail, one file per stream, see
+    :func:`_write_format2_json`) into a temporary directory, so both
+    layouts are measured on identical state in the same process.
     """
-    from repro.service import SnapshotStore
-
     stream = att_utilization_stream(
         CHECKPOINT_PARAMS["window_size"]
         + CHECKPOINT_INTERVAL * CHECKPOINT_BASE_EVERY * CHECKPOINT_CYCLES,
@@ -307,21 +342,21 @@ def run_checkpoint() -> dict:
             json_seconds = []
             json_bytes = 0
             with tempfile.TemporaryDirectory() as json_dir:
-                json_store = SnapshotStore(json_dir, keep=1)
-                for _ in range(CHECKPOINT_JSON_TRIALS):
+                for trial in range(CHECKPOINT_JSON_TRIALS):
                     started = time.perf_counter()
                     paths = []
                     for name in names:
-                        worker = service._workers[name]
-                        state, arrivals, tail = worker.checkpoint_state()
+                        capture = service._workers[name].checkpoint_capture()
                         paths.append(
-                            json_store.write(
+                            _write_format2_json(
+                                Path(json_dir),
                                 name,
+                                trial + 1,
                                 {
                                     "spec": service._specs[name].to_dict(),
-                                    "arrivals": arrivals,
-                                    "state": state,
-                                    "tail": [b.tolist() for b in tail],
+                                    "arrivals": capture["arrivals"],
+                                    "state": capture["state"],
+                                    "tail": [b.tolist() for b in capture["tail"]],
                                 },
                             )
                         )

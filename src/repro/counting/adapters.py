@@ -31,8 +31,6 @@ __all__ = ["EHCountMaintainer", "CRPrecisMaintainer"]
 class EHCountMaintainer(UpdateMaintainer):
     """Sliding-window counting over the last ``window`` arrivals."""
 
-    supports_state_arrays = True
-
     def __init__(
         self, window: int, epsilon: float, name: str | None = None
     ) -> None:
@@ -78,8 +76,6 @@ class EHCountMaintainer(UpdateMaintainer):
 
 class CRPrecisMaintainer(UpdateMaintainer):
     """Deterministic CR-precis turnstile frequency summary."""
-
-    supports_state_arrays = True
 
     def __init__(
         self, rows: int, base: int, domain: int, name: str | None = None

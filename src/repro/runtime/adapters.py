@@ -88,8 +88,6 @@ class FixedWindowMaintainer(Maintainer):
     cadence dial.
     """
 
-    supports_state_arrays = True
-
     def __init__(
         self,
         window_size: int,
@@ -170,8 +168,6 @@ class FixedWindowMaintainer(Maintainer):
 class AgglomerativeMaintainer(Maintainer):
     """The one-pass whole-prefix histogram builder (section 4.3)."""
 
-    supports_state_arrays = True
-
     def __init__(
         self, num_buckets: int, epsilon: float, name: str | None = None
     ) -> None:
@@ -210,8 +206,6 @@ class WaveletWindowMaintainer(Maintainer):
     prices.  ``synopsis()`` always reflects the current buffer;
     :meth:`last_synopsis` serves the snapshot of the last maintain.
     """
-
-    supports_state_arrays = True
 
     def __init__(self, window_size: int, budget: int, name: str | None = None) -> None:
         super().__init__(name or f"wavelet(n={window_size}, B={budget})")
@@ -259,8 +253,6 @@ class WaveletWindowMaintainer(Maintainer):
 class ExactBufferMaintainer(Maintainer):
     """The raw sliding buffer itself: zero error, reference answers."""
 
-    supports_state_arrays = True
-
     def __init__(self, window_size: int, name: str | None = None) -> None:
         super().__init__(name or f"exact(n={window_size})")
         self._window = SlidingWindow(window_size)
@@ -286,8 +278,6 @@ class ExactBufferMaintainer(Maintainer):
 
 class DynamicWaveletMaintainer(Maintainer):
     """The [MVW00] dynamic wavelet histogram of a frequency vector."""
-
-    supports_state_arrays = True
 
     def __init__(
         self, domain_size: int, budget: int, name: str | None = None
@@ -331,8 +321,6 @@ class GKQuantileMaintainer(Maintainer):
     ``quantiles``) -- order statistics, not positional estimates.
     """
 
-    supports_state_arrays = True
-
     def __init__(self, epsilon: float, name: str | None = None) -> None:
         super().__init__(name or f"gk_quantiles(eps={epsilon:g})")
         self._summary = GKQuantileSummary(epsilon)
@@ -355,8 +343,6 @@ class GKQuantileMaintainer(Maintainer):
 
 class EquiDepthMaintainer(Maintainer):
     """Streaming equi-depth histogram of a non-negative attribute."""
-
-    supports_state_arrays = True
 
     def __init__(
         self, num_buckets: int, epsilon: float = 0.01, name: str | None = None
@@ -394,8 +380,6 @@ class EquiDepthMaintainer(Maintainer):
 class ReservoirMaintainer(Maintainer):
     """Uniform reservoir sample with Horvitz-Thompson estimators."""
 
-    supports_state_arrays = True
-
     def __init__(self, capacity: int, seed: int = 0, name: str | None = None) -> None:
         super().__init__(name or f"reservoir(k={capacity})")
         self._sample = ReservoirSample(capacity, seed=seed)
@@ -423,8 +407,6 @@ class DelayedMaintainer(Maintainer):
     stream, ``lag`` arrivals behind.  Buffering happens here so the inner
     maintainer still benefits from batched ingestion.
     """
-
-    supports_state_arrays = True
 
     def __init__(self, inner: Maintainer, lag: int, name: str | None = None) -> None:
         if lag < 1:

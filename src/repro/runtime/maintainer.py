@@ -17,11 +17,12 @@ contract, stated once:
 * ``stats()`` -- a :class:`MaintainerStats` snapshot unifying the
   ``RebuildStats``-style telemetry (points, rebuilds, HERROR evaluations,
   search probes, wall time) across backends.
-* ``state_dict()`` / ``load_state_dict(state)`` -- durable checkpointing.
-  Every adapter serializes its backend through the synopsis's own
-  ``to_dict``/``to_state`` snapshot, so a maintainer restored into a
-  fresh process continues the stream exactly where the original left
-  off; :mod:`repro.service` builds crash recovery on this contract.
+* ``state_dict()`` / ``load_state_dict(state)`` -- durable checkpointing,
+  and the only state path.  Every adapter serializes its backend through
+  the synopsis's own ``to_dict``/``to_state`` snapshot, so a maintainer
+  restored into a fresh process continues the stream exactly where the
+  original left off; :mod:`repro.service` builds crash recovery on this
+  contract (its snapshot store flattens the dict into binary sections).
 
 Concrete adapters live in :mod:`repro.runtime.adapters`; the string-keyed
 factory in :mod:`repro.runtime.registry`; the driving loop in
@@ -37,7 +38,6 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from ..core.prefix import as_stream_batch
-from .statecodec import flatten_state, unflatten_state
 
 __all__ = ["Maintainer", "MaintainerStats", "UpdateMaintainer"]
 
@@ -93,11 +93,6 @@ class Maintainer(ABC):
     exists, ``window_values``.  The public verbs wrap those hooks with
     timing and counting so every backend reports comparable telemetry.
     """
-
-    #: Adapters that opt into the binary checkpoint fast path set this
-    #: True; the service then snapshots them through
-    #: :meth:`state_arrays` (raw numeric sections) instead of JSON.
-    supports_state_arrays = False
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -161,7 +156,9 @@ class Maintainer(ABC):
 
         The envelope carries the adapter class (so a mismatched restore
         fails loudly), the display name, the telemetry counters, and the
-        backend payload produced by :meth:`_state_dict`.
+        backend payload produced by :meth:`_state_dict`.  The result is a
+        fresh object tree, never a view of live state: the service
+        serializes it after the worker has resumed ingesting.
         """
         self._refresh_stats()
         return {
@@ -189,22 +186,6 @@ class Maintainer(ABC):
         stats = state.get("stats")
         if stats is not None:
             self._stats = MaintainerStats(**stats)
-
-    def state_arrays(self):
-        """:meth:`state_dict` split for binary snapshots.
-
-        Returns ``(skeleton, arrays)`` per
-        :func:`repro.runtime.statecodec.flatten_state`: a small JSON
-        skeleton plus the state's numeric bulk as contiguous
-        float64/int64 arrays.  Restoring through
-        :meth:`load_state_arrays` is bit-identical to restoring the
-        JSON ``state_dict`` -- the codec round-trip is exact.
-        """
-        return flatten_state(self.state_dict())
-
-    def load_state_arrays(self, skeleton: dict, arrays) -> None:
-        """Restore the state captured by :meth:`state_arrays` in place."""
-        self.load_state_dict(unflatten_state(skeleton, arrays))
 
     # ------------------------------------------------------------------
     # Subclass hooks

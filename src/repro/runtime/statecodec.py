@@ -5,15 +5,17 @@ GK tuple triples, histogram bucket tables -- serialized as JSON text at
 ~30 bytes per number.  :func:`flatten_state` walks a ``state_dict`` and
 pulls those lists out as contiguous little-endian ``float64``/``int64``
 numpy arrays, leaving a small JSON-serializable *skeleton* behind with
-placeholder nodes pointing at the extracted arrays.  The binary snapshot
-writer (:mod:`repro.service.snapshot`) stores the skeleton as a short
-JSON header and the arrays as raw sections -- 8 bytes per number,
-zero-copy on read.
+placeholder nodes pointing at the extracted arrays.  The snapshot store
+(:mod:`repro.service.snapshot`) is the codec's one user: it flattens
+every maintainer's ``state_dict()`` on write, storing the skeleton as a
+short JSON header and the arrays as raw sections (8 bytes per number),
+and unflattens on read.
 
 :func:`unflatten_state` is the exact inverse: placeholders are replaced
 with ``array.tolist()`` output, so the restored structure is the same
-Python object tree JSON round-tripping would have produced (Python
-floats and ints round-trip bit-identically through float64/int64).
+Python object tree JSON round-tripping would have produced (extracted
+floats -- ``-0.0``, infinities and NaN payloads included -- and int64
+ints round-trip bit-identically).
 Anything the codec cannot represent exactly -- short lists, ragged
 tables, mixed int/float columns, strings -- simply stays in the
 skeleton; the split is lossless by construction.

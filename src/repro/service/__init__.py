@@ -4,7 +4,7 @@ The serving layer over :mod:`repro.runtime`: a :class:`StreamService`
 hosts many named streams, each a registry-built maintainer behind a
 bounded ingest queue drained by a worker thread, with snapshot-isolated
 queries (``range_sum`` / ``quantile`` / ``histogram`` / ``stats``) and
-durable checkpoint/restore via checksummed JSON snapshots plus a
+durable checkpoint/restore via checksummed binary snapshots plus a
 manifest.  The fault-tolerance subsystem -- worker supervision with
 bounded-backoff restarts (:class:`StreamSupervisor`), poison-record
 quarantine (:class:`DeadLetterBuffer`), snapshot generation fallback,

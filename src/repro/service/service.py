@@ -31,7 +31,7 @@ Typical lifetime::
     service.ingest("cpu", samples)          # any thread, backpressured
     service.range_sum("cpu", 100, 499)       # reads the materialized view
     service.health("cpu")                    # healthy / degraded / failed
-    service.checkpoint()                     # durable JSON + manifest
+    service.checkpoint()                     # binary snapshot + manifest
     ...                                      # crash / restart ...
     service = StreamService.restore("snapshots/")   # same state + tail
 """
@@ -75,7 +75,7 @@ class UnknownStreamError(KeyError):
 
 
 def _valid_stream_name(name: str) -> bool:
-    # Names become snapshot filenames ("<name>-<seq>.json"); excluding
+    # Names become snapshot filenames ("<name>-<seq>.snap"); excluding
     # "-" keeps the sequence separator unambiguous.
     return bool(name) and name.replace("_", "").replace(".", "").isalnum()
 
@@ -297,15 +297,12 @@ class StreamService:
         *,
         state: dict | None,
         arrivals: int,
-        state_arrays: tuple | None = None,
         dead_letter: DeadLetterBuffer | None = None,
     ) -> StreamWorker:
         """A configured (not yet started) worker; shared with recovery."""
         maintainer = spec.build_maintainer()
         if state is not None:
             maintainer.load_state_dict(state)
-        elif state_arrays is not None:
-            maintainer.load_state_arrays(*state_arrays)
         accuracy = None
         if spec.accuracy is not None:
             accuracy = AccuracyMonitor(
@@ -340,7 +337,7 @@ class StreamService:
             accuracy=accuracy,
             on_shed=on_shed,
         )
-        if state is not None or state_arrays is not None:
+        if state is not None:
             worker.seed_view()
         return worker
 
@@ -351,7 +348,6 @@ class StreamService:
         state: dict | None,
         arrivals: int,
         tail: Iterable,
-        state_arrays: tuple | None = None,
     ) -> StreamWorker:
         if self._closed:
             raise RuntimeError("service is closed")
@@ -361,10 +357,7 @@ class StreamService:
             )
         if name in self._workers:
             raise ValueError(f"stream {name!r} already exists")
-        worker = self._build_worker(
-            name, spec, state=state, arrivals=arrivals,
-            state_arrays=state_arrays,
-        )
+        worker = self._build_worker(name, spec, state=state, arrivals=arrivals)
         self._workers[name] = worker
         self._specs[name] = spec
         self._checkpoint_marks[name] = arrivals
@@ -765,7 +758,8 @@ class StreamService:
         self.flush(name, timeout=timeout)
 
         with self.tracer.span("certify", name):
-            state, arrivals, _tail = worker.checkpoint_state()
+            capture = worker.checkpoint_capture()
+            state, arrivals = capture["state"], capture["arrivals"]
 
             live = None
             if worker.accuracy is not None:
@@ -880,17 +874,9 @@ class StreamService:
                     return path, arrivals
         capture = worker.checkpoint_capture()
         arrivals = capture["arrivals"]
-        payload = {
-            "spec": self._specs[name].to_dict(),
-            "arrivals": arrivals,
-        }
-        if "state_arrays" in capture:
-            payload["state_arrays"] = capture["state_arrays"]
-            payload["tail"] = capture["tail"]
-        else:
-            payload["state"] = capture["state"]
-            payload["tail"] = [batch.tolist() for batch in capture["tail"]]
-        path = self._store.write(name, payload)
+        path = self._store.write(
+            name, {"spec": self._specs[name].to_dict(), **capture}
+        )
         self._deltas_since_base[name] = 0
         generations = self._generation_arrivals.setdefault(
             name, deque(maxlen=self._store.keep)
@@ -907,10 +893,9 @@ class StreamService:
         return self._start_stream(
             name,
             spec,
-            state=payload.get("state"),
+            state=payload["state"],
             arrivals=int(payload["arrivals"]),
-            tail=payload.get("tail", ()),
-            state_arrays=payload.get("state_arrays"),
+            tail=payload["tail"],
         )
 
     @classmethod

@@ -1,24 +1,28 @@
 """Durable checkpoint storage: binary full + delta snapshots, a manifest.
 
 One directory holds everything a service needs to come back from a
-crash.  Three file kinds coexist:
+crash.  The store is the only code that knows how state is laid out on
+disk: callers hand :meth:`SnapshotStore.write` a maintainer's
+``state_dict()`` and get the same dict back from
+:meth:`SnapshotStore.load_latest`, whatever file kind it came from.
 
-* ``{name}-{seq:08d}.snap`` -- a **format-3 full snapshot**: an 8-byte
-  magic, a sha256-guarded JSON header (spec, arrival counter, the state
-  skeleton of :func:`repro.runtime.statecodec.flatten_state`), then the
-  state's numeric bulk and the buffered tail as raw little-endian
-  ``float64``/``int64`` sections, each with its own sha256.  Reading is
-  zero-copy: sections become numpy views over the file bytes.
+* ``{name}-{seq:08d}.snap`` -- a **format-3 full snapshot**, the only
+  kind :meth:`~SnapshotStore.write` produces: an 8-byte magic, a
+  sha256-guarded JSON header (spec, arrival counter, the state skeleton
+  of :func:`repro.runtime.statecodec.flatten_state`), then the state's
+  numeric bulk and the buffered tail as raw little-endian
+  ``float64``/``int64`` sections, each with its own sha256.  The state
+  comes back through ``.tolist()``; tail and delta batches are returned
+  as zero-copy numpy views over the file bytes.
 * ``{name}-{seq:08d}.delta`` -- a **delta checkpoint**: only the batches
   ingested since the previous checkpoint plus the current tail, in the
   same header+sections layout.  A chain of deltas hangs off its full
   *base* generation (``base_seq`` in every link); restore loads the base
   and rolls the chain forward.
-* ``{name}-{seq:08d}.json`` -- the **format-2 JSON snapshot** older
-  stores wrote (and the fallback for payloads without a ``state_arrays``
-  fast path).  Still written for such payloads and always readable, so a
-  pre-existing JSON directory restores unchanged -- and can serve as the
-  base of a new delta chain.
+* ``{name}-{seq:08d}.json`` -- a **legacy format-1/2 JSON snapshot**
+  written by older stores.  Read-only: it still restores in place (its
+  ``pending``/``tail`` normalized to the format-3 shape) and can serve
+  as the base of a new delta chain, but nothing writes one any more.
 
 Stream names are percent-encoded into filenames (``_encode_name``), and
 ``generations()`` matches an exact name + 8-digit-seq pattern, so
@@ -49,6 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..runtime.statecodec import flatten_state, unflatten_state
+
 __all__ = ["SnapshotCorruptError", "SnapshotStore"]
 
 logger = logging.getLogger(__name__)
@@ -56,7 +62,7 @@ logger = logging.getLogger(__name__)
 MANIFEST_NAME = "manifest.json"
 SNAPSHOT_FORMAT = 3
 #: Formats this store can read; format 1 predates embedded checksums,
-#: format 2 is the JSON-payload layout, format 3 the binary layout.
+#: format 2 is the read-only JSON layout, format 3 the binary one.
 SUPPORTED_FORMATS = (1, 2, 3)
 CHECKSUM_FIELD = "checksum"
 
@@ -342,6 +348,8 @@ class SnapshotStore:
         The rebuilt skeleton points every stream at its newest on-disk
         generation; sequence numbers continue from the on-disk maximum
         so replacement writes can never collide with surviving files.
+        A delta head takes ``base_seq`` from its own header; if that is
+        unreadable the entry has none, so the next checkpoint is a full.
         """
         try:
             return self.manifest()
@@ -357,6 +365,14 @@ class SnapshotStore:
             entry = streams.get(name)
             if entry is None or seq > entry["seq"]:
                 streams[name] = {"file": path.name, "seq": seq, "kind": kind}
+        for name, entry in streams.items():
+            if entry["kind"] == "delta":
+                try:
+                    path = self.directory / entry["file"]
+                    header, _ = self._load_binary(path, name)
+                    entry["base_seq"] = int(header["base_seq"])
+                except (KeyError, TypeError, ValueError) as error:
+                    logger.warning("delta head %s: %s", entry["file"], error)
         return {"format": SNAPSHOT_FORMAT, "streams": streams}
 
     def streams(self) -> list[str]:
@@ -370,42 +386,28 @@ class SnapshotStore:
     def write(self, name: str, payload: dict) -> Path:
         """Persist one full stream snapshot and point the manifest at it.
 
-        A payload carrying ``state_arrays`` (the
-        :meth:`~repro.runtime.maintainer.Maintainer.state_arrays` pair)
-        and/or numpy ``tail`` batches is written as a format-3 binary
-        ``.snap``; any other payload takes the format-2 JSON path
-        unchanged.  The snapshot file is written before the manifest
-        entry, so a crash between the two at worst leaves an orphaned
-        file, never a dangling manifest reference.  Write failures
-        (including injected ones) are counted and re-raised; the
-        previous generation and the manifest are left untouched.
+        ``payload`` carries the maintainer's ``state`` (its
+        ``state_dict()``), the buffered ``tail`` batches, the
+        ``arrivals`` counter, and any further JSON-serializable metadata
+        (the service stores its stream ``spec``).  The state is split by
+        :func:`~repro.runtime.statecodec.flatten_state` and written as a
+        format-3 ``.snap``.  The snapshot file is written before the
+        manifest entry, so a crash between the two at worst leaves an
+        orphaned file, never a dangling manifest reference.  Write
+        failures (including injected ones) are counted and re-raised;
+        the previous generation and the manifest are left untouched.
         """
         manifest = self._manifest_or_rebuild()
         entry = manifest["streams"].get(name, {})
         seq = int(entry.get("seq", 0)) + 1
-        binary = "state_arrays" in payload
-        suffix = SUFFIX_FULL if binary else SUFFIX_JSON
-        filename = f"{_encode_name(name)}-{seq:08d}{suffix}"
+        filename = f"{_encode_name(name)}-{seq:08d}{SUFFIX_FULL}"
         path = self.directory / filename
         created_at = time.time()
         try:
             if self._injector is not None:
                 self._injector.on_snapshot_write(name, seq)
-            if binary:
-                data, checksum = self._encode_full(
-                    name, seq, created_at, payload
-                )
-                _atomic_write(path, data, self._injector)
-            else:
-                body = {
-                    "format": 2,
-                    "stream": name,
-                    "seq": seq,
-                    "created_at": created_at,
-                    **payload,
-                }
-                checksum = body[CHECKSUM_FIELD] = _payload_checksum(body)
-                _atomic_write_json(path, body, self._injector)
+            data, checksum = self._encode_full(name, seq, created_at, payload)
+            _atomic_write(path, data, self._injector)
             manifest["streams"][name] = {
                 "file": filename,
                 "seq": seq,
@@ -436,12 +438,15 @@ class SnapshotStore:
         ``batches`` are the ``(start_arrival, batch)`` pairs ingested
         since the previous checkpoint (which ended at ``from_arrivals``);
         ``tail`` is the currently buffered, not-yet-ingested suffix.
-        Raises ``ValueError`` when the stream has no manifest head to
-        chain from -- the caller falls back to a full snapshot.
+        Raises ``ValueError`` when the stream has no manifest head (or
+        no known base) to chain from -- the caller falls back to a full
+        snapshot.
         """
         manifest = self._manifest_or_rebuild()
         entry = manifest["streams"].get(name)
-        if entry is None:
+        if entry is None or (
+            entry.get("kind") == "delta" and "base_seq" not in entry
+        ):
             raise ValueError(f"stream {name!r} has no base snapshot to extend")
         seq = int(entry.get("seq", 0)) + 1
         base_seq = int(entry.get("base_seq", entry.get("seq", 0)))
@@ -493,9 +498,9 @@ class SnapshotStore:
         self, name: str, seq: int, created_at: float, payload: dict
     ) -> tuple[bytes, str]:
         """Binary-encode a full snapshot payload; returns (bytes, checksum)."""
-        payload = dict(payload)
-        skeleton, arrays = payload.pop("state_arrays")
-        tail_arrays = [_as_batch_array(b) for b in payload.pop("tail", [])]
+        meta = dict(payload)
+        skeleton, arrays = flatten_state(meta.pop("state"))
+        tail_arrays = [_as_batch_array(b) for b in meta.pop("tail", [])]
         table, state_blob = _split_arrays(arrays)
         header = {
             "format": SNAPSHOT_FORMAT,
@@ -503,8 +508,8 @@ class SnapshotStore:
             "stream": name,
             "seq": seq,
             "created_at": created_at,
-            "arrivals": int(payload.get("arrivals", 0)),
-            "meta": payload,
+            "arrivals": int(meta.get("arrivals", 0)),
+            "meta": meta,
             "state_skeleton": skeleton,
             "state_arrays": table,
             "tail_lengths": [int(b.size) for b in tail_arrays],
@@ -525,6 +530,9 @@ class SnapshotStore:
 
     def load_latest(self, name: str) -> dict:
         """The most recent *verifiable* snapshot payload of ``name``.
+
+        Every file kind comes back in one shape: the written metadata
+        plus ``arrivals``, ``state`` and ``tail`` (float64 batches).
 
         Tries the manifest's newest generation first, then falls back to
         older on-disk generations (newest first) whenever a file is
@@ -587,7 +595,7 @@ class SnapshotStore:
     def _resolve(self, path: Path, name: str) -> dict:
         """Verified payload of one head candidate (chain-resolved)."""
         if path.name.endswith(SUFFIX_JSON):
-            return self._load_verified(path, name)
+            return self._load_legacy_json(path, name)
         header, sections = self._load_binary(path, name)
         if header.get("kind") == "delta":
             return self._resolve_chain(header, name)
@@ -612,19 +620,18 @@ class SnapshotStore:
         arrays = _join_arrays(
             header.get("state_arrays", []), sections.get("state", b"")
         )
-        payload = {
+        return {
             "format": header["format"],
             "stream": header["stream"],
             "seq": header["seq"],
             "created_at": header["created_at"],
             "arrivals": header.get("arrivals", 0),
             **header.get("meta", {}),
-            "state_arrays": (header.get("state_skeleton"), arrays),
+            "state": unflatten_state(header.get("state_skeleton"), arrays),
             "tail": _split_tail(
                 header.get("tail_lengths", []), sections.get("tail", b"")
             ),
         }
-        return payload
 
     def _resolve_chain(self, head: dict, name: str) -> dict:
         """Base payload + the verified delta prefix up to ``head``.
@@ -648,7 +655,7 @@ class SnapshotStore:
         payload = self._resolve(base_path, name)  # full .snap or legacy .json
         position = int(payload.get("arrivals", 0))
         accepted: list[np.ndarray] = []
-        tail = payload.get("tail", payload.get("pending", []))
+        tail = payload["tail"]
         truncated = False
         for seq in range(base_seq + 1, int(head["seq"]) + 1):
             delta_path = self._chain_file(name, seq, delta=True)
@@ -709,7 +716,11 @@ class SnapshotStore:
                 return path
         return None
 
-    def _load_verified(self, path: Path, name: str) -> dict:
+    def _load_legacy_json(self, path: Path, name: str) -> dict:
+        """Verified payload of a format-1/2 ``.json`` file, in format-3 shape.
+
+        Format 1 named the tail ``pending``; both stored it as lists.
+        """
         try:
             text = path.read_text()
         except OSError as error:
@@ -735,6 +746,8 @@ class SnapshotStore:
                 f"snapshot {path.name} belongs to stream "
                 f"{payload.get('stream')!r}, not {name!r}"
             )
+        if not isinstance(payload.get("state"), dict):
+            raise SnapshotCorruptError(f"snapshot {path.name} carries no state")
         if payload.get("format", 0) >= 2:
             stored = payload.get(CHECKSUM_FIELD)
             expected = _payload_checksum(payload)
@@ -743,6 +756,8 @@ class SnapshotStore:
                     f"checksum mismatch in {path.name}: "
                     f"stored {stored!r}, computed {expected!r}"
                 )
+        tail = payload.pop("pending", [])
+        payload["tail"] = [_as_batch_array(b) for b in payload.get("tail", tail)]
         return payload
 
     # ------------------------------------------------------------------

@@ -736,57 +736,32 @@ class StreamWorker:
         with self._view_lock:
             return self._view
 
-    def checkpoint_state(self) -> tuple[dict, int, list[list[float]]]:
-        """A consistent (maintainer state, arrivals, buffered tail) triple.
-
-        Holding the state lock first parks the worker *between* batches;
-        the queue lock then captures the not-yet-ingested tail, so every
-        submitted point lands in exactly one of state or tail.
-        """
-        with self._state_lock:
-            with self._cv:
-                self._raise_if_failed()
-                tail = [batch.tolist() for batch in self._queue]
-                if self._in_flight is not None:
-                    # The worker only applies in-flight batches while
-                    # holding the state lock, so any batches it already
-                    # popped are still entirely un-applied here: they
-                    # belong to the tail, ahead of the queued ones.
-                    tail = [
-                        batch.tolist() for batch in self._in_flight
-                    ] + tail
-                return (
-                    self.maintainer.state_dict(),
-                    self._pipeline.arrivals,
-                    tail,
-                )
-
     def checkpoint_capture(
-        self,
-        *,
-        state: bool = True,
-        arrays: bool = True,
-        replay_since: int | None = None,
+        self, *, state: bool = True, replay_since: int | None = None
     ) -> dict:
         """One consistent capture of everything a checkpoint can use.
 
-        Same locking discipline as :meth:`checkpoint_state` (state lock
-        parks the worker between batches, queue lock fences the tail),
-        but returns numpy batches instead of lists and, when ``arrays``
-        is set and the maintainer opted in, the state as a
-        ``state_arrays`` skeleton/arrays pair for the binary snapshot
-        writer (``state`` otherwise).  ``state=False`` skips the state
-        capture entirely -- delta checkpoints only need arrivals, tail,
-        and the replay slice.  With ``replay_since`` the capture also
-        includes the replay-log slice starting at that arrival -- the
+        Holding the state lock first parks the worker *between* batches;
+        the queue lock then captures the not-yet-ingested tail (numpy
+        copies), so every submitted point lands in exactly one of
+        ``state`` (the maintainer's ``state_dict()``) or ``tail``.
+        ``state=False`` skips the state capture entirely -- delta
+        checkpoints only need arrivals, tail, and the replay slice.
+        With ``replay_since`` the capture also includes the replay-log
+        slice starting at that arrival -- the
         ingested-since-last-checkpoint batches a delta checkpoint
-        persists.
+        persists.  Serializing the state is left to the caller, outside
+        both locks.
         """
         with self._state_lock:
             with self._cv:
                 self._raise_if_failed()
                 tail = [batch.copy() for batch in self._queue]
                 if self._in_flight is not None:
+                    # The worker only applies in-flight batches while
+                    # holding the state lock, so any batches it already
+                    # popped are still entirely un-applied here: they
+                    # belong to the tail, ahead of the queued ones.
                     tail = [batch.copy() for batch in self._in_flight] + tail
                 capture: dict = {
                     "arrivals": self._pipeline.arrivals,
@@ -798,11 +773,7 @@ class StreamWorker:
                         for start, batch in self._replay
                         if start >= replay_since
                     ]
-                if not state:
-                    return capture
-                if arrays and self.maintainer.supports_state_arrays:
-                    capture["state_arrays"] = self.maintainer.state_arrays()
-                else:
+                if state:
                     capture["state"] = self.maintainer.state_dict()
                 return capture
 

@@ -225,12 +225,11 @@ class StreamSupervisor:
         spec = service._specs[name]
         pending = dead.drain_pending()
         replay = dead.replay_batches()
-        state, state_arrays, arrivals = None, None, 0
+        state, arrivals = None, 0
         if service._store is not None:
             try:
                 payload = service._store.load_latest(name)
-                state = payload.get("state")
-                state_arrays = payload.get("state_arrays")
+                state = payload["state"]
                 arrivals = int(payload["arrivals"])
             except KeyError:
                 pass  # no snapshot yet: rebuild from scratch + replay
@@ -252,7 +251,7 @@ class StreamSupervisor:
             )
         worker = service._build_worker(
             name, spec, state=state, arrivals=arrivals,
-            state_arrays=state_arrays, dead_letter=dead.dead_letter,
+            dead_letter=dead.dead_letter,
         )
         stale = dead.view()
         seeded = worker.view()

@@ -36,6 +36,7 @@ from ..counting.cr_precis import CRPrecis
 from ..counting.eh import ExponentialHistogram
 from ..runtime.adapters import BufferSynopsis
 from ..runtime.registry import make_maintainer
+from ..runtime.statecodec import flatten_state, unflatten_state
 from ..sketches.gk import GKQuantileSummary
 from ..sketches.reservoir import ReservoirSample
 from ..warehouse.streaming import StreamingEquiDepthSummary
@@ -297,25 +298,23 @@ class DifferentialChecker:
                             position=arrivals,
                         )
                     )
-                if primary.supports_state_arrays:
-                    # The binary snapshot fast path must be just as
-                    # lossless as the JSON one: flatten to raw arrays,
-                    # rebuild, compare answers.
-                    skeleton, arrays = primary.state_arrays()
-                    via_arrays = make_maintainer(self.backend, **self.params)
-                    via_arrays.load_state_arrays(skeleton, arrays)
-                    if (
-                        observe(via_arrays)["synopsis"]
-                        != observe(primary)["synopsis"]
-                    ):
-                        result.violations.append(
-                            Violation(
-                                "restore-identity-arrays",
-                                "state_arrays round-trip did not restore "
-                                "an identical maintainer",
-                                position=arrivals,
-                            )
+                # The snapshot store's binary codec must be just as
+                # lossless: flatten to a JSON skeleton plus raw arrays,
+                # rebuild, compare answers.
+                skeleton, arrays = flatten_state(primary.state_dict())
+                via_arrays = make_maintainer(self.backend, **self.params)
+                via_arrays.load_state_dict(
+                    unflatten_state(json.loads(json.dumps(skeleton)), arrays)
+                )
+                if observe(via_arrays)["synopsis"] != observe(primary)["synopsis"]:
+                    result.violations.append(
+                        Violation(
+                            "restore-identity-arrays",
+                            "flattened state round-trip did not restore an "
+                            "identical maintainer",
+                            position=arrivals,
                         )
+                    )
 
             if arrivals >= next_check:
                 check_now()

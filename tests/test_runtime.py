@@ -165,6 +165,26 @@ class TestStateDict:
             assert a.range_sum(0, len(a) - 1) == b.range_sum(0, len(b) - 1)
         assert restored.stats().counters() == original.stats().counters()
 
+    @pytest.mark.parametrize("backend", sorted(BACKEND_KWARGS))
+    def test_state_dict_is_a_copy_not_a_live_view(self, backend):
+        """A checkpoint flattens the dict after the worker resumes.
+
+        So nothing the maintainer does later -- more ingest, a
+        maintain() -- may reach into a dict it already handed out.
+        """
+        import json
+
+        stream = self.integers(600, seed=13)
+        maintainer = make_maintainer(backend, **BACKEND_KWARGS[backend])
+        maintainer.extend(stream[:300])
+        maintainer.maintain()
+        state = maintainer.state_dict()
+        taken = json.dumps(state, sort_keys=True)
+        maintainer.extend(stream[300:])
+        maintainer.maintain()
+        assert json.dumps(state, sort_keys=True) == taken
+        assert json.dumps(maintainer.state_dict(), sort_keys=True) != taken
+
     def test_mismatched_adapter_rejected(self):
         exact = make_maintainer("exact", window_size=16)
         exact.extend(self.integers(8))

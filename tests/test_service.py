@@ -9,7 +9,9 @@ restored from its snapshot manifest converges to the uninterrupted run.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,11 @@ from repro.service import (
 )
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
+
+#: Snapshot directory written by the store before it stopped writing
+#: JSON: one stream as format-2 ``.json`` generations, one as a ``.snap``
+#: base with a ``.delta`` chain.  Tests restore a copy, never the original.
+LEGACY_SNAPSHOTS = Path(__file__).parent / "data" / "snapshot_legacy"
 
 
 def integer_stream(n, seed=0):
@@ -513,12 +520,12 @@ class TestCheckpointRestore:
         stream = integer_stream(300, seed=7)
         worker.submit(stream[:200])
         # Worker never started: everything is tail.
-        state, arrivals, tail = worker.checkpoint_state()
-        assert arrivals == 0
-        assert sum(len(batch) for batch in tail) == 200
+        capture = worker.checkpoint_capture()
+        assert capture["arrivals"] == 0
+        assert sum(len(batch) for batch in capture["tail"]) == 200
         restored = make_maintainer("gk_quantiles", epsilon=0.1)
-        restored.load_state_dict(state)
-        for batch in tail:
+        restored.load_state_dict(capture["state"])
+        for batch in capture["tail"]:
             restored.extend(batch)
         restored.extend(stream[200:300])
         direct = make_maintainer("gk_quantiles", epsilon=0.1)
@@ -556,41 +563,60 @@ class TestCheckpointRestore:
                 service.checkpoint()
 
     def test_preexisting_format2_json_directory_restores(self, tmp_path):
-        """A snapshot directory written by the old JSON layout restores."""
-        stream = integer_stream(500, seed=17)
-        params = dict(epsilon=0.05)
-        maintainer = make_maintainer("gk_quantiles", **params)
-        pipeline = StreamPipeline([maintainer], maintain_every=16)
-        pipeline.run(stream[:300])
-        spec = StreamSpec(
-            backend="gk_quantiles", params=params, maintain_every=16
-        )
-        store = SnapshotStore(tmp_path)
-        # Exactly what a pre-binary service persisted: JSON state dict,
-        # no state_arrays -- the store must keep this on format 2.
-        path = store.write(
-            "s",
-            {
-                "spec": spec.to_dict(),
-                "arrivals": 300,
-                "state": json.loads(json.dumps(maintainer.state_dict())),
-                "tail": [stream[300:350].tolist()],
-            },
-        )
-        assert path.suffix == ".json"
-        restored = StreamService.restore(tmp_path, snapshot_base_every=3)
-        restored.flush("s")
-        assert restored.stats("s")["arrivals"] == 350
-        restored.ingest("s", stream[350:])
-        restored.flush("s")
-        # The first checkpoint of the restored service may chain a delta
-        # onto the legacy JSON base.
-        restored.checkpoint("s")
-        served = restored.synopsis("s")
+        """A directory of format-2 JSON generations restores in place.
+
+        ``legacy`` in the committed fixture is gk_quantiles(0.1) over
+        ``integer_stream(300, seed=17)``, maintain_every=16: JSON
+        generations at 60 and at 120 arrivals, the newest with
+        ``stream[120:150]`` as its buffered tail.
+        """
+        directory = tmp_path / "snapshots"
+        shutil.copytree(LEGACY_SNAPSHOTS, directory)
+        stream = integer_stream(300, seed=17)
+        params = dict(epsilon=0.1)
+        restored = StreamService.restore(directory, snapshot_base_every=3)
+        restored.flush("legacy")
+        assert restored.stats("legacy")["arrivals"] == 150
+        restored.ingest("legacy", stream[150:])
+        restored.flush("legacy")
+        # The first checkpoint of the restored service chains a delta
+        # onto the legacy JSON head.
+        [path] = restored.checkpoint("legacy")
+        assert path.endswith("legacy-00000003.delta")
+        served = restored.synopsis("legacy")
         restored.close(checkpoint=False)
         direct = make_maintainer("gk_quantiles", **params)
         StreamPipeline([direct], maintain_every=16).run(stream)
         assert_same_synopsis(served, reference_synopsis(direct))
+        # The JSON base + binary delta chain restores to the same answer.
+        again = StreamService.restore(directory)
+        again.flush("legacy")
+        assert again.stats("legacy")["arrivals"] == 300
+        assert_same_synopsis(again.synopsis("legacy"), served)
+        again.close(checkpoint=False)
+
+    def test_committed_snap_delta_chain_restores(self, tmp_path):
+        """The fixture's format-3 stream restores as it always has.
+
+        ``chain`` is fixed_window(32, 4, 0.25) over
+        ``integer_stream(300, seed=23)``, maintain_every=16: a ``.snap``
+        base at 100 arrivals and two ``.delta`` links up to 150, the
+        last with ``stream[150:160]`` as its tail.  The restored view
+        must equal a direct run over the first 160 points, as it did
+        with the store that wrote the directory.
+        """
+        directory = tmp_path / "snapshots"
+        shutil.copytree(LEGACY_SNAPSHOTS, directory)
+        params = dict(window_size=32, num_buckets=4, epsilon=0.25)
+        stream = integer_stream(300, seed=23)
+        restored = StreamService.restore(directory)
+        restored.flush("chain")
+        assert restored.stats("chain")["arrivals"] == 160
+        served = restored.synopsis("chain")
+        restored.close(checkpoint=False)
+        direct = make_maintainer("fixed_window", **params)
+        StreamPipeline([direct], maintain_every=16).run(stream[:160])
+        assert served.to_dict() == reference_synopsis(direct).to_dict()
 
     def test_delta_cadence_round_trip(self, tmp_path):
         """Restore from a delta head, checkpoint again, restore again."""
@@ -655,11 +681,11 @@ class TestSnapshotStore:
         entry = store.manifest()["streams"]["s"]
         assert entry["seq"] == 2
         assert store.load_latest("s")["arrivals"] == 2
-        remaining = sorted(p.name for p in tmp_path.glob("s-*.json"))
-        assert remaining == ["s-00000001.json", "s-00000002.json"]
+        remaining = sorted(p.name for p in tmp_path.glob("s-*.snap"))
+        assert remaining == ["s-00000001.snap", "s-00000002.snap"]
         store.write("s", {"arrivals": 3, "state": {}, "tail": []})
-        remaining = sorted(p.name for p in tmp_path.glob("s-*.json"))
-        assert remaining == ["s-00000002.json", "s-00000003.json"]
+        remaining = sorted(p.name for p in tmp_path.glob("s-*.snap"))
+        assert remaining == ["s-00000002.snap", "s-00000003.snap"]
 
     def test_unknown_stream_raises(self, tmp_path):
         with pytest.raises(KeyError, match="nope"):

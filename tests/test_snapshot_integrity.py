@@ -1,19 +1,22 @@
 """Snapshot integrity: checksums, generation fallback, typed corruption.
 
 Pins the durability half of the fault-tolerance contract across all
-three on-disk kinds (format-2 JSON, format-3 binary fulls, format-3
-deltas): every file is checksummed and verified on load; loads fall
+three on-disk kinds (format-3 binary fulls, format-3 deltas, and the
+legacy format-1/2 JSON files the store still reads but no longer
+writes): every file is checksummed and verified on load; loads fall
 back generation by generation when the newest file is corrupt,
 truncated, missing, or mislabeled; a corrupt delta link truncates its
 chain to the verified prefix; corruption surfaces as the typed
 :class:`SnapshotCorruptError` (including unreadable manifests);
 filenames isolate prefix-colliding stream names; and pruning never
-strands a delta without its base.
+strands a delta without its base.  Legacy files are written by hand
+here, exactly as older stores laid them out.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -28,79 +31,104 @@ from repro.service.snapshot import (
 
 
 def payload(arrivals, marker):
-    return {"arrivals": arrivals, "state": {"marker": marker}, "pending": []}
+    return {"arrivals": arrivals, "state": {"marker": marker}, "tail": []}
 
 
-def binary_payload(arrivals, values, tail=()):
-    """A payload taking the format-3 fast path (carries state_arrays)."""
-    skeleton = {"w": {"__nd__": 0, "dt": "f8"}, "scalar": 7}
-    arrays = [np.asarray(values, dtype=np.float64)]
+def state_payload(arrivals, values, tail=()):
+    """A payload whose state has numeric bulk for the binary sections."""
     return {
         "arrivals": arrivals,
         "spec": {"backend": "stub"},
-        "state_arrays": (skeleton, arrays),
+        "state": {"w": [float(v) for v in values], "scalar": 7},
         "tail": [np.asarray(t, dtype=np.float64) for t in tail],
     }
 
 
-class TestChecksums:
-    def test_written_json_snapshot_embeds_verifiable_checksum(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        path = store.write("s", payload(10, "a"))
-        on_disk = json.loads(path.read_text())
-        # Payloads without a state_arrays fast path stay on the format-2
-        # JSON layout for compatibility.
-        assert on_disk["format"] == 2
-        assert on_disk["checksum"].startswith("sha256:")
-        assert on_disk["checksum"] == _payload_checksum(on_disk)
-        assert store.load_latest("s")["state"] == {"marker": "a"}
+def write_legacy_json(directory, body, *, checksum=True):
+    """Lay out a format-1/2 ``.json`` snapshot and manifest as old stores did."""
+    body = {"stream": "s", "seq": 1, "created_at": 0.0, **body}
+    if checksum:
+        body["checksum"] = _payload_checksum(body)
+    path = directory / f"{body['stream']}-{body['seq']:08d}.json"
+    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    entry = {"file": path.name, "seq": body["seq"]}
+    (directory / "manifest.json").write_text(
+        json.dumps({"format": 2, "streams": {body["stream"]: entry}})
+    )
+    return path
 
+
+class TestChecksums:
     def test_bitflip_fails_checksum(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
         path = store.write("s", payload(10, "a"))
+        raw = path.read_bytes()
+        tampered = raw.replace(b'"arrivals":10', b'"arrivals":99', 1)
+        assert tampered != raw  # same length, still valid JSON
+        path.write_bytes(tampered)
+        with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
+            store.load_latest("s")
+
+    def test_legacy_format1_snapshot_loads_without_checksum(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        write_legacy_json(
+            tmp_path,
+            {"format": 1, "arrivals": 5, "state": {"marker": "old"},
+             "pending": [[1.0, 2.0]]},
+            checksum=False,
+        )
+        loaded = store.load_latest("s")
+        assert loaded["state"] == {"marker": "old"}
+        # Format 1's "pending" comes back as the format-3 "tail".
+        assert "pending" not in loaded
+        assert [t.tolist() for t in loaded["tail"]] == [[1.0, 2.0]]
+        assert all(t.dtype == np.float64 for t in loaded["tail"])
+
+    def test_legacy_format2_checksum_mismatch_rejected(self, tmp_path):
+        store = SnapshotStore(tmp_path, keep=1)
+        path = write_legacy_json(
+            tmp_path, {"format": 2, **payload(10, "a")}
+        )
         doctored = json.loads(path.read_text())
         doctored["arrivals"] = 99  # valid JSON, tampered body
         path.write_text(json.dumps(doctored))
         with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
             store.load_latest("s")
 
-    def test_legacy_format1_snapshot_loads_without_checksum(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        legacy = {"format": 1, "stream": "s", "seq": 1, **payload(5, "old")}
-        (tmp_path / "s-00000001.json").write_text(json.dumps(legacy))
-        assert store.load_latest("s")["state"] == {"marker": "old"}
-
     def test_unknown_format_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
-        bad = {"format": 99, "stream": "s", "seq": 1, **payload(5, "x")}
-        (tmp_path / "s-00000001.json").write_text(json.dumps(bad))
+        write_legacy_json(tmp_path, {"format": 99, **payload(5, "x")})
         with pytest.raises(SnapshotCorruptError, match="unsupported"):
             store.load_latest("s")
 
 
 class TestBinaryFormat:
-    def test_state_arrays_payload_writes_binary_snap(self, tmp_path):
+    def test_write_always_produces_binary_snap(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        path = store.write("s", binary_payload(8, [1.5, 2.5, 3.5]))
-        assert path.suffix == ".snap"
-        assert path.read_bytes().startswith(BINARY_MAGIC)
+        for state in ({}, {"marker": "a"}, state_payload(0, [1.5] * 8)["state"]):
+            path = store.write("s", {"arrivals": 8, "state": state})
+            assert path.suffix == ".snap"
+            assert path.read_bytes().startswith(BINARY_MAGIC)
+            assert store.load_latest("s")["state"] == state
 
     def test_binary_round_trip_is_bit_identical(self, tmp_path):
         store = SnapshotStore(tmp_path)
+        values = [1.5, -0.0, 2.5, float("inf"), 3.5]
         store.write(
-            "s", binary_payload(8, [1.5, 2.5, 3.5], tail=[[4.0, 5.0], [6.0]])
+            "s", state_payload(8, values, tail=[[4.0, 5.0], [6.0]])
         )
         loaded = store.load_latest("s")
-        skeleton, arrays = loaded["state_arrays"]
-        assert skeleton == {"w": {"__nd__": 0, "dt": "f8"}, "scalar": 7}
-        np.testing.assert_array_equal(arrays[0], [1.5, 2.5, 3.5])
+        assert loaded["state"] == {"w": values, "scalar": 7}
+        assert [math.copysign(1.0, v) for v in loaded["state"]["w"]] == [
+            math.copysign(1.0, v) for v in values
+        ]
         assert loaded["arrivals"] == 8
         assert loaded["spec"] == {"backend": "stub"}
         assert [t.tolist() for t in loaded["tail"]] == [[4.0, 5.0], [6.0]]
 
     def test_corrupt_section_byte_is_detected(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
-        path = store.write("s", binary_payload(8, [1.5, 2.5, 3.5]))
+        path = store.write("s", state_payload(8, [1.5, 2.5, 3.5, 4.5]))
         raw = bytearray(path.read_bytes())
         raw[-3] ^= 0xFF  # flip one bit in the last section
         path.write_bytes(bytes(raw))
@@ -109,7 +137,7 @@ class TestBinaryFormat:
 
     def test_corrupt_header_is_detected(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
-        path = store.write("s", binary_payload(8, [1.5]))
+        path = store.write("s", state_payload(8, [1.5]))
         raw = bytearray(path.read_bytes())
         raw[len(BINARY_MAGIC) + 4 + 32] ^= 0xFF  # first header byte
         path.write_bytes(bytes(raw))
@@ -118,8 +146,8 @@ class TestBinaryFormat:
 
     def test_corrupt_binary_newest_falls_back_to_previous(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
-        store.write("s", binary_payload(4, [1.0]))
-        newest = store.write("s", binary_payload(8, [2.0]))
+        store.write("s", state_payload(4, [1.0]))
+        newest = store.write("s", state_payload(8, [2.0]))
         newest.write_bytes(b"garbage")
         loaded = store.load_latest("s")
         assert loaded["arrivals"] == 4
@@ -129,7 +157,7 @@ class TestBinaryFormat:
 class TestDeltaChains:
     def test_delta_chain_resolves_onto_base(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        store.write("s", binary_payload(4, [1.0], tail=[[9.0]]))
+        store.write("s", state_payload(4, [1.0], tail=[[9.0]]))
         store.write_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[np.array([7.0])],
@@ -146,8 +174,10 @@ class TestDeltaChains:
 
     def test_delta_chains_onto_legacy_json_base(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        store.write(
-            "s", {"arrivals": 4, "state": {"marker": "v2"}, "tail": [[1.0]]}
+        write_legacy_json(
+            tmp_path,
+            {"format": 2, "arrivals": 4, "state": {"marker": "v2"},
+             "tail": [[1.0]]},
         )
         store.write_delta(
             "s", arrivals=6, from_arrivals=4,
@@ -156,11 +186,11 @@ class TestDeltaChains:
         loaded = store.load_latest("s")
         assert loaded["state"] == {"marker": "v2"}
         assert loaded["arrivals"] == 4
-        assert [np.asarray(t).tolist() for t in loaded["tail"]] == [[5.0, 6.0]]
+        assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0]]
 
     def test_corrupt_middle_delta_truncates_chain(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        store.write("s", binary_payload(4, [1.0], tail=[[0.5]]))
+        store.write("s", state_payload(4, [1.0], tail=[[0.5]]))
         first = store.write_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[np.array([7.0])],
@@ -179,7 +209,7 @@ class TestDeltaChains:
 
     def test_delta_with_arrival_gap_truncates_chain(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        store.write("s", binary_payload(4, [1.0]))
+        store.write("s", state_payload(4, [1.0]))
         store.write_delta(
             "s", arrivals=9, from_arrivals=7,
             batches=[(7, np.array([8.0, 9.0]))], tail=[],  # gap: 4 -> 7
@@ -198,12 +228,12 @@ class TestDeltaChains:
 
     def test_prune_never_strands_a_delta(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
-        store.write("s", binary_payload(2, [1.0]))  # seq 1 (old base)
+        store.write("s", state_payload(2, [1.0]))  # seq 1 (old base)
         store.write_delta(
             "s", arrivals=3, from_arrivals=2,
             batches=[(2, np.array([3.0]))], tail=[],
         )  # seq 2
-        store.write("s", binary_payload(4, [2.0]))  # seq 3 (new base)
+        store.write("s", state_payload(4, [2.0]))  # seq 3 (new base)
         store.write_delta(
             "s", arrivals=5, from_arrivals=4,
             batches=[(4, np.array([5.0]))], tail=[],
@@ -233,7 +263,7 @@ class TestGenerationFallback:
         store = SnapshotStore(tmp_path, keep=2)
         store.write("s", payload(100, "gen1"))
         newest = store.write("s", payload(200, "gen2"))
-        newest.write_text(newest.read_text()[: 40])
+        newest.write_bytes(newest.read_bytes()[:40])
         assert store.load_latest("s")["state"] == {"marker": "gen1"}
 
     def test_missing_manifest_file_falls_back(self, tmp_path):
@@ -248,10 +278,9 @@ class TestGenerationFallback:
         store = SnapshotStore(tmp_path, keep=2)
         store.write("s", payload(100, "mine"))
         newest = store.write("s", payload(200, "mine2"))
-        foreign = json.loads(newest.read_text())
-        foreign["stream"] = "other"
-        foreign["checksum"] = _payload_checksum(foreign)
-        newest.write_text(json.dumps(foreign))
+        # A fully valid snapshot of another stream under "s"'s filename.
+        foreign = store.write("other", payload(300, "theirs"))
+        newest.write_bytes(foreign.read_bytes())
         assert store.load_latest("s")["state"] == {"marker": "mine"}
 
     def test_all_generations_corrupt_raises_typed_error(self, tmp_path):
@@ -352,8 +381,47 @@ class TestManifestHardening:
         path = store.write("s", payload(30, "c"))
         # The replacement write scanned the disk: no collision with the
         # surviving generation files.
-        assert path.name == "s-00000003.json"
+        assert path.name == "s-00000003.snap"
         assert store.load_latest("s")["state"] == {"marker": "c"}
+
+    def test_delta_after_manifest_rebuild_chains_onto_the_real_base(
+        self, tmp_path
+    ):
+        store = SnapshotStore(tmp_path)
+        store.write("s", state_payload(4, [1.0]))  # seq 1: the base
+        store.write_delta(
+            "s", arrivals=6, from_arrivals=4,
+            batches=[(4, np.array([5.0, 6.0]))], tail=[],
+        )  # seq 2
+        (tmp_path / "manifest.json").write_text("{torn")
+        store.write_delta(
+            "s", arrivals=8, from_arrivals=6,
+            batches=[(6, np.array([7.0, 8.0]))], tail=[],
+        )  # seq 3: must still name seq 1 as its base
+        recovered = SnapshotStore(tmp_path)
+        loaded = recovered.load_latest("s")
+        assert loaded["arrivals"] == 4
+        assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0], [7.0, 8.0]]
+        assert recovered.counters["fallback_loads"] == 0
+        assert recovered.manifest()["streams"]["s"]["base_seq"] == 1
+
+    def test_unreadable_delta_head_at_rebuild_forces_a_full(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        store.write("s", state_payload(4, [1.0]))
+        head = store.write_delta(
+            "s", arrivals=6, from_arrivals=4,
+            batches=[(4, np.array([5.0, 6.0]))], tail=[],
+        )
+        head.write_bytes(b"garbage")
+        (tmp_path / "manifest.json").write_text("{torn")
+        # No trustworthy base to chain from: the caller writes a full.
+        with pytest.raises(ValueError, match="no base"):
+            store.write_delta(
+                "s", arrivals=8, from_arrivals=6,
+                batches=[(6, np.array([7.0, 8.0]))], tail=[],
+            )
+        assert store.write("s", state_payload(8, [2.0])).suffix == ".snap"
+        assert store.load_latest("s")["arrivals"] == 8
 
 
 class TestDirFsync:
@@ -389,7 +457,7 @@ class TestRetentionAndHygiene:
             store.write("s", payload(generation * 10, f"g{generation}"))
         files = store.generations("s")
         assert len(files) == 2
-        assert [p.name for p in files] == ["s-00000004.json", "s-00000005.json"]
+        assert [p.name for p in files] == ["s-00000004.snap", "s-00000005.snap"]
 
     def test_keep_validated(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
