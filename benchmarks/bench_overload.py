@@ -20,7 +20,10 @@ counts, and the time from end-of-storm to the ladder walking back to
 This is a capacity characterization, not a regression gate: the section
 merges into the committed ``BENCH_service.json`` under ``"overload"``
 (like ``bench_counting.py``'s section) and CI uploads it without
-comparing.
+comparing.  It does assert what it records, though: the run exits
+non-zero, writing nothing, when the ladder left ``healthy`` but no
+level transition was counted, or when the controller's shed mass (in
+total or for one stream) differs from what the accuracy monitors saw.
 
 Standalone:  ``PYTHONPATH=src python benchmarks/bench_overload.py``
 """
@@ -77,6 +80,7 @@ def _priority_row(service, snapshot, name: str, offered: int,
         "offered_points": offered,
         "admitted_points": admitted,
         "shed_points": stream["shed_points"],
+        "monitor_shed_points": accuracy["shed_points"],
         "goodput_points_per_second": admitted / seconds,
         "enqueue_p50_seconds": stats["enqueue_p50_seconds"],
         "enqueue_p99_seconds": stats["enqueue_p99_seconds"],
@@ -167,6 +171,30 @@ def run_storm() -> dict:
         }
 
 
+def invariant_failures(section: dict) -> list[str]:
+    """What the recorded storm contradicts about itself (empty: nothing)."""
+    failures = []
+    if section["ladder_level_max"] != "healthy" and not section["ladder_transitions"]:
+        failures.append(
+            f"ladder reached {section['ladder_level_max']!r} but no level "
+            "transition was counted"
+        )
+    rows = section["per_priority"].values()
+    monitor_shed = sum(row["monitor_shed_points"] for row in rows)
+    if section["total_shed_points"] != monitor_shed:
+        failures.append(
+            f"controller shed {section['total_shed_points']} points, the "
+            f"accuracy monitors saw {monitor_shed}"
+        )
+    for row in rows:
+        if row["shed_points"] != row["monitor_shed_points"]:
+            failures.append(
+                f"{row['stream']}: controller shed {row['shed_points']} "
+                f"points, its monitor saw {row['monitor_shed_points']}"
+            )
+    return failures
+
+
 def main(output_path: str | Path = DEFAULT_OUTPUT) -> dict:
     section = {
         "backend": BACKEND,
@@ -179,6 +207,9 @@ def main(output_path: str | Path = DEFAULT_OUTPUT) -> dict:
         "platform": platform.platform(),
         **run_storm(),
     }
+    failures = invariant_failures(section)
+    if failures:
+        raise SystemExit("overload storm invariants failed: " + "; ".join(failures))
     output_path = Path(output_path)
     payload = {}
     if output_path.exists():

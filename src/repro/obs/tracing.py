@@ -76,6 +76,10 @@ class Tracer:
         self.registry = registry if registry is not None else MetricsRegistry()
         self._spans: deque[SpanRecord] = deque(maxlen=capacity)
         self._lock = threading.Lock()
+        # (stage, stream, status) -> (stage histogram, span counter),
+        # resolved once: record() runs per batch, and a registry lookup
+        # costs several times the observe it feeds.
+        self._handles: dict[tuple, tuple] = {}
 
     def record(
         self,
@@ -88,8 +92,11 @@ class Tracer:
         **meta,
     ) -> SpanRecord:
         """File a span whose duration was measured by the caller."""
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}; use one of {STAGES}")
+        key = (stage, stream, status)
+        handles = self._handles.get(key)
+        if handles is None:
+            handles = self._handles[key] = self._resolve(stage, stream, status)
+        histogram, counter = handles
         span = SpanRecord(
             stage=stage,
             stream=stream,
@@ -100,13 +107,20 @@ class Tracer:
         )
         with self._lock:
             self._spans.append(span)
-        self.registry.histogram(
-            STAGE_SECONDS_METRIC, stage=stage, stream=stream
-        ).observe(span.seconds)
-        self.registry.counter(
-            SPANS_TOTAL_METRIC, stage=stage, stream=stream, status=status
-        ).inc()
+        histogram.observe(span.seconds)
+        counter.inc()
         return span
+
+    def _resolve(self, stage: str, stream: str, status: str) -> tuple:
+        """The registry handles one (stage, stream, status) span feeds."""
+        if stage not in STAGES:
+            raise ValueError(f"unknown stage {stage!r}; use one of {STAGES}")
+        return (
+            self.stage_seconds(stage, stream),
+            self.registry.counter(
+                SPANS_TOTAL_METRIC, stage=stage, stream=stream, status=status
+            ),
+        )
 
     @contextmanager
     def span(self, stage: str, stream: str, **meta):

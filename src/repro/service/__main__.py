@@ -177,12 +177,13 @@ def main(argv=None) -> int:
         failed = any(
             record.get("state") != "healthy" for record in health.values()
         )
-        report["stats"] = {
-            name: {
-                "arrivals": service.stats(name)["arrivals"],
+        report["stats"] = {}
+        for name in report["streams"]:
+            stats = service.stats(name)
+            report["stats"][name] = {
+                "arrivals": stats["arrivals"],
+                "replay_points": stats["replay_points"],
             }
-            for name in report["streams"]
-        }
         if config.qos is not None:
             report["qos"] = service.qos()
         if args.certify:

@@ -251,9 +251,15 @@ class StreamService:
         self._deltas_since_base: dict[str, int] = {}
         self._workers: dict[str, StreamWorker] = {}
         self._specs: dict[str, StreamSpec] = {}
+        # Arrivals at each stream's last checkpoint.  Replay retention
+        # rule: after a write the worker's replay log keeps only what a
+        # reader can still ask for.  Without a supervisor the only reader
+        # is the next delta checkpoint, which wants the batches since
+        # this mark; a supervisor may instead fall back to the oldest
+        # retained *base* generation and replay forward from it.
         self._checkpoint_marks: dict[str, int] = {}
-        # Arrival positions of the retained snapshot generations; the
-        # oldest one bounds how far back the replay log must reach.
+        # Arrival positions of the retained base generations (supervised
+        # retention reaches back to the oldest one).
         self._generation_arrivals: dict[str, deque] = {}
         self._checkpoint_errors: dict[str, int] = {}
         self._closed = False
@@ -310,12 +316,12 @@ class StreamService:
             )
         on_shed = None
         if self._qos is not None:
-            qos, tenant, priority = self._qos, spec.tenant, spec.priority
+            qos = self._qos
 
             def on_shed(points: int) -> None:
-                # drop_oldest evictions count as shed mass under the
-                # stream's tenant/priority even before registration.
-                qos.count_shed(tenant, priority, points)
+                # drop_oldest evictions are this stream's shed mass, in
+                # its own QoS record as well as its tenant's totals.
+                qos.note_shed(name, points)
 
         worker = StreamWorker(
             name,
@@ -822,7 +828,9 @@ class StreamService:
         ``mode="full"`` forces full snapshots regardless of cadence (the
         shard router uses this to align delta chains with its own replay
         trimming).  After a successful write the worker's replay log is
-        trimmed to the oldest retained *base* generation.
+        trimmed by the retention rule beside ``_checkpoint_marks``: to
+        this checkpoint without a supervisor, to the oldest retained
+        *base* generation with one.  A failed write trims nothing.
         """
         if self._store is None:
             raise RuntimeError("service was created without a snapshot_dir")
@@ -838,8 +846,9 @@ class StreamService:
                 )
                 paths.append(str(path))
             self._checkpoint_marks[stream_name] = arrivals
-            generations = self._generation_arrivals.get(stream_name)
-            if generations:
+            if self._supervisor is None:
+                worker.trim_replay(arrivals)
+            elif generations := self._generation_arrivals.get(stream_name):
                 worker.trim_replay(generations[0])
         return paths
 

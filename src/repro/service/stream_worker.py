@@ -38,12 +38,14 @@ in-flight batch is pushed back onto the queue, the error is published
 to producers as :class:`WorkerFailedError`, and the worker thread dies
 for the supervisor to find.
 
-For supervised recovery the worker can keep a *replay buffer*
-(``track_replay=True``): every successfully ingested batch is retained,
-stamped with its start arrival, until the service trims it at a
-checkpoint.  Restoring the last durable snapshot and re-feeding the
-replay suffix reproduces the lost worker bit-exactly -- the same
+The worker can keep a *replay log* (``track_replay=True``): every
+successfully ingested batch is retained, stamped with its start arrival,
+until the service trims it after a checkpoint.  It has two readers.  A
+delta checkpoint persists the slice since the previous checkpoint, and
+a supervisor restores the last durable snapshot and re-feeds the suffix
+after it, which reproduces the lost worker bit-exactly -- the same
 determinism argument that makes the synopses checkpointable at all.
+``stats()["replay_points"]`` reports how many points the log holds.
 
 Every decision is counted (:class:`WorkerCounters`): points submitted /
 ingested / dropped, batches rejected, enqueue wait time, and a bounded
@@ -248,7 +250,8 @@ class StreamWorker:
     what an ingest error does (``"quarantine"`` records, the default, or
     ``"fail"`` the worker); ``injector`` threads a
     :class:`~repro.service.faults.FaultInjector` through the feed path;
-    ``track_replay`` retains ingested batches for supervised recovery;
+    ``track_replay`` retains ingested batches for delta checkpoints and
+    supervised recovery (the service trims them, see :meth:`trim_replay`);
     ``dead_letter`` lets a supervisor carry the quarantine buffer across
     a restart.
 
@@ -315,6 +318,7 @@ class StreamWorker:
         self._injector = injector
         self._track_replay = track_replay
         self._replay: list[tuple[int, np.ndarray]] = []
+        self._replay_points = 0
         self._pipeline = StreamPipeline(
             [maintainer],
             maintain_every=maintain_every,
@@ -597,10 +601,10 @@ class StreamWorker:
             # failed before the maintainer ingested anything, so the gap
             # between counters is exactly the applied prefix.
             applied = self._pipeline.arrivals - start
-            if applied and self._track_replay:
-                self._replay.append((start, batch[:applied].copy()))
-            if applied and self.accuracy is not None:
-                self.accuracy.extend(batch[:applied])
+            if applied:
+                self._retain(start, batch[:applied])
+                if self.accuracy is not None:
+                    self.accuracy.extend(batch[:applied])
             rest = batch[applied:]
             self._fatal_leftover = rest
             if (
@@ -613,12 +617,17 @@ class StreamWorker:
             clean = self._quarantine_rest(rest)
             self.dead_letter.record_batch()
             return applied + clean
-        if self._track_replay:
-            self._replay.append((start, batch.copy()))
+        self._retain(start, batch)
         if self.accuracy is not None:
             self.accuracy.extend(batch)
         self._fatal_leftover = None
         return int(batch.size)
+
+    def _retain(self, start: int, batch: np.ndarray) -> None:
+        """Append an ingested batch to the replay log (when tracked)."""
+        if self._track_replay:
+            self._replay.append((start, batch.copy()))
+            self._replay_points += int(batch.size)
 
     def _quarantine_rest(self, rest: np.ndarray) -> int:
         """Per-point isolation of a failing batch remainder."""
@@ -634,14 +643,12 @@ class StreamWorker:
                     # The point *was* ingested and something after it
                     # (maintenance) failed: not poison. Escalate with
                     # the untouched remainder preserved for replay.
-                    if self._track_replay:
-                        self._replay.append((start, point))
+                    self._retain(start, point)
                     self._fatal_leftover = rest[i + 1 :]
                     raise
                 self.dead_letter.quarantine(value, error, start)
             else:
-                if self._track_replay:
-                    self._replay.append((start, point))
+                self._retain(start, point)
                 if self.accuracy is not None:
                     self.accuracy.extend(point)
                 clean += 1
@@ -716,8 +723,7 @@ class StreamWorker:
                     self.dead_letter.requarantine(record, error)
                     failed += 1
                 else:
-                    if self._track_replay:
-                        self._replay.append((start, point))
+                    self._retain(start, point)
                     if self.accuracy is not None:
                         self.accuracy.extend(point)
                     self.counters.record_ingested(1)
@@ -789,15 +795,18 @@ class StreamWorker:
     def trim_replay(self, min_arrival: int) -> None:
         """Drop replay batches that start before ``min_arrival``.
 
-        The service calls this after a durable checkpoint: only the
-        suffix needed to roll forward from the *oldest retained*
-        snapshot generation has to stay in memory.
+        The service calls this after each successful checkpoint with the
+        oldest arrival a reader may still ask for: the new checkpoint
+        itself when the stream is unsupervised (the next delta only
+        needs the batches since it), the oldest retained *base*
+        generation when a supervisor may recover from it.
         """
         with self._state_lock:
             self._replay = [
                 (start, batch) for start, batch in self._replay
                 if start >= min_arrival
             ]
+            self._replay_points = sum(int(b.size) for _, b in self._replay)
 
     def drain_pending(self) -> list[np.ndarray]:
         """Take ownership of the not-yet-ingested queue (recovery path).
@@ -822,6 +831,7 @@ class StreamWorker:
         return {
             "stream": self.name,
             "arrivals": self._pipeline.arrivals,
+            "replay_points": self._replay_points,
             "queue_depth": queue_depth,
             "backpressure": self.backpressure,
             "queue_capacity": self.queue_capacity,

@@ -25,6 +25,7 @@ Four groups of coverage:
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -222,6 +223,33 @@ class TestTracer:
             status="RuntimeError",
         )
         assert status.value == 1
+
+    def test_concurrent_records_share_cached_handles(self):
+        """Racing first records resolve the registry's own instruments."""
+        tracer = Tracer(capacity=16)
+        threads, per_thread = 6, 500
+
+        def record() -> None:
+            for _ in range(per_thread):
+                tracer.record("ingest", "s", 0.001)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=record) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert tracer.stage_seconds("ingest", "s").count == total
+        spans = tracer.registry.counter(
+            "repro_spans_total", stage="ingest", stream="s", status="ok"
+        )
+        assert spans.value == total
 
     def test_span_ring_is_bounded(self):
         tracer = Tracer(capacity=4)

@@ -459,6 +459,7 @@ class TestServiceQoS:
             # ledgers: the controller totals, the per-tenant metric, and
             # the stream's accuracy monitor all agree.
             assert report["shed_points"] == snapshot["shed_points"]
+            assert report["shed_points"] == snapshot["streams"]["m"]["shed_points"]
             counter = ctrl.registry.counter(
                 SHED_METRIC, tenant="default", priority="2"
             )

@@ -19,6 +19,7 @@ import pytest
 from repro.runtime import StreamPipeline, make_maintainer
 from repro.service import (
     BackpressureError,
+    FaultInjector,
     SnapshotStore,
     StreamService,
     StreamSpec,
@@ -26,6 +27,7 @@ from repro.service import (
     UnknownStreamError,
     UnsupportedQueryError,
 )
+from repro.service.queries import view_histogram
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
 
@@ -670,6 +672,137 @@ class TestCheckpointRestore:
     def test_snapshot_base_every_validated(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_base_every"):
             StreamService(tmp_path, snapshot_base_every=0)
+
+
+#: The two backends of the replay-retention tests, with their params.
+RETENTION_STREAMS = {
+    "e": ("exact", dict(window_size=512)),
+    "q": ("gk_quantiles", dict(epsilon=0.05)),
+}
+
+
+def direct_histograms(stream, maintain_every=16):
+    """What each retention stream serves after a direct run over ``stream``."""
+    rendered = {}
+    for name, (backend, params) in RETENTION_STREAMS.items():
+        direct = make_maintainer(backend, **params)
+        StreamPipeline([direct], maintain_every=maintain_every).run(stream)
+        rendered[name] = view_histogram(reference_synopsis(direct))
+    return rendered
+
+
+class TestReplayRetention:
+    """How much of the replay log a service keeps after each checkpoint.
+
+    Without a supervisor the log's only reader is the next delta
+    checkpoint, which needs the batches since the last checkpoint; a
+    supervisor may recover from the oldest retained base generation and
+    so keeps everything since that base.
+    """
+
+    def test_unsupervised_log_holds_only_since_last_checkpoint(self, tmp_path):
+        every, chunk = 256, 64
+        stream = integer_stream(4096, seed=31)
+        service = StreamService(tmp_path, snapshot_base_every=4)
+        for name, (backend, params) in RETENTION_STREAMS.items():
+            service.create_stream(
+                name, backend=backend, params=params, maintain_every=16,
+                checkpoint_every=every,
+            )
+        # Explicit checkpoints every 7 batches interleave with the
+        # automatic cadence, so both paths trim.
+        for index, start in enumerate(range(0, stream.size, chunk)):
+            for name in RETENTION_STREAMS:
+                service.ingest(name, stream[start : start + chunk])
+                service.flush(name)
+                assert service.stats(name)["replay_points"] <= every + chunk
+            if index % 7 == 6:
+                service.checkpoint()
+                for name in RETENTION_STREAMS:
+                    assert service.stats(name)["replay_points"] == 0
+        service.flush()
+        service.checkpoint()
+        for name in RETENTION_STREAMS:
+            assert service.stats(name)["replay_points"] == 0
+            # Past three base generations (one full + three deltas each).
+            writes = service.registry.counter(
+                "repro_snapshot_writes_total", stream=name
+            ).value
+            assert writes >= 12
+        service.close(checkpoint=False)
+        suffixes = {p.suffix for p in SnapshotStore(tmp_path).generations("e")}
+        assert suffixes == {".snap", ".delta"}
+
+        restored = StreamService.restore(tmp_path, snapshot_base_every=4)
+        restored.flush()
+        served = {name: restored.histogram(name) for name in RETENTION_STREAMS}
+        restored.close(checkpoint=False)
+        assert served == direct_histograms(stream)
+
+    def test_supervised_log_reaches_back_to_oldest_base(self, tmp_path):
+        segment = 256
+        stream = integer_stream(4096, seed=31)
+        service = StreamService(tmp_path, snapshot_base_every=4, supervise=True)
+        for name, (backend, params) in RETENTION_STREAMS.items():
+            service.create_stream(
+                name, backend=backend, params=params, maintain_every=16
+            )
+        bases = []
+        for number, end in enumerate(range(segment, stream.size + 1, segment)):
+            for name in RETENTION_STREAMS:
+                service.ingest(name, stream[end - segment : end])
+            service.flush()
+            service.checkpoint()
+            # Checkpoints 0, 4, 8, ... write full bases; keep=2 retains
+            # the last two, and replay must reach back to the older one.
+            if number % 4 == 0:
+                bases.append(end)
+            oldest = bases[-2] if len(bases) > 1 else bases[-1]
+            for name in RETENTION_STREAMS:
+                assert service.stats(name)["replay_points"] == end - oldest
+                log = service._worker(name).replay_batches()
+                assert log == [] or log[0][0] == oldest
+        assert len(bases) >= 3
+        service.close(checkpoint=False)
+
+    def test_failed_delta_write_trims_nothing(self, tmp_path):
+        stream = integer_stream(768, seed=31)
+        # Sequence 2 is the first delta after the base at sequence 1.
+        injector = FaultInjector().fail_snapshot_write(at_seq=2, times=2)
+        service = StreamService(
+            tmp_path, snapshot_base_every=4, fault_injector=injector
+        )
+        for name, (backend, params) in RETENTION_STREAMS.items():
+            service.create_stream(
+                name, backend=backend, params=params, maintain_every=16
+            )
+
+        def feed(start, end):
+            for name in RETENTION_STREAMS:
+                service.ingest(name, stream[start:end])
+            service.flush()
+
+        feed(0, 256)
+        service.checkpoint()
+        feed(256, 512)
+        for name in RETENTION_STREAMS:
+            with pytest.raises(OSError):
+                service.checkpoint(name)
+            assert service.stats(name)["replay_points"] == 256
+        feed(512, 768)
+        paths = service.checkpoint()
+        assert all(path.endswith("00000002.delta") for path in paths)
+        for name in RETENTION_STREAMS:
+            assert service.stats(name)["replay_points"] == 0
+        service.close(checkpoint=False)
+
+        restored = StreamService.restore(tmp_path)
+        restored.flush()
+        for name in RETENTION_STREAMS:
+            assert restored.stats(name)["arrivals"] == 768
+        served = {name: restored.histogram(name) for name in RETENTION_STREAMS}
+        restored.close(checkpoint=False)
+        assert served == direct_histograms(stream)
 
 
 class TestSnapshotStore:
