@@ -27,7 +27,7 @@ from .queries import (
     view_quantile,
     view_range_sum,
 )
-from .protocol import ServiceProtocol
+from .protocol import ServiceProtocol, StreamSpec, UnknownStreamError
 from .qos import (
     DEGRADATION_LEVELS,
     QoSConfig,
@@ -35,7 +35,7 @@ from .qos import (
     QuotaExceededError,
     TenantQuota,
 )
-from .service import StreamService, StreamSpec, UnknownStreamError
+from .service import StreamService
 from .snapshot import SnapshotCorruptError, SnapshotStore
 from .stream_worker import (
     BackpressureError,

@@ -24,7 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import build_service, load_config
+from .config import _open_tier, build_service, load_config
 from .qos import QoSConfig, QuotaExceededError, TenantQuota
 
 
@@ -100,19 +100,7 @@ def _restore_service(config):
     """Rebuild the configured tier from its snapshot directory."""
     if config.snapshot_dir is None:
         raise SystemExit("--restore needs snapshot_dir in the config")
-    if config.mode == "sharded":
-        from ..shard.router import ShardRouter
-
-        return ShardRouter.restore(config.snapshot_dir, qos=config.qos)
-    from .service import StreamService
-
-    return StreamService.restore(
-        config.snapshot_dir,
-        supervise=config.supervise,
-        snapshot_keep=config.snapshot_keep,
-        snapshot_base_every=config.snapshot_base_every,
-        qos=config.qos,
-    )
+    return _open_tier(config, restore=True)
 
 
 def _drive(service, streams, points, chunk, seed) -> dict:

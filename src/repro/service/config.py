@@ -180,35 +180,44 @@ def load_config(path) -> ServiceConfig:
     return ServiceConfig.from_dict(payload)
 
 
+def _open_tier(config: ServiceConfig, *, restore: bool):
+    """The configured tier, empty or restored from ``snapshot_dir``.
+
+    Both ways take every durability and QoS setting from the config; a
+    restored router reads its ring geometry from its own manifest.
+    """
+    options = dict(
+        snapshot_keep=config.snapshot_keep,
+        snapshot_base_every=config.snapshot_base_every,
+        qos=config.qos,
+    )
+    if config.mode == "sharded":
+        from ..shard.router import ShardRouter
+
+        tier = ShardRouter
+        options.update(
+            num_shards=config.shards,
+            virtual_nodes=config.virtual_nodes,
+            supervise_workers=config.supervise,
+        )
+    else:
+        tier = StreamService
+        options.update(supervise=config.supervise)
+    if restore:
+        return tier.restore(config.snapshot_dir, **options)
+    return tier(snapshot_dir=config.snapshot_dir, **options)
+
+
 def build_service(config: ServiceConfig):
     """A started service with every configured stream created.
 
     ``threaded`` builds a supervised in-process
     :class:`~repro.service.service.StreamService`; ``sharded`` builds a
     :class:`~repro.shard.router.ShardRouter` with ``config.shards``
-    processes.  Both satisfy
+    processes.  Both subclass
     :class:`~repro.service.protocol.ServiceProtocol`.
     """
-    if config.mode == "sharded":
-        from ..shard.router import ShardRouter
-
-        service = ShardRouter(
-            num_shards=config.shards,
-            snapshot_dir=config.snapshot_dir,
-            virtual_nodes=config.virtual_nodes,
-            snapshot_keep=config.snapshot_keep,
-            snapshot_base_every=config.snapshot_base_every,
-            supervise_workers=config.supervise,
-            qos=config.qos,
-        )
-    else:
-        service = StreamService(
-            snapshot_dir=config.snapshot_dir,
-            supervise=config.supervise,
-            snapshot_keep=config.snapshot_keep,
-            snapshot_base_every=config.snapshot_base_every,
-            qos=config.qos,
-        )
+    service = _open_tier(config, restore=False)
     try:
         for name, spec in config.streams:
             service.create_stream(name, spec=spec)

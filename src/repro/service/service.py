@@ -39,19 +39,14 @@ Typical lifetime::
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Iterable
+from dataclasses import replace
 
-from ..core.prefix import as_stream_batch
-from ..counting.encoding import encode_update, encode_updates
 from ..obs.accuracy import AccuracyMonitor
-from ..obs.export import to_prometheus_text, write_jsonl
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import SpanRecord, Tracer
-from ..runtime.registry import make_maintainer
 from .deadletter import DeadLetterBuffer, DeadLetterRecord
 from .faults import FaultInjector
-from .qos import QoSConfig, QoSController, tier_controller
+from .protocol import ServiceProtocol, StreamSpec, UnknownStreamError
+from .qos import QoSConfig, QoSController
 from .queries import (
     MaterializedView,
     view_histogram,
@@ -59,25 +54,10 @@ from .queries import (
     view_range_sum,
 )
 from .snapshot import SnapshotStore
-from .stream_worker import (
-    BACKPRESSURE_POLICIES,
-    POISON_POLICIES,
-    StreamWorker,
-    WorkerFailedError,
-)
+from .stream_worker import StreamWorker, WorkerFailedError
 from .supervisor import RestartPolicy, StreamSupervisor
 
 __all__ = ["StreamService", "StreamSpec", "UnknownStreamError"]
-
-
-class UnknownStreamError(KeyError):
-    """The service hosts no stream under the requested name."""
-
-
-def _valid_stream_name(name: str) -> bool:
-    # Names become snapshot filenames ("<name>-<seq>.snap"); excluding
-    # "-" keeps the sequence separator unambiguous.
-    return bool(name) and name.replace("_", "").replace(".", "").isalnum()
 
 
 def _tiles_contiguously(batches, start: int, end: int) -> bool:
@@ -98,103 +78,7 @@ def _tiles_contiguously(batches, start: int, end: int) -> bool:
     return position == end
 
 
-@dataclass(frozen=True)
-class StreamSpec:
-    """Declarative configuration of one hosted stream.
-
-    ``backend``/``params`` feed the maintainer registry
-    (:func:`~repro.runtime.registry.make_maintainer`); the rest shapes
-    the worker: maintenance cadence, queue bound, full-queue policy,
-    poison-record policy (``"quarantine"`` dead-letters offending
-    points, ``"fail"`` kills the worker), and an optional automatic
-    checkpoint cadence in ingested points.
-
-    ``tenant`` and ``priority`` place the stream in the QoS model (see
-    :mod:`repro.service.qos`): the tenant's token bucket meters its
-    ingest, and the priority class (``0`` most critical) decides what
-    the degradation ladder sheds first.  Both are inert until the
-    service is built with a QoS config.
-
-    ``accuracy`` opts the stream into online accuracy monitoring: a
-    keyword dict for :class:`~repro.obs.accuracy.AccuracyMonitor`
-    (``epsilon`` is required; ``window_size``, ``check_every``,
-    ``mode``, ... as needed).  The monitor shadows ingested points with
-    an exact window and reports observed epsilon vs the configured
-    bound through stats, metrics and ``StreamService.accuracy()``.
-    """
-
-    backend: str
-    params: dict = field(default_factory=dict)
-    maintain_every: int | None = 1
-    queue_capacity: int = 1024
-    backpressure: str = "block"
-    checkpoint_every: int | None = None
-    poison: str = "quarantine"
-    accuracy: dict | None = None
-    tenant: str = "default"
-    priority: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.tenant or not isinstance(self.tenant, str):
-            raise ValueError("tenant must be a non-empty string")
-        if not isinstance(self.priority, int) or self.priority < 0:
-            raise ValueError("priority must be an int >= 0 (0 most critical)")
-        if self.maintain_every is not None and self.maintain_every < 1:
-            raise ValueError("maintain_every must be >= 1 (or None)")
-        if self.queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
-        if self.backpressure not in BACKPRESSURE_POLICIES:
-            raise ValueError(
-                f"unknown backpressure policy {self.backpressure!r}; "
-                f"use one of {BACKPRESSURE_POLICIES}"
-            )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 (or None)")
-        if self.poison not in POISON_POLICIES:
-            raise ValueError(
-                f"unknown poison policy {self.poison!r}; "
-                f"use one of {POISON_POLICIES}"
-            )
-        if self.accuracy is not None:
-            if not isinstance(self.accuracy, dict):
-                raise ValueError("accuracy must be a keyword dict (or None)")
-            if "epsilon" not in self.accuracy:
-                raise ValueError("accuracy config needs an 'epsilon' bound")
-
-    def build_maintainer(self):
-        return make_maintainer(self.backend, **self.params)
-
-    def to_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "params": dict(self.params),
-            "maintain_every": self.maintain_every,
-            "queue_capacity": self.queue_capacity,
-            "backpressure": self.backpressure,
-            "checkpoint_every": self.checkpoint_every,
-            "poison": self.poison,
-            "accuracy": dict(self.accuracy) if self.accuracy else None,
-            "tenant": self.tenant,
-            "priority": self.priority,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "StreamSpec":
-        return cls(
-            backend=payload["backend"],
-            params=dict(payload.get("params", {})),
-            maintain_every=payload.get("maintain_every", 1),
-            queue_capacity=int(payload.get("queue_capacity", 1024)),
-            backpressure=payload.get("backpressure", "block"),
-            checkpoint_every=payload.get("checkpoint_every"),
-            poison=payload.get("poison", "quarantine"),
-            accuracy=payload.get("accuracy"),
-            tenant=payload.get("tenant", "default"),
-            priority=int(payload.get("priority", 1)),
-        )
-
-
-class StreamService:
+class StreamService(ServiceProtocol):
     """Concurrent host for many named synopsis streams.
 
     ``supervise=True`` attaches a :class:`StreamSupervisor` (tune it
@@ -205,11 +89,8 @@ class StreamService:
     ``snapshot_base_every`` sets the delta-checkpoint cadence: every
     K-th checkpoint of a stream writes a full base generation and the
     K-1 in between write cheap binary deltas (1, the default, keeps the
-    old always-full behavior); ``qos`` attaches multi-tenant admission
-    control and the graceful-degradation ladder (a
-    :class:`~repro.service.qos.QoSConfig`, or a pre-built
-    :class:`~repro.service.qos.QoSController`, which then records into
-    this service's registry).
+    old always-full behavior); ``qos`` is as in
+    :class:`~repro.service.protocol.ServiceProtocol`.
     """
 
     def __init__(
@@ -225,11 +106,8 @@ class StreamService:
     ) -> None:
         if restart_policy is not None and not supervise:
             raise ValueError("restart_policy requires supervise=True")
-        self.registry = MetricsRegistry()
+        super().__init__(qos)
         self.tracer = Tracer(self.registry)
-        self._qos = tier_controller(
-            qos, self.registry, self._qos_signals, self._qos_drained
-        )
         self._store = (
             SnapshotStore(
                 snapshot_dir,
@@ -250,7 +128,6 @@ class StreamService:
         # and delta chain grow without bound.
         self._deltas_since_base: dict[str, int] = {}
         self._workers: dict[str, StreamWorker] = {}
-        self._specs: dict[str, StreamSpec] = {}
         # Arrivals at each stream's last checkpoint.  Replay retention
         # rule: after a write the worker's replay log keeps only what a
         # reader can still ask for.  Without a supervisor the only reader
@@ -261,8 +138,6 @@ class StreamService:
         # Arrival positions of the retained base generations (supervised
         # retention reaches back to the oldest one).
         self._generation_arrivals: dict[str, deque] = {}
-        self._checkpoint_errors: dict[str, int] = {}
-        self._closed = False
         self._supervisor: StreamSupervisor | None = None
         if supervise:
             self._supervisor = StreamSupervisor(self, restart_policy)
@@ -271,30 +146,6 @@ class StreamService:
     # ------------------------------------------------------------------
     # Stream management
     # ------------------------------------------------------------------
-
-    def create_stream(
-        self,
-        name: str,
-        backend: str | None = None,
-        params: dict | None = None,
-        *,
-        spec: StreamSpec | None = None,
-        **options,
-    ) -> StreamWorker:
-        """Register and start a stream.
-
-        Either pass a full :class:`StreamSpec` via ``spec`` or the
-        ``backend``/``params`` pair plus spec fields as keyword options
-        (``maintain_every``, ``queue_capacity``, ``backpressure``,
-        ``checkpoint_every``, ``poison``).
-        """
-        if spec is None:
-            if backend is None:
-                raise ValueError("need either a spec or a backend name")
-            spec = StreamSpec(backend=backend, params=dict(params or {}), **options)
-        elif backend is not None or params is not None or options:
-            raise ValueError("pass either spec or backend/params/options, not both")
-        return self._start_stream(name, spec, state=None, arrivals=0, tail=())
 
     def _build_worker(
         self,
@@ -312,7 +163,7 @@ class StreamService:
         accuracy = None
         if spec.accuracy is not None:
             accuracy = AccuracyMonitor(
-                registry=self.registry, stream=name, **spec.accuracy
+                registry=self.registry, stream=name, **spec.accuracy_options()
             )
         on_shed = None
         if self._qos is not None:
@@ -347,32 +198,15 @@ class StreamService:
             worker.seed_view()
         return worker
 
-    def _start_stream(
-        self,
-        name: str,
-        spec: StreamSpec,
-        state: dict | None,
-        arrivals: int,
-        tail: Iterable,
+    def _host_stream(
+        self, name: str, spec: StreamSpec, *, state: dict | None = None,
+        arrivals: int = 0,
     ) -> StreamWorker:
-        if self._closed:
-            raise RuntimeError("service is closed")
-        if not _valid_stream_name(name):
-            raise ValueError(
-                f"invalid stream name {name!r}; use letters, digits, '_' or '.'"
-            )
-        if name in self._workers:
-            raise ValueError(f"stream {name!r} already exists")
         worker = self._build_worker(name, spec, state=state, arrivals=arrivals)
         self._workers[name] = worker
-        self._specs[name] = spec
         self._checkpoint_marks[name] = arrivals
         self._deltas_since_base[name] = 0
-        if self._qos is not None:
-            self._qos.register_stream(name, spec.tenant, spec.priority)
         worker.start()
-        for batch in tail:
-            worker.submit(batch)
         return worker
 
     def drop_stream(self, name: str, drain: bool = True) -> None:
@@ -380,65 +214,33 @@ class StreamService:
         worker = self._worker(name)
         worker.stop(drain=drain)
         del self._workers[name]
-        del self._specs[name]
         del self._checkpoint_marks[name]
         self._deltas_since_base.pop(name, None)
         self._generation_arrivals.pop(name, None)
-        self._checkpoint_errors.pop(name, None)
-        if self._qos is not None:
-            self._qos.forget_stream(name)
-
-    def streams(self) -> list[str]:
-        """Hosted stream names, sorted."""
-        return sorted(self._workers)
-
-    def spec(self, name: str) -> StreamSpec:
-        self._worker(name)
-        return self._specs[name]
+        self._unregister(name)
 
     def _worker(self, name: str) -> StreamWorker:
         try:
             return self._workers[name]
         except KeyError:
-            known = ", ".join(self.streams()) or "<none>"
-            raise UnknownStreamError(
-                f"no stream named {name!r}; hosted: {known}"
-            ) from None
+            raise self._unknown(name) from None
 
     # ------------------------------------------------------------------
     # Ingestion
     # ------------------------------------------------------------------
 
-    def ingest(self, name: str, values) -> int:
-        """Enqueue points for a stream; returns the accepted count.
+    def _deliver(self, name: str, batch) -> int:
+        """Submit to the stream's worker, then take a due checkpoint.
 
-        Safe to call from any thread.  Backpressure follows the stream's
-        policy; with ``checkpoint_every`` configured, a durable
-        checkpoint is taken whenever enough new points have been
-        *ingested* since the last one.  On a supervised service, a
-        submit that hits a dead worker transparently waits for the
-        restarted replacement and retries.
-
-        With QoS configured, the batch first passes admission control:
-        a tenant over its token-bucket quota gets a typed
-        :class:`~repro.service.qos.QuotaExceededError` (with
-        ``retry_after``), and under overload the degradation ladder may
-        deterministically shed part of a sheddable stream's batch -- the
-        shed mass is counted and widens the stream's reported effective
-        epsilon.
+        On a supervised service a submit that hits a dead worker waits
+        for the restarted replacement and retries.  With
+        ``checkpoint_every`` set, a checkpoint is due once that many
+        points have been *applied* since the stream's last one.
         """
-        if self._qos is not None:
-            worker = self._worker(name)  # surface UnknownStreamError first
-            kept, shed = self._qos.admit(name, as_stream_batch(values))
-            if shed and worker.accuracy is not None:
-                worker.accuracy.note_shed(shed)
-            if kept.size == 0:
-                return 0
-            values = kept
         while True:
             worker = self._worker(name)
             try:
-                accepted = worker.submit(values)
+                accepted = worker.submit(batch)
                 break
             except WorkerFailedError:
                 if self._supervisor is None:
@@ -447,40 +249,8 @@ class StreamService:
         every = self._specs[name].checkpoint_every
         if every is not None and self._store is not None:
             if worker.arrivals - self._checkpoint_marks[name] >= every:
-                try:
-                    self.checkpoint(name)
-                except (OSError, WorkerFailedError):
-                    # An automatic checkpoint must never fail the
-                    # producer; the miss is counted and the next cadence
-                    # (or an explicit checkpoint()) tries again.
-                    self._checkpoint_errors[name] = (
-                        self._checkpoint_errors.get(name, 0) + 1
-                    )
-                    self.registry.counter(
-                        "repro_checkpoint_errors_total", stream=name
-                    ).inc()
+                self._auto_checkpoint(lambda: self.checkpoint(name), [name])
         return accepted
-
-    def update(self, name: str, key: int, delta: int = 1) -> int:
-        """Turnstile update ``f[key] += delta`` on a stream.
-
-        The update is encoded as ``|delta|`` signed unit points (see
-        :mod:`repro.counting.encoding`) and rides the ordinary ingest
-        path, so backpressure, checkpoints, replay, and sharding all
-        apply unchanged.  Turnstile backends (``cr_precis``) decode
-        deletions; insert-only backends quarantine them as poison.
-        """
-        batch = encode_update(key, delta)
-        if batch.size == 0:
-            return 0
-        return self.ingest(name, batch)
-
-    def update_many(self, name: str, updates) -> int:
-        """Apply ``(key, delta)`` turnstile updates as one batch."""
-        batch = encode_updates(updates)
-        if batch.size == 0:
-            return 0
-        return self.ingest(name, batch)
 
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
         """Wait until queued points are ingested (one stream or all).
@@ -512,21 +282,8 @@ class StreamService:
         """Quarantined poison records of a stream, oldest first."""
         return self._worker(name).dead_letter.records()
 
-    def retry_dead_letters(self, name: str) -> dict:
-        """Re-feed a stream's quarantined records; returns outcome counts.
-
-        With QoS configured the retried mass re-enters admission: the
-        whole retry is charged against the stream tenant's quota
-        (all-or-nothing -- a partial shed of a poison retry would make
-        the outcome counts meaningless) and is refused outright while
-        the ladder is at ``shed`` or above for a sheddable stream.
-        """
-        worker = self._worker(name)
-        if self._qos is not None:
-            pending = len(worker.dead_letter.records())
-            if pending:
-                self._qos.admit_retry(name, pending)
-        return worker.retry_dead_letters()
+    def _redeliver_dead_letters(self, name: str) -> dict:
+        return self._worker(name).retry_dead_letters()
 
     # ------------------------------------------------------------------
     # QoS signals
@@ -558,15 +315,6 @@ class StreamService:
             if self._qos.sheddable(name) and not worker.caught_up():
                 return False
         return True
-
-    def qos(self) -> dict | None:
-        """QoS snapshot: ladder level, tenant buckets, per-stream shed
-        mass (None when QoS is not configured).  Forces a ladder
-        evaluation, so polling this drives demotion on a quiet service.
-        """
-        if self._qos is None:
-            return None
-        return self._qos.snapshot()
 
     # ------------------------------------------------------------------
     # Health
@@ -607,19 +355,10 @@ class StreamService:
             or (repr(worker.error) if worker.failed else None),
             "lossy_recovery": record.get("lossy_recovery", False),
             "dead_letter": worker.dead_letter.counters(),
-            "checkpoint_errors": self._checkpoint_errors.get(name, 0),
             "stale_view": bool(worker.failed or (view is not None and view.stale)),
             "queue_depth": worker.queue_depth,
         }
-        if self._qos is not None:
-            report["degradation"] = self._qos.level_name()
-            if self._qos.serving_stale(name):
-                # Stale-serve is an intentional degradation, not a
-                # failure: queries are answered from the last good view.
-                report["qos_shed"] = True
-                if report["state"] == "healthy":
-                    report["state"] = "degraded"
-        return report
+        return self._front_health(report)
 
     # ------------------------------------------------------------------
     # Queries (snapshot-isolated: served from materialized views)
@@ -690,14 +429,6 @@ class StreamService:
             return self.registry.collect_labeled(stream=name)
         return self.registry.collect()
 
-    def prometheus_metrics(self) -> str:
-        """The whole registry in Prometheus text exposition format."""
-        return to_prometheus_text(self.registry)
-
-    def export_metrics_jsonl(self, path):
-        """Append every current sample to ``path`` as JSON lines."""
-        return write_jsonl(self.registry, path)
-
     def spans(
         self, stage: str | None = None, name: str | None = None
     ) -> list[SpanRecord]:
@@ -712,12 +443,12 @@ class StreamService:
         return worker.accuracy.to_dict()
 
     def note_shed(self, name: str, points: int) -> None:
-        """Account externally-shed mass against a stream's accuracy.
+        """Account shed mass against a stream's accuracy monitor.
 
-        Used by the shard router, whose admission control sheds points
-        before they ever reach this (shard-internal) service: the
-        stream's accuracy monitor still widens its effective epsilon
-        over the thinned feed.  No-op without a monitor.
+        Called for this service's own admission sheds, and by a shard
+        host for the router's, which are shed before they ever reach
+        this (shard-internal) service: the monitor still widens its
+        effective epsilon over the thinned feed.  No-op without one.
         """
         worker = self._worker(name)
         if worker.accuracy is not None and points > 0:
@@ -898,14 +629,15 @@ class StreamService:
         if self._store is None:
             raise RuntimeError("service was created without a snapshot_dir")
         payload = self._store.load_latest(name)
-        spec = StreamSpec.from_dict(payload["spec"])
-        return self._start_stream(
+        worker = self._add_stream(
             name,
-            spec,
+            StreamSpec.from_dict(payload["spec"]),
             state=payload["state"],
             arrivals=int(payload["arrivals"]),
-            tail=payload["tail"],
         )
+        for batch in payload["tail"]:
+            worker.submit(batch)
+        return worker
 
     @classmethod
     def restore(cls, snapshot_dir, **kwargs) -> "StreamService":
@@ -950,9 +682,3 @@ class StreamService:
             for name in self.streams():
                 if not self._workers[name].failed:
                     self.checkpoint(name)
-
-    def __enter__(self) -> "StreamService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(checkpoint=False if exc_type else None)

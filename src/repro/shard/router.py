@@ -1,9 +1,11 @@
 """The shard router: consistent-hash fan-out over N shard processes.
 
-:class:`ShardRouter` is the multi-process tier of the service: it
-satisfies the same :class:`~repro.service.protocol.ServiceProtocol` as
-the threaded :class:`~repro.service.service.StreamService`, but hosts
-every stream inside one of N forked **shard processes** (each running a
+:class:`ShardRouter` is the multi-process tier of the service.  Like
+the threaded :class:`~repro.service.service.StreamService` it subclasses
+:class:`~repro.service.protocol.ServiceProtocol`, the front door that
+owns registration, admission, the turnstile verbs and QoS reporting;
+the router supplies only the transport behind it.  It hosts every
+stream inside one of N forked **shard processes** (each running a
 supervised ``StreamService`` of its own, see :mod:`repro.shard.host`).
 Placement is a deterministic consistent-hash ring
 (:class:`~repro.shard.placement.HashRing`) over stream names, so a
@@ -15,7 +17,8 @@ Ingest crosses the process boundary as length-prefixed binary frames
 metrics, checkpoints and certification travel as JSON control verbs
 with per-request sequence numbers.  Observability is merged: shard
 registries are serialized over the control channel and re-labeled with
-``shard="<id>"`` (router-local metrics carry ``shard="router"``), so
+``shard="<id>"`` (the router's own per-shard series keep their shard
+id, its other metrics carry ``shard="router"``), so
 ``prometheus_metrics()`` is one exposition document for the whole
 fleet.
 
@@ -37,7 +40,10 @@ Two deliberate semantic differences from the threaded tier:
   ``block`` propagates, through the OS socket buffer).
 * ``checkpoint(name)`` checkpoints the whole owning shard (every
   stream it hosts): replay retention is per shard, so its durable
-  watermark must advance as one unit.
+  watermark must advance as one unit.  The automatic cadence follows:
+  a shard is due once its smallest ``checkpoint_every`` of points has
+  been framed to it since its last barrier, and a failed automatic
+  checkpoint counts against every stream of the shard.
 """
 
 from __future__ import annotations
@@ -52,15 +58,11 @@ from collections import deque
 from dataclasses import replace
 from pathlib import Path
 
-from ..core.prefix import as_stream_batch
-from ..counting.encoding import encode_update, encode_updates
-from ..obs.export import samples_to_jsonl, samples_to_prometheus_text
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import SpanRecord
 from ..service.faults import FaultInjector
-from ..service.qos import QoSConfig, QoSController, tier_controller
+from ..service.protocol import ServiceProtocol, StreamSpec, UnknownStreamError
+from ..service.qos import QoSConfig, QoSController
 from ..service.queries import UnsupportedQueryError
-from ..service.service import StreamSpec, UnknownStreamError, _valid_stream_name
 from ..service.supervisor import RestartPolicy, StreamFailedError
 from .breaker import CircuitBreaker
 from .framing import (
@@ -202,7 +204,7 @@ class _ShardHandle:
         self.breaker: CircuitBreaker | None = None  # set by the router
 
 
-class ShardRouter:
+class ShardRouter(ServiceProtocol):
     """Multi-process synopsis service: router + N shard processes.
 
     Parameters
@@ -279,27 +281,20 @@ class ShardRouter:
         self._breaker_threshold = int(breaker_threshold)
         self._breaker_reset = float(breaker_reset)
         self._injector = fault_injector
-        self.registry = MetricsRegistry()
-        self._qos = tier_controller(
-            qos, self.registry, self._qos_signals, self._qos_drained
-        )
+        super().__init__(qos)
         self._send_latency = self.registry.histogram(
             "repro_router_send_seconds"
         )
         self._cond = threading.Condition()
         self._stop_event = threading.Event()
-        self._closed = False
 
         restoring = bool(_restore and self._snapshot_base is not None)
-        self._specs: dict[str, StreamSpec] = {}
         if restoring:
             manifest = self._read_manifest()
             num_shards = int(manifest["num_shards"])
             virtual_nodes = int(manifest["virtual_nodes"])
-            self._specs = {
-                name: StreamSpec.from_dict(spec)
-                for name, spec in manifest["specs"].items()
-            }
+            for name, spec in manifest["specs"].items():
+                self._register(name, StreamSpec.from_dict(spec))
         self.num_shards = int(num_shards)
         self._ring = HashRing(range(self.num_shards), virtual_nodes)
         self._submitted: dict[str, int] = {}
@@ -451,26 +446,7 @@ class ShardRouter:
                 self._spawn(
                     handle, restore=self._snapshot_base is not None
                 )
-                report = self._request_raw(handle, "restore_report", {})
-                restored = {
-                    name: int(count)
-                    for name, count in report["arrivals"].items()
-                }
-                owned = {
-                    name
-                    for name in self._specs
-                    if self._ring.owner(name) == shard_id
-                }
-                for name in sorted(set(report["streams"]) - owned):
-                    self._request_raw(
-                        handle, "drop_stream", {"name": name, "drain": False}
-                    )
-                for name in sorted(owned - set(report["streams"])):
-                    self._request_raw(
-                        handle,
-                        "create_stream",
-                        {"name": name, "spec": self._shard_spec(name)},
-                    )
+                restored = self._reconcile(handle)
                 exact = all(
                     restored.get(name, 0) == count
                     for name, count in handle.arrivals_at_checkpoint.items()
@@ -599,12 +575,14 @@ class ShardRouter:
                 return result
 
     def _owner_handle(self, name: str) -> _ShardHandle:
-        if name not in self._specs:
-            known = ", ".join(self.streams()) or "<none>"
-            raise UnknownStreamError(
-                f"no stream named {name!r}; hosted: {known}"
-            )
+        self.spec(name)  # raises UnknownStreamError
         return self._shards[self._ring.owner(name)]
+
+    def _owned(self, shard_id: int) -> list[str]:
+        """The hosted streams the ring places on one shard, sorted."""
+        return sorted(
+            name for name in self._specs if self._ring.owner(name) == shard_id
+        )
 
     # ------------------------------------------------------------------
     # Stream lifecycle
@@ -631,38 +609,14 @@ class ShardRouter:
 
     def _shard_cadence(self, handle: _ShardHandle) -> int | None:
         cadences = [
-            spec.checkpoint_every
-            for name, spec in self._specs.items()
-            if spec.checkpoint_every is not None
-            and self._ring.owner(name) == handle.shard_id
+            self._specs[name].checkpoint_every
+            for name in self._owned(handle.shard_id)
+            if self._specs[name].checkpoint_every is not None
         ]
         return min(cadences) if cadences else None
 
-    def create_stream(
-        self,
-        name: str,
-        backend: str | None = None,
-        params: dict | None = None,
-        *,
-        spec: StreamSpec | None = None,
-        **options,
-    ) -> None:
-        """Register a stream on its owner shard (placement is hashed)."""
-        if spec is None:
-            if backend is None:
-                raise ValueError("need either a spec or a backend name")
-            spec = StreamSpec(backend=backend, params=dict(params or {}), **options)
-        elif backend is not None or params is not None or options:
-            raise ValueError("pass either spec or backend/params/options, not both")
-        if self._closed:
-            raise RuntimeError("router is closed")
-        if not _valid_stream_name(name):
-            raise ValueError(
-                f"invalid stream name {name!r}; use letters, digits, '_' or '.'"
-            )
-        if name in self._specs:
-            raise ValueError(f"stream {name!r} already exists")
-        self._specs[name] = spec
+    def _host_stream(self, name: str, spec: StreamSpec) -> None:
+        """Create a registered stream on its owner shard (placement is hashed)."""
         handle = self._shards[self._ring.owner(name)]
         try:
             if handle.state != "up":
@@ -675,18 +629,12 @@ class ShardRouter:
             # Slow shard: the create WAS sent and the control channel is
             # serial, so it will still apply; registration stands.
             handle.breaker.record_failure()
-        except (OSError, FramingError) as error:
+        except (OSError, FramingError):
             # The shard died mid-create; recovery re-creates every owned
             # stream from the spec map, so registration stands.
             self._note_dead(handle)
-            del error
-        except Exception:
-            del self._specs[name]
-            raise
         self._submitted.setdefault(name, 0)
         self._cache_route(name)
-        if self._qos is not None:
-            self._qos.register_stream(name, spec.tenant, spec.priority)
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
 
@@ -694,26 +642,15 @@ class ShardRouter:
         """Stop and forget a stream (its snapshots stay on disk)."""
         handle = self._owner_handle(name)
         self._request(handle, "drop_stream", {"name": name, "drain": drain})
-        del self._specs[name]
+        self._unregister(name)
         self._route.pop(name, None)
         self._submitted.pop(name, None)
-        if self._qos is not None:
-            self._qos.forget_stream(name)
         with handle.send_lock:
             handle.replay = deque(
                 record for record in handle.replay if record[1] != name
             )
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
-
-    def streams(self) -> list[str]:
-        """Hosted stream names, sorted."""
-        return sorted(self._specs)
-
-    def spec(self, name: str) -> StreamSpec:
-        if name not in self._specs:
-            self._owner_handle(name)  # raises UnknownStreamError
-        return self._specs[name]
 
     def placement(self) -> dict[str, int]:
         """Owner shard id of every hosted stream."""
@@ -723,36 +660,21 @@ class ShardRouter:
     # Ingestion
     # ------------------------------------------------------------------
 
-    def ingest(self, name: str, values) -> int:
-        """Frame a batch to the owner shard; returns the accepted count.
+    def _deliver(self, name: str, batch) -> int:
+        """Frame an admitted batch to the owner shard.
 
-        Safe from any thread.  ``block`` backpressure propagates through
-        the socket buffer; ``reject``/``drop_oldest`` refusals happen
-        inside the shard (visible in worker counters, never raised
-        here).  A batch accepted while the shard is crashing is not
-        lost: it sits in the replay buffer and recovery re-delivers it.
-
-        With QoS configured, admission control runs *before* the frame
-        is cut (quota refusals raise
-        :class:`~repro.service.qos.QuotaExceededError`, ladder shedding
-        thins the batch deterministically); a wedged shard whose
-        breaker is open raises :class:`ShardUnavailableError` instead
-        of blocking on its socket.
+        ``block`` backpressure propagates through the socket buffer;
+        ``reject``/``drop_oldest`` refusals happen inside the shard
+        (visible in worker counters, never raised here).  A batch
+        accepted while the shard is crashing is not lost: it sits in
+        the replay buffer and recovery re-delivers it.  A wedged shard
+        whose breaker is open raises :class:`ShardUnavailableError`
+        instead of blocking on its socket.  The automatic checkpoint
+        cadence counts points framed to the shard since its last
+        barrier, and a due checkpoint covers the whole shard.
         """
-        route = self._route.get(name)
-        if route is None:
-            self._owner_handle(name)  # raises UnknownStreamError
-            route = self._route[name]
-        handle, counter = route
-        batch = as_stream_batch(values)
-        shed = 0
-        if self._qos is not None:
-            batch, shed = self._qos.admit(name, batch)
+        handle, counter = self._route[name]
         points = int(batch.size)
-        if points == 0:
-            if shed:
-                self._note_shed_remote(handle, name, shed)
-            return 0
         payload = batch.tobytes()
         if handle.state != "up":
             self._await_up(handle)
@@ -793,30 +715,22 @@ class ShardRouter:
                 else:
                     self._send_latency.observe(time.perf_counter() - started)
         counter.inc(points)
-        if shed:
-            self._note_shed_remote(handle, name, shed)
         if send_failed:
             if checkpoint_due:
                 handle.checkpoint_pending = False
             self._note_dead(handle)
         elif checkpoint_due:
             try:
-                self._checkpoint_shard(handle)
-            except Exception:
-                # Automatic checkpoints never fail the producer; the
-                # miss is counted and the next cadence tries again.
-                self.registry.counter(
-                    "repro_checkpoint_errors_total",
-                    shard=str(handle.shard_id),
-                ).inc()
+                self._auto_checkpoint(
+                    lambda: self._checkpoint_shard(handle),
+                    self._owned(handle.shard_id),
+                )
             finally:
                 handle.checkpoint_pending = False
         return points
 
-    def _note_shed_remote(
-        self, handle: _ShardHandle, name: str, points: int
-    ) -> None:
-        """Tell the shard about router-side shed mass (best effort).
+    def note_shed(self, name: str, points: int) -> None:
+        """Tell the owner shard about router-side shed mass (best effort).
 
         The shard hosts the stream's accuracy monitor; shed points must
         widen its effective epsilon even though they never cross the
@@ -824,7 +738,8 @@ class ShardRouter:
         counters are the system of record, and a wedged shard must not
         turn shed accounting into a stall.
         """
-        if handle.state != "up" or handle.breaker.blocked():
+        handle = self._owner_handle(name)
+        if points <= 0 or handle.state != "up" or handle.breaker.blocked():
             return
         try:
             self._request_raw(
@@ -835,32 +750,10 @@ class ShardRouter:
         except (OSError, FramingError, ShardRemoteError, UnknownStreamError):
             pass
 
-    def update(self, name: str, key: int, delta: int = 1) -> int:
-        """Turnstile update ``f[key] += delta`` on a sharded stream.
-
-        Encoded as signed unit points (:mod:`repro.counting.encoding`)
-        and framed through the ordinary data plane, so ordering,
-        replay, and shard recovery apply unchanged.
-        """
-        batch = encode_update(key, delta)
-        if batch.size == 0:
-            return 0
-        return self.ingest(name, batch)
-
-    def update_many(self, name: str, updates) -> int:
-        """Apply ``(key, delta)`` turnstile updates as one batch."""
-        batch = encode_updates(updates)
-        if batch.size == 0:
-            return 0
-        return self.ingest(name, batch)
-
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
         """Barrier + drain: every frame sent so far is fully ingested."""
-        if name is not None:
-            self._owner_handle(name)
-        handles = self._involved(name)
         drained = True
-        for handle in handles:
+        for handle in self._involved(name):
             with handle.send_lock:
                 upto = handle.next_seq - 1
             result = self._request(
@@ -917,22 +810,10 @@ class ShardRouter:
             self._owner_handle(name), "dead_letters", {"name": name}
         )
 
-    def retry_dead_letters(self, name: str) -> dict:
-        """Re-feed a stream's quarantined records; returns outcome counts.
-
-        With QoS configured the retried mass re-enters admission at the
-        router (all-or-nothing, like the threaded tier): refused while
-        the ladder sheds the stream, charged to the tenant bucket
-        otherwise.
-        """
-        handle = self._owner_handle(name)
-        if self._qos is not None:
-            pending = len(
-                self._request(handle, "dead_letters", {"name": name})
-            )
-            if pending:
-                self._qos.admit_retry(name, pending)
-        return self._request(handle, "retry_dead_letters", {"name": name})
+    def _redeliver_dead_letters(self, name: str) -> dict:
+        return self._request(
+            self._owner_handle(name), "retry_dead_letters", {"name": name}
+        )
 
     # ------------------------------------------------------------------
     # QoS signals
@@ -960,15 +841,6 @@ class ShardRouter:
             handle.state == "up" for handle in self._shards.values()
         )
 
-    def qos(self) -> dict | None:
-        """QoS snapshot: ladder level, tenant buckets, per-stream shed
-        mass (None when QoS is not configured).  Forces a ladder
-        evaluation, so polling this drives demotion on a quiet router.
-        """
-        if self._qos is None:
-            return None
-        return self._qos.snapshot()
-
     # ------------------------------------------------------------------
     # Health and observability
     # ------------------------------------------------------------------
@@ -993,9 +865,7 @@ class ShardRouter:
                         shard_reports = None
                 else:
                     shard_reports = None
-                for stream in self._specs:
-                    if self._ring.owner(stream) != handle.shard_id:
-                        continue
+                for stream in self._owned(handle.shard_id):
                     if shard_reports is not None and stream in shard_reports:
                         reports[stream] = self._annotate_health(
                             shard_reports[stream], handle
@@ -1024,20 +894,11 @@ class ShardRouter:
         record["shard_restarts"] = handle.restarts
         if handle.lossy:
             record["lossy_recovery"] = True
-        if self._qos is not None:
-            record["degradation"] = self._qos.level_name()
-            if self._qos.serving_stale(record.get("stream", "")):
-                # Intentional degradation: ingest is fully shed and
-                # queries answer from the last materialized view.
-                record["qos_shed"] = True
-                record["stale_view"] = True
-                if record.get("state") == "healthy":
-                    record["state"] = "degraded"
-        return record
+        return self._front_health(record)
 
     def _down_health(self, name: str, handle: _ShardHandle) -> dict:
         state = "failed" if handle.state == "failed" else "degraded"
-        return {
+        return self._front_health({
             "stream": name,
             "state": state,
             "shard": handle.shard_id,
@@ -1047,7 +908,7 @@ class ShardRouter:
             "lossy_recovery": handle.lossy,
             "stale_view": True,
             "queue_depth": 0,
-        }
+        })
 
     def shard_states(self) -> dict[int, dict]:
         """Router-level view of every shard process."""
@@ -1058,20 +919,18 @@ class ShardRouter:
                 "last_error": handle.last_error,
                 "breaker": handle.breaker.state_name(),
                 "pid": handle.process.pid if handle.process else None,
-                "streams": sorted(
-                    name
-                    for name in self._specs
-                    if self._ring.owner(name) == handle.shard_id
-                ),
+                "streams": self._owned(handle.shard_id),
             }
             for handle in self._shards.values()
         }
 
     def metrics(self, name: str | None = None) -> list[dict]:
         """Merged samples: router registry plus every live shard's,
-        re-labeled with ``shard`` so series never collide."""
+        labeled with ``shard`` so series never collide.  The router's
+        per-shard series keep their shard id; its other samples carry
+        ``shard="router"``."""
         samples = [
-            {**sample, "labels": {**sample["labels"], "shard": "router"}}
+            {**sample, "labels": {"shard": "router", **sample["labels"]}}
             for sample in self.registry.collect()
         ]
         for handle in self._shards.values():
@@ -1104,17 +963,6 @@ class ShardRouter:
             ]
         samples.sort(key=lambda s: (s["name"], sorted(s["labels"].items())))
         return samples
-
-    def prometheus_metrics(self) -> str:
-        """The whole fleet as one Prometheus exposition document."""
-        return samples_to_prometheus_text(self.metrics())
-
-    def export_metrics_jsonl(self, path) -> Path:
-        """Append the merged samples to ``path`` as JSON lines."""
-        path = Path(path)
-        with open(path, "a") as stream:
-            stream.write(samples_to_jsonl(self.metrics()))
-        return path
 
     def spans(
         self, stage: str | None = None, name: str | None = None
@@ -1196,9 +1044,8 @@ class ShardRouter:
             )
             misplaced.extend(
                 stream
-                for stream in self._specs
-                if self._ring.owner(stream) == handle.shard_id
-                and stream not in hosted
+                for stream in self._owned(handle.shard_id)
+                if stream not in hosted
             )
         return {
             "passed": not moved_within and not misplaced,
@@ -1222,8 +1069,6 @@ class ShardRouter:
         """
         if self._snapshot_base is None:
             raise RuntimeError("router was created without a snapshot_dir")
-        if name is not None:
-            self._owner_handle(name)
         paths: list[str] = []
         for handle in self._involved(name):
             paths.extend(self._checkpoint_shard(handle))
@@ -1302,29 +1147,34 @@ class ShardRouter:
             )
         return json.loads(manifest.read_text())
 
+    def _reconcile(self, handle: _ShardHandle) -> dict[str, int]:
+        """Align a freshly spawned shard's streams with the spec map.
+
+        Drops the streams its restore brought back that the ring no
+        longer places on it, creates the owned ones it lacks, and
+        returns the arrivals its restore reported per stream.
+        """
+        report = self._request_raw(handle, "restore_report", {})
+        owned = self._owned(handle.shard_id)
+        for stream in sorted(set(report["streams"]) - set(owned)):
+            self._request_raw(
+                handle, "drop_stream", {"name": stream, "drain": False}
+            )
+        for stream in owned:
+            if stream not in report["streams"]:
+                self._request_raw(
+                    handle, "create_stream",
+                    {"name": stream, "spec": self._shard_spec(stream)},
+                )
+        return {
+            stream: int(count) for stream, count in report["arrivals"].items()
+        }
+
     def _reconcile_restored(self) -> None:
         """After a cold restore, align every shard with the manifest."""
         for handle in self._shards.values():
-            report = self._request_raw(handle, "restore_report", {})
-            restored = {
-                stream: int(count)
-                for stream, count in report["arrivals"].items()
-            }
-            owned = {
-                stream
-                for stream in self._specs
-                if self._ring.owner(stream) == handle.shard_id
-            }
-            for stream in sorted(set(report["streams"]) - owned):
-                self._request_raw(
-                    handle, "drop_stream", {"name": stream, "drain": False}
-                )
-            for stream in sorted(owned - set(report["streams"])):
-                self._request_raw(
-                    handle,
-                    "create_stream",
-                    {"name": stream, "spec": self._shard_spec(stream)},
-                )
+            restored = self._reconcile(handle)
+            owned = self._owned(handle.shard_id)
             handle.arrivals_at_checkpoint = {
                 stream: restored.get(stream, 0) for stream in owned
             }
@@ -1391,9 +1241,3 @@ class ShardRouter:
             with self._cond:
                 handle.state = "closed"
                 self._cond.notify_all()
-
-    def __enter__(self) -> "ShardRouter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(checkpoint=False if exc_type else None)

@@ -84,6 +84,38 @@ def all_backends(request) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
+# Serving tiers
+# ---------------------------------------------------------------------------
+
+
+def _one_shard_router(snapshot_dir=None, **options):
+    from repro.shard import ShardRouter
+
+    return ShardRouter(1, snapshot_dir, **options)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param("StreamService"),
+        pytest.param("ShardRouter", marks=pytest.mark.shard),
+    ]
+)
+def tier(request):
+    """A constructor for each serving tier.
+
+    ``tier(**options)`` builds a threaded ``StreamService`` or a 1-shard
+    ``ShardRouter`` with the given options (``snapshot_dir``, ``qos``,
+    ``fault_injector``, ...); ``type(instance).restore`` brings either
+    back from its snapshot directory.
+    """
+    if request.param == "ShardRouter":
+        return _one_shard_router
+    from repro.service import StreamService
+
+    return StreamService
+
+
+# ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
 

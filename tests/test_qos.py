@@ -347,9 +347,9 @@ class TestServiceQoS:
         legacy = StreamSpec.from_dict({"backend": "exact"})
         assert (legacy.tenant, legacy.priority) == ("default", 1)
 
-    def test_ingest_admission_and_typed_refusal(self):
+    def test_ingest_admission_and_typed_refusal(self, tier):
         qos = QoSConfig(default_quota=TenantQuota(rate=50.0, burst=100.0))
-        with StreamService(qos=qos) as service:
+        with tier(qos=qos) as service:
             service.create_stream("gk", backend="gk_quantiles", params=GK)
             assert service.ingest("gk", _stream(100)) == 100
             with pytest.raises(QuotaExceededError) as err:
@@ -408,11 +408,11 @@ class TestServiceQoS:
             assert health["state"] == "degraded"
             assert "qos_shed" not in service.health("crit")
 
-    def test_dead_letter_retry_reenters_admission(self):
+    def test_dead_letter_retry_reenters_admission(self, tier):
         ctrl = QoSController(
             QoSConfig(default_quota=TenantQuota(rate=0.5, burst=4.0))
         )
-        with StreamService(qos=ctrl) as service:
+        with tier(qos=ctrl) as service:
             service.create_stream(
                 "d", backend="equi_depth", params=dict(num_buckets=4)
             )

@@ -208,6 +208,17 @@ class TestRouterLifecycle:
             assert shards & {"0", "1"}
             text = router.prometheus_metrics()
             assert "repro_submitted_points_total" in text
+            series = [
+                (s["name"], tuple(sorted(s["labels"].items())))
+                for s in samples
+            ]
+            assert len(series) == len(set(series)), "repeated series"
+            up = sorted(
+                s["labels"]["shard"]
+                for s in samples
+                if s["name"] == "repro_shard_up"
+            )
+            assert up == ["0", "1"]
 
     def test_certify_covers_streams_and_placement(self):
         with ShardRouter(num_shards=2) as router:
@@ -421,6 +432,31 @@ class TestServiceConfig:
             assert service.flush() is True
         finally:
             service.close(checkpoint=False)
+
+    def test_cli_restore_keeps_the_durability_settings(self, tmp_path):
+        """A restored router keeps the config's delta cadence and
+        retention: deltas between bases, three base generations."""
+        from repro.service.__main__ import main
+
+        path = tmp_path / "svc.json"
+        path.write_text(json.dumps({
+            "mode": "sharded",
+            "shards": 1,
+            "snapshot_dir": str(tmp_path / "snap"),
+            "snapshot_base_every": 4,
+            "snapshot_keep": 3,
+            "streams": [{
+                "name": "q", "backend": "gk_quantiles",
+                "params": {"epsilon": 0.05}, "maintain_every": 64,
+                "checkpoint_every": 1024,
+            }],
+        }))
+        run = [str(path), "--points", "6000", "--checkpoint", "--quiet"]
+        assert main(run) == 0
+        assert main(run + ["--restore"]) == 0
+        shard_dir = tmp_path / "snap" / "shard-0"
+        assert len(list(shard_dir.glob("q-*.snap"))) == 3
+        assert list(shard_dir.glob("q-*.delta"))
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
