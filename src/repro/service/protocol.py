@@ -47,9 +47,22 @@ from ..runtime.registry import make_maintainer
 from .qos import QoSConfig, QoSController, tier_controller
 from .stream_worker import BACKPRESSURE_POLICIES, POISON_POLICIES
 
-__all__ = ["ServiceProtocol", "StreamSpec", "UnknownStreamError"]
+__all__ = [
+    "DEFAULT_CHECKPOINT_EVERY",
+    "ServiceProtocol",
+    "StreamSpec",
+    "UnknownStreamError",
+]
 
 logger = logging.getLogger(__name__)
+
+#: Automatic checkpoint cadence, in points, of a stream without its own
+#: ``checkpoint_every`` on a tier that checkpoints into a private store
+#: (a :class:`~repro.shard.ShardRouter` without a ``snapshot_dir``).
+#: Each barrier stalls its producer for tens of milliseconds; this
+#: cadence keeps that under a tenth of ingest time while bounding each
+#: recovery log at about ``snapshot_keep`` times this many points.
+DEFAULT_CHECKPOINT_EVERY = 1 << 20
 
 #: The synopsis-window parameter of each window backend.  An accuracy
 #: monitor's shadow window must be exactly that window: a smaller one

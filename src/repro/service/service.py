@@ -91,6 +91,11 @@ class StreamService(ServiceProtocol):
     K-1 in between write cheap binary deltas (1, the default, keeps the
     old always-full behavior); ``qos`` is as in
     :class:`~repro.service.protocol.ServiceProtocol`.
+
+    Without ``snapshot_dir`` the service takes no checkpoints, so a
+    supervised service's replay logs grow with its streams (a
+    :class:`~repro.shard.ShardRouter` checkpoints into a private store
+    instead).
     """
 
     def __init__(
@@ -106,6 +111,10 @@ class StreamService(ServiceProtocol):
     ) -> None:
         if restart_policy is not None and not supervise:
             raise ValueError("restart_policy requires supervise=True")
+        if snapshot_keep < 1:
+            raise ValueError("snapshot_keep must be >= 1")
+        if snapshot_base_every < 1:
+            raise ValueError("snapshot_base_every must be >= 1")
         super().__init__(qos)
         self.tracer = Tracer(self.registry)
         self._store = (
@@ -119,8 +128,6 @@ class StreamService(ServiceProtocol):
             else None
         )
         self._injector = fault_injector
-        if snapshot_base_every < 1:
-            raise ValueError("snapshot_base_every must be >= 1")
         self._snapshot_base_every = int(snapshot_base_every)
         # Per-stream delta counter: full/delta cadence is tracked per
         # stream (not service-wide) so no checkpoint interleaving can
@@ -565,64 +572,78 @@ class StreamService(ServiceProtocol):
         """
         if self._store is None:
             raise RuntimeError("service was created without a snapshot_dir")
-        if mode not in ("auto", "full"):
-            raise ValueError(f"unknown checkpoint mode {mode!r}")
         names = [name] if name is not None else self.streams()
         paths = []
         for stream_name in names:
-            worker = self._worker(stream_name)
             with self.tracer.span("checkpoint", stream_name):
-                path, arrivals = self._checkpoint_stream(
-                    stream_name, worker, mode
-                )
-                paths.append(str(path))
-            self._checkpoint_marks[stream_name] = arrivals
-            if self._supervisor is None:
-                worker.trim_replay(arrivals)
-            elif generations := self._generation_arrivals.get(stream_name):
-                worker.trim_replay(generations[0])
+                captured = self._capture_checkpoint(stream_name, mode)
+                path, _ = self._write_checkpoint(captured)
+            paths.append(path)
         return paths
 
-    def _checkpoint_stream(self, name: str, worker, mode: str):
-        """Write one stream's checkpoint (delta when safe, else full)."""
+    def _capture_checkpoint(self, name: str, mode: str) -> tuple:
+        """Capture one stream's next checkpoint without writing it.
+
+        A delta's slice when one can be written: mode ``"auto"``, the
+        stream's delta cadence not used up, a generation on disk to
+        chain onto, and a replay slice that tiles the arrivals since
+        the last checkpoint.  Otherwise the full state.  The capture is
+        the cut :meth:`_write_checkpoint` persists, however much the
+        stream ingests in between (the shard host relies on this).
+        """
+        if mode not in ("auto", "full"):
+            raise ValueError(f"unknown checkpoint mode {mode!r}")
+        worker = self._worker(name)
         mark = self._checkpoint_marks.get(name, 0)
         want_delta = (
             mode == "auto"
             and self._snapshot_base_every > 1
             and self._deltas_since_base.get(name, 0)
             < self._snapshot_base_every - 1
+            and self._store.can_extend(name)
         )
         if want_delta:
             capture = worker.checkpoint_capture(state=False, replay_since=mark)
-            arrivals = capture["arrivals"]
-            batches = capture.get("replay", [])
-            if _tiles_contiguously(batches, mark, arrivals):
-                try:
-                    path = self._store.write_delta(
-                        name,
-                        arrivals=arrivals,
-                        from_arrivals=mark,
-                        batches=batches,
-                        tail=capture["tail"],
-                    )
-                except ValueError:
-                    pass  # no base generation on disk; write a full
-                else:
-                    self._deltas_since_base[name] = (
-                        self._deltas_since_base.get(name, 0) + 1
-                    )
-                    return path, arrivals
-        capture = worker.checkpoint_capture()
+            if _tiles_contiguously(capture["replay"], mark, capture["arrivals"]):
+                return name, worker, mark, capture
+        return name, worker, mark, worker.checkpoint_capture()
+
+    def _write_checkpoint(self, captured: tuple) -> tuple[str, int]:
+        """Persist a :meth:`_capture_checkpoint`, then trim the worker's
+        replay log by the retention rule beside ``_checkpoint_marks``.
+
+        Returns the written path and the arrivals a restore from it
+        reaches: the captured arrivals plus the buffered tail.
+        """
+        name, worker, mark, capture = captured
         arrivals = capture["arrivals"]
-        path = self._store.write(
-            name, {"spec": self._specs[name].to_dict(), **capture}
-        )
-        self._deltas_since_base[name] = 0
-        generations = self._generation_arrivals.setdefault(
-            name, deque(maxlen=self._store.keep)
-        )
-        generations.append(arrivals)
-        return path, arrivals
+        if "state" in capture:
+            path = self._store.write(
+                name, {"spec": self._specs[name].to_dict(), **capture}
+            )
+            self._deltas_since_base[name] = 0
+            generations = self._generation_arrivals.setdefault(
+                name, deque(maxlen=self._store.keep)
+            )
+            generations.append(arrivals)
+        else:
+            path = self._store.write_delta(
+                name,
+                arrivals=arrivals,
+                from_arrivals=mark,
+                batches=capture["replay"],
+                tail=capture["tail"],
+            )
+            self._deltas_since_base[name] = (
+                self._deltas_since_base.get(name, 0) + 1
+            )
+        self._checkpoint_marks[name] = arrivals
+        if self._supervisor is None:
+            worker.trim_replay(arrivals)
+        elif generations := self._generation_arrivals.get(name):
+            worker.trim_replay(generations[0])
+        tail = sum(int(batch.size) for batch in capture["tail"])
+        return str(path), arrivals + tail
 
     def restore_stream(self, name: str) -> StreamWorker:
         """Recreate one stream from its latest verifiable snapshot."""
@@ -651,6 +672,8 @@ class StreamService(ServiceProtocol):
         (``supervise``, ``restart_policy``, ``fault_injector``,
         ``snapshot_keep``) are forwarded to the constructor.
         """
+        if not snapshot_dir:
+            raise RuntimeError("StreamService.restore needs a snapshot_dir")
         service = cls(snapshot_dir=snapshot_dir, **kwargs)
         for name in service._store.streams():
             service.restore_stream(name)

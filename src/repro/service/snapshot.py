@@ -424,6 +424,15 @@ class SnapshotStore:
         self._prune(name)
         return path
 
+    def can_extend(self, name: str) -> bool:
+        """Whether :meth:`write_delta` would find a generation of
+        ``name`` to chain onto.  An unreadable manifest answers False, so
+        the caller writes a full, which rebuilds it."""
+        try:
+            return _extendable(self.manifest()["streams"].get(name))
+        except SnapshotCorruptError:
+            return False
+
     def write_delta(
         self,
         name: str,
@@ -444,9 +453,7 @@ class SnapshotStore:
         """
         manifest = self._manifest_or_rebuild()
         entry = manifest["streams"].get(name)
-        if entry is None or (
-            entry.get("kind") == "delta" and "base_seq" not in entry
-        ):
+        if not _extendable(entry):
             raise ValueError(f"stream {name!r} has no base snapshot to extend")
         seq = int(entry.get("seq", 0)) + 1
         base_seq = int(entry.get("base_seq", entry.get("seq", 0)))
@@ -791,6 +798,14 @@ class SnapshotStore:
                 logger.warning(
                     "could not remove stale snapshot %s: %s", stale, error
                 )
+
+
+def _extendable(entry: dict | None) -> bool:
+    """Whether a manifest entry is a generation a delta can chain onto:
+    a full, or a delta that knows its base."""
+    return entry is not None and (
+        entry.get("kind") != "delta" or "base_seq" in entry
+    )
 
 
 def _parse_snapshot_name(filename: str) -> tuple[str, int, str] | None:

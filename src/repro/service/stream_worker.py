@@ -440,9 +440,11 @@ class StreamWorker:
         """Enqueue a batch; returns the number of points accepted.
 
         Thread-safe.  Applies the configured backpressure policy and
-        records the time spent waiting for queue space.
+        records the time spent waiting for queue space.  The queue owns
+        a copy of the batch: a producer may refill its buffer as soon as
+        this returns.
         """
-        batch = as_stream_batch(values)
+        batch = as_stream_batch(values).copy()
         if batch.size == 0:
             return 0
         started = time.perf_counter()
@@ -626,7 +628,7 @@ class StreamWorker:
     def _retain(self, start: int, batch: np.ndarray) -> None:
         """Append an ingested batch to the replay log (when tracked)."""
         if self._track_replay:
-            self._replay.append((start, batch.copy()))
+            self._replay.append((start, batch))
             self._replay_points += int(batch.size)
 
     def _quarantine_rest(self, rest: np.ndarray) -> int:

@@ -12,6 +12,9 @@ A shard owns two channels back to the router:
   "everything up to seq S has been handed to the workers".  An
   empty-name DATA frame is a pure watermark sync (sent after crash
   replay so barriers against pre-crash sequence numbers resolve).
+  Each frame is applied under the lock a checkpoint holds while it
+  captures, so a snapshot holds exactly the frames up to the
+  watermark it reports, even when other producers keep sending.
 * the **control channel** -- the main thread answers one JSON verb at a
   time (create/drop/query/health/metrics/checkpoint/...), each reply
   echoing the request's sequence number.
@@ -110,8 +113,8 @@ def _build_service(options: dict) -> StreamService:
     )
     if policy is not None and kwargs["supervise"]:
         kwargs["restart_policy"] = RestartPolicy(**policy)
-    snapshot_dir = options.get("snapshot_dir")
-    if snapshot_dir and options.get("restore"):
+    snapshot_dir = options["snapshot_dir"]
+    if options.get("restore"):
         return StreamService.restore(snapshot_dir, **kwargs)
     return StreamService(snapshot_dir=snapshot_dir, **kwargs)
 
@@ -126,6 +129,9 @@ class ShardHost:
         self._data_sock = data_sock
         self._ctrl_sock = ctrl_sock
         self._watermark = _Watermark()
+        # Held by the data thread around each frame's hand-off and by a
+        # checkpoint while it captures: the cut between frames.
+        self._apply_lock = threading.Lock()
         self._stop_event = threading.Event()
         self._close_checkpoint: bool | None = None
 
@@ -143,17 +149,18 @@ class ShardHost:
                     break
                 if frame.kind != KIND_DATA:
                     continue
-                if frame.name:
-                    try:
-                        self.service.ingest(
-                            frame.name, decode_batch(frame.payload)
-                        )
-                    except _REFUSALS:
-                        # Refusals are shard-local telemetry, never
-                        # channel errors: the frame still advances the
-                        # watermark so barriers cannot hang on it.
-                        refused.inc()
-                self._watermark.advance(frame.seq)
+                with self._apply_lock:
+                    if frame.name:
+                        try:
+                            self.service.ingest(
+                                frame.name, decode_batch(frame.payload)
+                            )
+                        except _REFUSALS:
+                            # Refusals are shard-local telemetry, never
+                            # channel errors: the frame still advances
+                            # the watermark so barriers cannot hang on it.
+                            refused.inc()
+                    self._watermark.advance(frame.seq)
         except (FramingError, OSError):
             pass  # router gone; the control loop shuts the shard down
         finally:
@@ -253,13 +260,24 @@ class ShardHost:
             return service.certify(args.pop("name"), **args)
         if verb == "checkpoint":
             self._barrier(args)
-            return {
-                "paths": service.checkpoint(
-                    args.get("name"), mode=args.get("mode", "auto")
-                ),
-                "applied_seq": self._watermark.applied,
-                "arrivals": self._stream_arrivals(),
-            }
+            name, mode = args.get("name"), args.get("mode", "auto")
+            names = [name] if name is not None else service.streams()
+            # The cut: every stream is captured between the same two
+            # data frames.  The writes follow while new frames apply.
+            with self._apply_lock:
+                captured = [
+                    service._capture_checkpoint(stream, mode)
+                    for stream in names
+                ]
+                applied = self._watermark.applied
+            paths, arrivals = [], {}
+            for stream, capture in zip(names, captured):
+                with service.tracer.span("checkpoint", stream):
+                    path, arrivals[stream] = service._write_checkpoint(capture)
+                paths.append(path)
+            # The watermark at the cut and, per stream, the arrivals a
+            # restore from its snapshot reaches.
+            return {"paths": paths, "applied_seq": applied, "arrivals": arrivals}
         raise ValueError(f"unknown shard verb {verb!r}")
 
     def run(self) -> None:

@@ -24,14 +24,27 @@ fleet.
 
 **Shard failure** reuses the snapshot/restart machinery at shard
 granularity.  The router retains every data frame since the oldest
-retained checkpoint generation; when a shard process dies the monitor
-thread respawns it after the :class:`~repro.service.supervisor.
+retained base checkpoint (``shard_states()[id]["replay_points"]``, the
+``repro_router_replay_points`` gauge); when a shard process dies the
+monitor thread respawns it after the :class:`~repro.service.supervisor.
 RestartPolicy` backoff, restores it from its own SnapshotStore
 directory, reconciles the stream set, and replays the retained frames
 newer than the last checkpoint -- deterministic synopses plus identical
 replay make the recovered shard bit-identical to one that never
 crashed.  A shard that exhausts its restart budget is ``failed``;
 producers get :class:`~repro.service.supervisor.StreamFailedError`.
+
+Without a ``snapshot_dir`` the shards' stores live in a private
+temporary directory, and the router takes a barrier once
+:data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY` points have
+been framed to a shard (sooner when a stream sets ``checkpoint_every``),
+so the frame log holds about ``snapshot_keep`` cadences.  ``close()``
+removes that directory without a final checkpoint, and the public
+``checkpoint()`` and ``restore()`` still refuse without the caller's
+directory.  A caller's ``snapshot_dir`` keeps the caller's cadence:
+without ``checkpoint_every`` its log grows until the caller
+checkpoints.  Each barrier's wait is the
+``repro_router_checkpoint_seconds`` histogram.
 
 Two deliberate semantic differences from the threaded tier:
 
@@ -51,7 +64,9 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 import socket
+import tempfile
 import threading
 import time
 from collections import deque
@@ -60,7 +75,12 @@ from pathlib import Path
 
 from ..obs.tracing import SpanRecord
 from ..service.faults import FaultInjector
-from ..service.protocol import ServiceProtocol, StreamSpec, UnknownStreamError
+from ..service.protocol import (
+    DEFAULT_CHECKPOINT_EVERY,
+    ServiceProtocol,
+    StreamSpec,
+    UnknownStreamError,
+)
 from ..service.qos import QoSConfig, QoSController
 from ..service.queries import UnsupportedQueryError
 from ..service.supervisor import RestartPolicy, StreamFailedError
@@ -154,6 +174,11 @@ _IDEMPOTENT_VERBS = frozenset(
 )
 
 
+def _frame_points(record: tuple[int, str, int, bytes]) -> int:
+    """Points in a replay-log record (its payload is a float64 buffer)."""
+    return len(record[3]) // 8
+
+
 class ShardDownError(RuntimeError):
     """The owning shard is down and did not recover within the wait."""
 
@@ -185,8 +210,10 @@ class _ShardHandle:
         self.next_seq = 1
         self.ctrl_seq = 0
         # Frames since the oldest retained checkpoint generation:
-        # (seq, stream, per-stream submitted-point offset, payload).
+        # (seq, stream, per-stream submitted-point offset, payload),
+        # and the points they hold.
         self.replay: deque[tuple[int, str, int, bytes]] = deque()
+        self.replay_points = 0
         self.checkpoint_seqs: deque[int] = deque(maxlen=2)
         # Barriers that wrote *full* (base) generations: replay frames
         # are only droppable once a base covers them -- a delta barrier
@@ -202,6 +229,7 @@ class _ShardHandle:
         self.last_error: str | None = None
         self.lossy = False
         self.breaker: CircuitBreaker | None = None  # set by the router
+        self.checkpoint_latency = None  # set by the router
 
 
 class ShardRouter(ServiceProtocol):
@@ -215,8 +243,10 @@ class ShardRouter(ServiceProtocol):
         Base directory for durability; each shard gets its own
         ``shard-<id>/`` SnapshotStore underneath, the router writes a
         ``router.json`` manifest (specs + ring geometry) beside them.
-        Without it, checkpointing is unavailable and crash recovery
-        replays the full retained frame log from an empty shard.
+        Without it the stores live in a private temporary directory
+        that only bounds the replay log: the router takes automatic
+        barriers into it, ``checkpoint()`` and ``restore()`` are
+        unavailable, and ``close()`` removes it.
     virtual_nodes:
         Ring points per shard (placement granularity).
     restart_policy:
@@ -267,7 +297,6 @@ class ShardRouter(ServiceProtocol):
                 "ShardRouter needs the 'fork' start method (POSIX only)"
             )
         self._ctx = multiprocessing.get_context("fork")
-        self._snapshot_base = Path(snapshot_dir) if snapshot_dir else None
         self._snapshot_keep = int(snapshot_keep)
         self._snapshot_base_every = int(snapshot_base_every)
         self._supervise_workers = bool(supervise_workers)
@@ -282,13 +311,21 @@ class ShardRouter(ServiceProtocol):
         self._breaker_reset = float(breaker_reset)
         self._injector = fault_injector
         super().__init__(qos)
+        # Without the caller's directory the shards' stores live in a
+        # private one, so the frame log always has a base to trim to.
+        self._private_dir = (
+            None if snapshot_dir else Path(tempfile.mkdtemp(prefix="repro-"))
+        )
+        self._snapshot_base = (
+            Path(snapshot_dir) if snapshot_dir else self._private_dir
+        )
         self._send_latency = self.registry.histogram(
             "repro_router_send_seconds"
         )
         self._cond = threading.Condition()
         self._stop_event = threading.Event()
 
-        restoring = bool(_restore and self._snapshot_base is not None)
+        restoring = bool(_restore)
         if restoring:
             manifest = self._read_manifest()
             num_shards = int(manifest["num_shards"])
@@ -314,7 +351,15 @@ class ShardRouter(ServiceProtocol):
                 reset_timeout=self._breaker_reset,
                 registry=self.registry,
             )
-            self._spawn(handle, restore=restoring)
+            handle.checkpoint_latency = self.registry.histogram(
+                "repro_router_checkpoint_seconds", shard=str(handle.shard_id)
+            )
+            try:
+                self._spawn(handle, restore=restoring)
+            except BaseException:
+                # A router that never started leaves no private store.
+                self._remove_private_dir()
+                raise
             handle.state = "up"
             self.registry.gauge(
                 "repro_shard_up", shard=str(handle.shard_id)
@@ -333,9 +378,7 @@ class ShardRouter(ServiceProtocol):
     # Process lifecycle
     # ------------------------------------------------------------------
 
-    def _shard_dir(self, shard_id: int) -> str | None:
-        if self._snapshot_base is None:
-            return None
+    def _shard_dir(self, shard_id: int) -> str:
         return str(self._snapshot_base / f"shard-{shard_id}")
 
     def _spawn(self, handle: _ShardHandle, restore: bool) -> None:
@@ -443,9 +486,7 @@ class ShardRouter(ServiceProtocol):
                     except OSError:
                         pass
                 handle.process.join(timeout=5.0)
-                self._spawn(
-                    handle, restore=self._snapshot_base is not None
-                )
+                self._spawn(handle, restore=True)
                 restored = self._reconcile(handle)
                 exact = all(
                     restored.get(name, 0) == count
@@ -608,12 +649,19 @@ class ShardRouter(ServiceProtocol):
         self._route[name] = (handle, counter)
 
     def _shard_cadence(self, handle: _ShardHandle) -> int | None:
+        """Points framed to the shard between automatic barriers: the
+        smallest cadence of its streams, where a stream without its own
+        ``checkpoint_every`` takes the private store's default."""
+        default = (
+            DEFAULT_CHECKPOINT_EVERY if self._private_dir is not None else None
+        )
         cadences = [
-            self._specs[name].checkpoint_every
+            every
             for name in self._owned(handle.shard_id)
-            if self._specs[name].checkpoint_every is not None
+            if (every := self._specs[name].checkpoint_every or default)
+            is not None
         ]
-        return min(cadences) if cadences else None
+        return min(cadences, default=None)
 
     def _host_stream(self, name: str, spec: StreamSpec) -> None:
         """Create a registered stream on its owner shard (placement is hashed)."""
@@ -648,6 +696,9 @@ class ShardRouter(ServiceProtocol):
         with handle.send_lock:
             handle.replay = deque(
                 record for record in handle.replay if record[1] != name
+            )
+            handle.replay_points = sum(
+                _frame_points(record) for record in handle.replay
             )
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
@@ -691,10 +742,10 @@ class ShardRouter(ServiceProtocol):
             start = self._submitted[name]
             self._submitted[name] = start + points
             handle.replay.append((seq, name, start, payload))
+            handle.replay_points += points
             handle.points_since_checkpoint += points
             checkpoint_due = (
                 handle.checkpoint_cadence is not None
-                and self._snapshot_base is not None
                 and handle.points_since_checkpoint >= handle.checkpoint_cadence
                 and not handle.checkpoint_pending
             )
@@ -920,6 +971,7 @@ class ShardRouter(ServiceProtocol):
                 "breaker": handle.breaker.state_name(),
                 "pid": handle.process.pid if handle.process else None,
                 "streams": self._owned(handle.shard_id),
+                "replay_points": handle.replay_points,
             }
             for handle in self._shards.values()
         }
@@ -929,6 +981,10 @@ class ShardRouter(ServiceProtocol):
         labeled with ``shard`` so series never collide.  The router's
         per-shard series keep their shard id; its other samples carry
         ``shard="router"``."""
+        for handle in self._shards.values():
+            self.registry.gauge(
+                "repro_router_replay_points", shard=str(handle.shard_id)
+            ).set(handle.replay_points)
         samples = [
             {**sample, "labels": {"shard": "router", **sample["labels"]}}
             for sample in self.registry.collect()
@@ -1065,9 +1121,10 @@ class ShardRouter(ServiceProtocol):
         Shard-granular: naming a stream checkpoints every stream of its
         owning shard (replay retention advances per shard).  After each
         shard acknowledges, the router trims that shard's replay buffer
-        to the oldest retained generation.
+        to the oldest retained generation.  Refused without the
+        caller's ``snapshot_dir``.
         """
-        if self._snapshot_base is None:
+        if self._private_dir is not None:
             raise RuntimeError("router was created without a snapshot_dir")
         paths: list[str] = []
         for handle in self._involved(name):
@@ -1075,6 +1132,16 @@ class ShardRouter(ServiceProtocol):
         return paths
 
     def _checkpoint_shard(self, handle: _ShardHandle) -> list[str]:
+        """One barrier: the shard snapshots every stream it hosts, and
+        the router trims its frame log to the oldest retained base.
+
+        The shard captures every frame up to the barrier, plus any later
+        frames other producers got in first; the router records the cut
+        the shard reports (its watermark at capture and the arrivals
+        each stream restores to), not the one it asked for.  A completed
+        barrier is timed as its caller waited for it.
+        """
+        started = time.perf_counter()
         while True:
             if handle.state != "up":
                 self._await_up(handle)
@@ -1101,10 +1168,11 @@ class ShardRouter(ServiceProtocol):
             except (OSError, FramingError):
                 self._note_dead(handle)
                 continue
+            cut = int(reply["applied_seq"])
             with handle.send_lock:
-                handle.checkpoint_seqs.append(upto)
+                handle.checkpoint_seqs.append(cut)
                 if force_full:
-                    handle.base_seqs.append(upto)
+                    handle.base_seqs.append(cut)
                     handle.deltas_since_base = 0
                 else:
                     handle.deltas_since_base += 1
@@ -1115,16 +1183,19 @@ class ShardRouter(ServiceProtocol):
                 if handle.base_seqs:
                     oldest = handle.base_seqs[0]
                     while handle.replay and handle.replay[0][0] <= oldest:
-                        handle.replay.popleft()
+                        handle.replay_points -= _frame_points(
+                            handle.replay.popleft()
+                        )
                 handle.points_since_checkpoint = 0
+            handle.checkpoint_latency.observe(time.perf_counter() - started)
             return list(reply["paths"])
 
     def _manifest_path(self) -> Path:
         return self._snapshot_base / MANIFEST_NAME
 
     def _write_manifest(self) -> None:
-        if self._snapshot_base is None:
-            return
+        if self._private_dir is not None:
+            return  # only restore() reads it, and that needs the caller's
         self._snapshot_base.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": 1,
@@ -1192,6 +1263,8 @@ class ShardRouter(ServiceProtocol):
         so the recovered fleet converges to the state the stopped one
         had checkpointed, under identical placement.
         """
+        if not snapshot_dir:
+            raise RuntimeError("ShardRouter.restore needs a snapshot_dir")
         return cls(snapshot_dir=snapshot_dir, _restore=True, **kwargs)
 
     # ------------------------------------------------------------------
@@ -1201,10 +1274,13 @@ class ShardRouter(ServiceProtocol):
     def close(self, checkpoint: bool | None = None) -> None:
         """Barrier, optionally checkpoint, and stop every shard
         (idempotent).  ``checkpoint=None`` means each shard takes its
-        default final checkpoint when it has a snapshot store."""
+        default final checkpoint into the caller's ``snapshot_dir``; a
+        private store gets none and is removed."""
         if self._closed:
             return
         self._closed = True
+        if self._private_dir is not None:
+            checkpoint = False
         self._stop_event.set()
         if self._monitor_thread.is_alive():
             self._monitor_thread.join(timeout=5.0)
@@ -1241,3 +1317,8 @@ class ShardRouter(ServiceProtocol):
             with self._cond:
                 handle.state = "closed"
                 self._cond.notify_all()
+        self._remove_private_dir()
+
+    def _remove_private_dir(self) -> None:
+        if self._private_dir is not None:
+            shutil.rmtree(self._private_dir, ignore_errors=True)

@@ -10,6 +10,8 @@ refusals and dead-letter retry admission are covered the same way in
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -207,3 +209,23 @@ class TestAccuracyWindow:
             assert service.health("w")["state"] == "healthy"
             if backend == "exact":
                 assert report["violations"] == 0
+
+
+class TestSnapshotDirRequired:
+    """The public checkpoint and restore verbs need the caller's
+    ``snapshot_dir``, on both tiers; the private store a router
+    checkpoints into without one is never theirs."""
+
+    def test_checkpoint_and_restore_refuse_without_one(
+        self, tier, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with tier() as service:
+            service.create_stream("s", backend="gk_quantiles", params=GK)
+            with pytest.raises(RuntimeError, match="without a snapshot_dir"):
+                service.checkpoint()
+        for snapshot_dir in (None, ""):
+            with pytest.raises(RuntimeError, match="needs a snapshot_dir"):
+                type(service).restore(snapshot_dir)
+        # Refused up front: no restored service, no temporary directory.
+        assert list(tmp_path.iterdir()) == []

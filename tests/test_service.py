@@ -84,6 +84,26 @@ class TestServiceEquivalence:
         StreamPipeline([direct], maintain_every=32).run(stream)
         assert_same_synopsis(served, reference_synopsis(direct))
 
+    def test_producer_may_refill_its_buffer_after_ingest(self):
+        """The queue owns a copy of every batch it accepts."""
+        rounds, size = 16, 512
+        # The worker stalls on its first batch, so the later batches
+        # wait in the queue while the producer refills its one buffer.
+        injector = FaultInjector().slow_ingest_at(1, 0.3, stream="s")
+        buffer = np.empty(size)
+        expected = 0.0
+        with StreamService(fault_injector=injector) as service:
+            service.create_stream(
+                "s", backend="exact", params=dict(window_size=rounds * size),
+                queue_capacity=1 << 20,
+            )
+            for round_ in range(rounds):
+                buffer[:] = integer_stream(size, seed=round_)
+                expected += float(buffer.sum())
+                service.ingest("s", buffer)
+            service.flush("s")
+            assert service.range_sum("s", 0, rounds * size - 1) == expected
+
     def test_arbitrary_queue_sizes(self):
         stream = integer_stream(800, seed=1)
         for capacity in (1, 7, 64, 4096):
@@ -672,6 +692,12 @@ class TestCheckpointRestore:
     def test_snapshot_base_every_validated(self, tmp_path):
         with pytest.raises(ValueError, match="snapshot_base_every"):
             StreamService(tmp_path, snapshot_base_every=0)
+
+    def test_snapshot_keep_validated(self, tmp_path):
+        # Checked once, by the constructor, whatever the store.
+        for options in ({}, {"supervise": True}, {"snapshot_dir": tmp_path}):
+            with pytest.raises(ValueError, match="snapshot_keep must be >= 1"):
+                StreamService(snapshot_keep=0, **options)
 
 
 #: The two backends of the replay-retention tests, with their params.

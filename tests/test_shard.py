@@ -14,16 +14,21 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import signal
 import socket
+import tempfile
+import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.service import StreamService
+from repro.obs import parse_prometheus_text
+from repro.service import FaultInjector, StreamService
 from repro.service.config import ServiceConfig, build_service, load_config
-from repro.service.protocol import ServiceProtocol
+from repro.service.protocol import DEFAULT_CHECKPOINT_EVERY, ServiceProtocol
 from repro.service.queries import UnsupportedQueryError
 from repro.shard import FramingError, HashRing, ShardRouter
 from repro.shard.framing import (
@@ -243,6 +248,26 @@ def _kill_owner(router: ShardRouter, name: str) -> int:
     return shard_id
 
 
+def _wait_for_restart(router: ShardRouter, shard_id: int,
+                      timeout: float = 15.0) -> None:
+    """Wait until the shard has been respawned at least once and is up."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        state = router.shard_states()[shard_id]
+        if state["restarts"] >= 1 and state["state"] == "up":
+            return
+        time.sleep(0.01)
+    raise AssertionError(
+        f"shard {shard_id} never came back: {router.shard_states()[shard_id]}"
+    )
+
+
+def _barriers(router: ShardRouter, shard_id: int) -> int:
+    return router.registry.histogram(
+        "repro_router_checkpoint_seconds", shard=str(shard_id)
+    ).count
+
+
 def _wait_for_state(router: ShardRouter, shard_id: int, state: str,
                     timeout: float = 15.0) -> None:
     deadline = time.monotonic() + timeout
@@ -346,10 +371,147 @@ class TestShardCrashRecovery:
             assert health["lossy_recovery"] is False
             assert router.histogram("rec") == expected
 
+    def test_sigkill_without_snapshot_dir_recovers_bit_identical(
+        self, all_backends
+    ):
+        """No snapshot_dir: automatic barriers into the private store
+        (on the stream's cadence; public checkpoint() refuses) give the
+        respawned shard a base, and replay heals it losslessly."""
+        backend, params = all_backends
+        data = _domain_stream(POINTS, seed=13)
+        chunks = _chunks(data)
+        half = len(chunks) // 2
+        with StreamService() as reference:
+            reference.create_stream(
+                "rec", backend=backend, params=params, maintain_every=16
+            )
+            for chunk in chunks:
+                reference.ingest("rec", chunk)
+            assert reference.flush("rec") is True
+            expected = {
+                label: _outcome(reference, query, "rec")
+                for label, query in QUERIES
+            }
+        with ShardRouter(num_shards=2) as router:
+            router.create_stream(
+                "rec", backend=backend, params=params, maintain_every=16,
+                checkpoint_every=2 * CHUNK,
+            )
+            for chunk in chunks[: half + 1]:
+                router.ingest("rec", chunk)
+            shard_id = router.placement()["rec"]
+            assert _barriers(router, shard_id) >= 2
+            _kill_owner(router, "rec")
+            for chunk in chunks[half + 1 :]:
+                router.ingest("rec", chunk)
+            assert router.flush("rec") is True
+            _wait_for_restart(router, shard_id)
+            assert router.flush("rec") is True
+            assert router.stats("rec")["arrivals"] == POINTS
+            health = router.health("rec")
+            assert health["state"] == "healthy"
+            assert health["lossy_recovery"] is False
+            for label, query in QUERIES:
+                assert _outcome(router, query, "rec") == expected[label], (
+                    f"{backend}: {label} diverged after crash recovery"
+                )
+
+    def test_barrier_records_the_cut_the_shard_captured(self, tmp_path):
+        """Frames another producer sends while a barrier waits may land
+        in its snapshot; recovery must not send them a second time."""
+        chunk, late = 512, 8
+        data = {"a": _domain_stream(32_768, seed=41),
+                "b": _domain_stream(32_768, seed=43)}
+        chunks = {
+            name: [values[i : i + chunk] for i in range(0, values.size, chunk)]
+            for name, values in data.items()
+        }
+        # The shard holds the checkpoint verb for 0.5 s before it runs.
+        injector = FaultInjector().slow_control_at("checkpoint", 0.5)
+        with StreamService() as reference, ShardRouter(
+            num_shards=1, snapshot_dir=tmp_path / "snap",
+            fault_injector=injector,
+        ) as router:
+            for tier in (reference, router):
+                for name in data:
+                    tier.create_stream(
+                        name, backend="gk_quantiles",
+                        params={"epsilon": 0.05}, maintain_every=16,
+                    )
+            for name, batches in chunks.items():
+                for batch in batches:
+                    reference.ingest(name, batch)
+            for batch in chunks["a"]:
+                router.ingest("a", batch)
+            for batch in chunks["b"][:-late]:
+                router.ingest("b", batch)
+
+            def send_late() -> None:
+                time.sleep(0.1)  # the checkpoint is waiting on the shard
+                for batch in chunks["b"][-late:]:
+                    router.ingest("b", batch)
+
+            producer = threading.Thread(target=send_late)
+            producer.start()
+            router.checkpoint()
+            producer.join(timeout=60.0)
+            assert not producer.is_alive()
+            assert router.flush() is True
+            _kill_owner(router, "b")
+            _wait_for_restart(router, 0)
+            assert router.flush() is True
+            assert reference.flush() is True
+            for name in data:
+                assert router.stats(name)["arrivals"] == 32_768
+                assert router.health(name)["lossy_recovery"] is False
+                assert router.histogram(name) == reference.histogram(name)
+
+    def test_barrier_under_a_streaming_producer_recovers_exactly(
+        self, tmp_path
+    ):
+        """A producer that keeps sending through the barrier: the router
+        records the shard's cut, so recovery takes the exact path."""
+        chunk = 512
+        data = _domain_stream(1 << 19, seed=47)
+        batches = [data[i : i + chunk] for i in range(0, data.size, chunk)]
+        with StreamService() as reference, ShardRouter(
+            num_shards=1, snapshot_dir=tmp_path / "snap"
+        ) as router:
+            for tier in (reference, router):
+                tier.create_stream(
+                    "b", backend="gk_quantiles", params={"epsilon": 0.05},
+                    maintain_every=16,
+                )
+            for batch in batches:
+                reference.ingest("b", batch)
+            streaming = threading.Event()
+
+            def produce() -> None:
+                for index, batch in enumerate(batches):
+                    router.ingest("b", batch)
+                    if index == 64:
+                        streaming.set()
+
+            producer = threading.Thread(target=produce)
+            producer.start()
+            assert streaming.wait(30.0)
+            router.checkpoint()
+            producer.join(timeout=60.0)
+            assert not producer.is_alive()
+            assert router.flush() is True
+            _kill_owner(router, "b")
+            _wait_for_restart(router, 0)
+            assert router.flush() is True
+            assert reference.flush() is True
+            assert router.stats("b")["arrivals"] == data.size
+            assert router.health("b")["lossy_recovery"] is False
+            assert router.histogram("b") == reference.histogram("b")
+
     def test_crash_without_snapshots_replays_the_full_buffer(self):
-        """No snapshot_dir => no checkpoint ever trimmed the replay
-        buffer, so the respawned (empty) shard is rebuilt from replay
-        alone and the answers do not change."""
+        """No snapshot_dir and fewer points than DEFAULT_CHECKPOINT_EVERY
+        => no barrier has trimmed the replay buffer yet, so the respawned
+        (empty) shard is rebuilt from replay alone and the answers do not
+        change."""
         data = _domain_stream(POINTS, seed=17)
         with ShardRouter(num_shards=1) as router:
             router.create_stream(
@@ -365,6 +527,72 @@ class TestShardCrashRecovery:
             assert router.flush("v") is True
             assert router.stats("v")["arrivals"] == POINTS
             assert router.quantile("v", 0.5) == before
+
+
+class TestStorelessRouter:
+    """A router without a ``snapshot_dir`` checkpoints into a private
+    temporary directory, which bounds its frame log."""
+
+    def test_frame_log_stays_bounded(self):
+        """No snapshot_dir, no checkpoint_every: automatic barriers into
+        the private store keep the router's frame log within
+        ``snapshot_keep`` cadences, the exported metrics show it, and
+        the answers match the threaded tier.  The CI shard job runs this
+        test under a fresh TMPDIR and fails if close() left it unclean.
+        """
+        chunk, keep = 512, 2
+        data = _domain_stream(3 * DEFAULT_CHECKPOINT_EVERY, seed=53)
+        bound = keep * (DEFAULT_CHECKPOINT_EVERY + chunk)
+        with StreamService() as reference, ShardRouter(
+            num_shards=1, snapshot_keep=keep
+        ) as router:
+            for tier in (reference, router):
+                tier.create_stream(
+                    "g", backend="gk_quantiles", params={"epsilon": 0.05},
+                    maintain_every=64,
+                )
+            peak = 0
+            for start in range(0, data.size, chunk):
+                batch = data[start : start + chunk]
+                reference.ingest("g", batch)
+                router.ingest("g", batch)
+                peak = max(peak, router.shard_states()[0]["replay_points"])
+            assert DEFAULT_CHECKPOINT_EVERY <= peak <= bound
+            exported = {
+                sample["name"]: sample["value"]
+                for sample in parse_prometheus_text(router.prometheus_metrics())
+                if sample["labels"].get("shard") == "0"
+            }
+            assert exported["repro_router_replay_points"] <= bound
+            assert exported["repro_router_checkpoint_seconds_count"] >= 3
+            with pytest.raises(RuntimeError, match="snapshot_dir"):
+                router.checkpoint()
+            assert router.flush() is True
+            assert reference.flush() is True
+            assert router.histogram("g") == reference.histogram("g")
+
+    def test_close_removes_the_private_store_without_a_final_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        removed: list[str] = []
+        rmtree = shutil.rmtree
+
+        def spy(path, *args, **kwargs):
+            removed.extend(p.name for p in Path(path).rglob("*") if p.is_file())
+            rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "rmtree", spy)
+        router = ShardRouter(num_shards=1)
+        router.create_stream("s", backend="gk_quantiles", params={"epsilon": 0.1})
+        router.ingest("s", _domain_stream(512, seed=5))
+        assert router.flush("s") is True
+        (private,) = tmp_path.iterdir()
+        assert private.name.startswith("repro-")
+        router.close()
+        assert list(tmp_path.iterdir()) == []
+        snapshots = [name for name in removed if name.endswith((".snap", ".delta"))]
+        assert snapshots == [], "close() checkpointed into the private store"
 
 
 @pytest.mark.chaos
