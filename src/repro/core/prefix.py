@@ -28,7 +28,9 @@ def _as_float_array(values) -> np.ndarray:
     array = np.asarray(values, dtype=np.float64)
     if array.ndim != 1:
         raise ValueError(f"expected a 1-D sequence, got shape {array.shape}")
-    if array.size and not np.isfinite(array).all():
+    # count_nonzero is the cheapest full reduction here: ndarray.all()
+    # pays a Python-level dispatch that costs more than a small batch.
+    if np.count_nonzero(np.isfinite(array)) != array.size:
         raise ValueError("values must be finite (no NaN or inf)")
     return array
 

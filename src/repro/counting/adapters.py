@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.prefix import as_stream_batch
 from ..runtime.maintainer import UpdateMaintainer
 from .cr_precis import CRPrecis
 from .eh import ExponentialHistogram
@@ -42,9 +41,6 @@ class EHCountMaintainer(UpdateMaintainer):
         return self._eh
 
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        # Raw float64 arrays bypass the base class's as_stream_batch
-        # normalization; re-validate shape and finiteness here.
-        batch = as_stream_batch(batch)
         values = np.rint(batch).astype(np.int64)
         if values.size and values.min() < 0:
             raise ValueError(
@@ -90,7 +86,6 @@ class CRPrecisMaintainer(UpdateMaintainer):
         return self._table
 
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        batch = as_stream_batch(batch)
         keys, deltas = decode_updates(batch)
         if keys.size and int(keys.max()) >= self._table.domain:
             raise ValueError(

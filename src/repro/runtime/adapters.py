@@ -296,10 +296,6 @@ class DynamicWaveletMaintainer(Maintainer):
         self._dynamic.insert(int(round(value)))
 
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        # Reject non-finite values before rounding: np.rint(nan) would
-        # warn and the int64 cast would silently produce a garbage bin.
-        if batch.size and not np.isfinite(batch).all():
-            raise ValueError("stream values must be finite (no NaN or inf)")
         # Round exactly as the one-point path does (half-to-even).
         self._dynamic.extend(np.rint(batch).astype(np.int64).tolist())
 
@@ -329,7 +325,7 @@ class GKQuantileMaintainer(Maintainer):
         self._summary.insert(value)
 
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        self._summary.extend(batch.tolist())
+        self._summary.extend(batch)
 
     def synopsis(self) -> GKQuantileSummary:
         return self._summary

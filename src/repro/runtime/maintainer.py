@@ -31,6 +31,7 @@ factory in :mod:`repro.runtime.registry`; the driving loop in
 
 from __future__ import annotations
 
+import math
 import time
 from abc import ABC, abstractmethod
 from dataclasses import asdict, dataclass, replace
@@ -103,16 +104,24 @@ class Maintainer(ABC):
     # ------------------------------------------------------------------
 
     def append(self, value: float) -> None:
-        """Consume one stream point."""
+        """Consume one stream point (rejects NaN and infinities)."""
+        value = float(value)
+        if not math.isfinite(value):
+            raise ValueError("values must be finite (no NaN or inf)")
         started = time.perf_counter()
-        self._ingest_one(float(value))
+        self._ingest_one(value)
         self._stats.ingest_seconds += time.perf_counter() - started
         self._stats.points += 1
         self._stats.batches += 1
 
     def extend(self, values) -> None:
-        """Consume a whole batch of stream points (the fast path)."""
-        batch = values if isinstance(values, np.ndarray) else as_stream_batch(values)
+        """Consume a whole batch of stream points (the fast path).
+
+        The batch is checked like ``as_stream_batch`` (1-D, finite),
+        arrays included, before the backend sees it: a rejected call
+        leaves the maintainer untouched.
+        """
+        batch = as_stream_batch(values)
         if batch.size == 0:
             return
         started = time.perf_counter()
@@ -208,7 +217,7 @@ class Maintainer(ABC):
 
     @abstractmethod
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        """Feed a validated 1-D float batch into the backend.
+        """Feed a validated (1-D, finite, float64) batch into the backend.
 
         Exception-safety contract: implementations must validate before
         they mutate -- a raising ``_ingest_batch`` leaves the backend

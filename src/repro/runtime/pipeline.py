@@ -2,10 +2,11 @@
 
 Every "feed points, maintain at a cadence, query at checkpoints" loop in
 the repo routes through :class:`StreamPipeline`.  The pipeline slices the
-incoming stream into batches, splits each batch exactly at maintenance
-and checkpoint boundaries (so cadence semantics are identical to a
-per-point loop), feeds every maintainer the resulting sub-batches through
-the vectorized ``extend`` fast path, and fires the registered callbacks:
+incoming stream into batches, splits each batch exactly at checkpoint
+boundaries and, where maintenance can be observed, at maintenance
+boundaries (so cadence semantics are identical to a per-point loop),
+feeds every maintainer the resulting sub-batches through the vectorized
+``extend`` fast path, and fires the registered callbacks:
 
 * ``on_maintain(arrivals, pipeline)`` after each maintenance round;
 * ``on_checkpoint(arrivals, pipeline)`` at each checkpoint -- this is
@@ -17,11 +18,17 @@ Checkpoints fire once ``arrivals >= warmup``; with the default
 cadence (``arrivals % every == 0``), with ``"warmup"`` on offsets from
 the warmup point (``(arrivals - warmup) % every == 0``).
 
-Because batches are split only at event boundaries, a cadence of ``c``
-ingests chunks of ``c`` points between rebuilds -- the batched-ingestion
-amortization the fixed-window builder's vectorized ``extend`` exploits.
-Sharding a pipeline across processes or making ingestion asynchronous is
-a change in this module alone.
+With a maintainer that rebuilds on ``maintain`` (one that overrides
+``Maintainer._maintain``) or an ``on_maintain`` callback, a cadence of
+``c`` ingests chunks of ``c`` points between rebuilds -- the
+batched-ingestion amortization the fixed-window builder's vectorized
+``extend`` exploits.  When no maintainer does maintenance work and no
+``on_maintain`` callback listens, nothing can observe where inside a
+batch a maintenance call ran, so the batch is fed in one ``extend`` (still
+cut at checkpoints) followed by one ``maintain()`` per boundary crossed:
+synopses, counters, reports and observer calls are those of the per-point
+loop.  Sharding a pipeline across processes or making ingestion
+asynchronous is a change in this module alone.
 """
 
 from __future__ import annotations
@@ -59,7 +66,9 @@ class StreamPipeline:
     maintain_every:
         Explicit maintenance cadence in arrivals (1 = the paper's
         rebuild-per-arrival model).  ``None`` never calls ``maintain``;
-        lazy backends then rebuild on demand at query time.
+        lazy backends then rebuild on demand at query time.  Batches are
+        cut at these boundaries only where a cut is observable: some
+        maintainer overrides ``_maintain``, or ``on_maintain`` is set.
     checkpoint_every / warmup / checkpoint_alignment:
         Checkpoint cadence; no checkpoint fires before ``warmup``
         arrivals.  ``"stream"`` alignment fires on absolute stream
@@ -128,6 +137,12 @@ class StreamPipeline:
         self.observer = observer
         self._arrivals = initial_arrivals
         self._reports = [PipelineReport(name) for name in names]
+        # Decided by the classes: a backend that keeps the base no-op
+        # ``_maintain`` does no work when maintained.
+        self._maintenance_free = all(
+            type(maintainer)._maintain is Maintainer._maintain
+            for maintainer in self.maintainers
+        )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -190,26 +205,27 @@ class StreamPipeline:
         self.extend((float(value),))
 
     def extend(self, values) -> None:
-        """Consume a batch; split it exactly at event boundaries."""
+        """Consume a batch; events fire exactly as in a per-point loop."""
         array = as_stream_batch(values)
+        every = self.maintain_every
+        # Cut at maintenance boundaries only where a cut can be observed.
+        cut_maintain = every is not None and (
+            self.on_maintain is not None or not self._maintenance_free
+        )
         offset = 0
         ingest_seconds = 0.0
         maintain_seconds = 0.0
         maintained = False
         while offset < array.size:
-            boundaries = [
-                b for b in (self._next_maintain(), self._next_checkpoint())
-                if b is not None
-            ]
             take = array.size - offset
-            if boundaries:
-                take = min(take, min(boundaries) - self._arrivals)
+            checkpoint = self._next_checkpoint()
+            if checkpoint is not None:
+                take = min(take, checkpoint - self._arrivals)
+            if cut_maintain:
+                take = min(take, self._next_maintain() - self._arrivals)
             chunk = array[offset : offset + take]
+            before = self._arrivals
             self._arrivals += take
-            maintain_now = (
-                self.maintain_every is not None
-                and self._arrivals % self.maintain_every == 0
-            )
             fed = 0
             try:
                 for maintainer, report in zip(self.maintainers, self._reports):
@@ -232,16 +248,19 @@ class StreamPipeline:
                     # and the counter keeps the applied position.
                     self._arrivals -= take
                 raise
-            if maintain_now:
+            # Maintenance boundaries crossed: at most one when cutting.
+            rounds = 0 if every is None else self._arrivals // every - before // every
+            if rounds:
                 maintained = True
                 for maintainer, report in zip(self.maintainers, self._reports):
                     started = time.perf_counter()
-                    maintainer.maintain()
+                    for _ in range(rounds):
+                        maintainer.maintain()
                     elapsed = time.perf_counter() - started
                     report.maintenance_seconds += elapsed
                     maintain_seconds += elapsed
-            if maintain_now and self.on_maintain is not None:
-                self.on_maintain(self._arrivals, self)
+                if self.on_maintain is not None:
+                    self.on_maintain(self._arrivals, self)
             if self._checkpoint_due():
                 for report in self._reports:
                     report.checkpoints += 1

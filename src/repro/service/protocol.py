@@ -35,6 +35,7 @@ objects that cannot cross a process boundary.
 from __future__ import annotations
 
 import logging
+import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -441,6 +442,17 @@ class ServiceProtocol(ABC):
     @abstractmethod
     def metrics(self, name: str | None = None) -> list[dict]:
         """Metric samples (whole service, or one stream's)."""
+
+    def _collect(self) -> list[dict]:
+        """Every sample of this process's registry.
+
+        ``repro_process_cpu_seconds`` (user plus system CPU of the
+        collecting process) is refreshed first, so a sharded tier's
+        merged samples carry one per process: the router's and each
+        shard host's.
+        """
+        self.registry.gauge("repro_process_cpu_seconds").set(time.process_time())
+        return self.registry.collect()
 
     def prometheus_metrics(self) -> str:
         """Every metric in Prometheus text exposition format."""

@@ -428,13 +428,14 @@ class StreamService(ServiceProtocol):
 
         Covers ingest counters, queue high-watermarks, enqueue-latency
         reservoirs, dead-letter quarantine, snapshot outcomes, restart
-        counts, per-stage latency series and (where configured) observed
-        accuracy -- one shared registry, labeled per stream.
+        counts, per-stage latency series, (where configured) observed
+        accuracy and the process's ``repro_process_cpu_seconds`` -- one
+        shared registry, labeled per stream.
         """
         if name is not None:
             self._worker(name)  # surface UnknownStreamError
             return self.registry.collect_labeled(stream=name)
-        return self.registry.collect()
+        return self._collect()
 
     def spans(
         self, stage: str | None = None, name: str | None = None

@@ -250,7 +250,7 @@ class ShardHost:
             service.note_shed(args["name"], int(args["points"]))
             return None
         if verb == "metrics":
-            return service.registry.collect()
+            return service.metrics()
         if verb == "spans":
             return [
                 asdict(span)

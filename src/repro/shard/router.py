@@ -987,7 +987,7 @@ class ShardRouter(ServiceProtocol):
             ).set(handle.replay_points)
         samples = [
             {**sample, "labels": {"shard": "router", **sample["labels"]}}
-            for sample in self.registry.collect()
+            for sample in self._collect()
         ]
         for handle in self._shards.values():
             if handle.state != "up":

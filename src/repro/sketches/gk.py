@@ -14,12 +14,21 @@ restored by periodic compression.
 The tuples live in three parallel plain lists (values / gaps / deltas)
 rather than a list of tuple objects: insertion position comes from a C
 ``bisect`` over the value list instead of a Python linear scan, and the
-ingest loop touches only list cells.  This summary sits on the hottest
-path of the serving layer (it is the default benchmark backend), and the
-flat layout roughly halves the per-point cost while evolving the summary
-bit-identically to the original structure -- ``bisect_right`` lands on
-exactly the position the ``<=`` scan found, so every ``to_dict``
+ingest loop touches only list cells.  ``bisect_right`` lands on exactly
+the position the original ``<=`` scan found, so every ``to_dict``
 rendering, rank bracket and quantile answer is unchanged.
+
+This summary sits on the hottest path of the serving layer (it is the
+default benchmark backend), so :meth:`GKQuantileSummary.extend` is written
+for the interpreter.  It inserts one compress period at a time, so the
+``count % period`` test runs once per period instead of once per point;
+the list ``insert`` methods and the summary length live in locals; and a
+float64 array is converted with one ``tolist()``.  ``_compress`` carries
+the right neighbour's gap and delta in locals and deletes from the three
+lists in one statement.  :meth:`insert` is the per-point reference:
+``extend`` over any split of a stream leaves the summary bit for bit
+where per-point ``insert`` leaves it
+(``tests/test_gk_golden.py``).
 """
 
 from __future__ import annotations
@@ -74,29 +83,42 @@ class GKQuantileSummary:
     append = insert
 
     def extend(self, values) -> None:
-        # One flat loop with every hot name bound locally; ndarray input
-        # is converted up front so the loop iterates plain floats.
-        if hasattr(values, "tolist"):
-            values = values.tolist()
+        """Insert a batch; the same summary as ``insert`` per point."""
+        if getattr(values, "dtype", None) == float:
+            # A float64 array: tolist() already yields Python floats.
+            points = values.tolist()
+        else:
+            points = [float(value) for value in values]
         stored = self._values
-        gaps = self._gaps
-        deltas = self._deltas
+        insert_value = stored.insert
+        insert_gap = self._gaps.insert
+        insert_delta = self._deltas.insert
+        size = len(stored)
         count = self._count
         two_eps = 2.0 * self.epsilon
         period = self._compress_period
-        for value in values:
-            value = float(value)
-            count += 1
-            position = bisect_right(stored, value)
-            stored.insert(position, value)
-            gaps.insert(position, 1)
-            if position == 0 or position == len(stored) - 1:
-                deltas.insert(position, 0)
-            else:
-                deltas.insert(position, max(0, int(two_eps * count) - 1))
+        start = 0
+        while start < len(points):
+            # One compress period at a time: `count` reaches a multiple of
+            # the period only at the end of a full run.
+            stop = start + period - count % period
+            for value in points[start:stop]:
+                count += 1
+                position = bisect_right(stored, value)
+                insert_value(position, value)
+                insert_gap(position, 1)
+                if position == 0 or position == size:
+                    # New minimum or maximum: exact rank, delta = 0.
+                    insert_delta(position, 0)
+                else:
+                    delta = int(two_eps * count) - 1
+                    insert_delta(position, delta if delta > 0 else 0)
+                size += 1
+            start = stop
             if count % period == 0:
                 self._count = count
                 self._compress()
+                size = len(stored)
         self._count = count
 
     def _compress(self) -> None:
@@ -105,14 +127,20 @@ class GKQuantileSummary:
         values = self._values
         gaps = self._gaps
         deltas = self._deltas
-        i = len(values) - 2
-        while i >= 1:
-            if gaps[i] + gaps[i + 1] + deltas[i + 1] <= threshold:
-                gaps[i + 1] += gaps[i]
-                del values[i]
-                del gaps[i]
-                del deltas[i]
-            i -= 1
+        if len(values) < 3:
+            return
+        # The right neighbour's gap and delta, carried across merges.
+        right_gap = gaps[-1]
+        right_delta = deltas[-1]
+        for i in range(len(values) - 2, 0, -1):
+            gap = gaps[i]
+            if gap + right_gap + right_delta <= threshold:
+                right_gap += gap
+                gaps[i + 1] = right_gap
+                del values[i], gaps[i], deltas[i]
+            else:
+                right_gap = gap
+                right_delta = deltas[i]
 
     def rank_bounds(self, value: float) -> tuple[int, int]:
         """Lower and upper bounds on the rank of ``value`` (1-based).

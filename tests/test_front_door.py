@@ -183,6 +183,32 @@ WINDOW_BACKENDS = {
 }
 
 
+class TestProcessCpu:
+    def test_every_process_exports_its_cpu_seconds(self, tier):
+        """One ``repro_process_cpu_seconds`` per process (the service, or
+        the router and its shard), positive after ingest, never falling."""
+
+        def cpu(service):
+            return {
+                sample["labels"].get("shard"): sample["value"]
+                for sample in service.metrics()
+                if sample["name"] == "repro_process_cpu_seconds"
+            }
+
+        with tier() as service:
+            service.create_stream("s", backend="gk_quantiles", params=GK)
+            service.ingest("s", _stream(4096))
+            assert service.flush("s") is True
+            first = cpu(service)
+            assert set(first) in ({None}, {"router", "0"})
+            assert all(seconds > 0 for seconds in first.values())
+            service.ingest("s", _stream(4096, seed=1))
+            assert service.flush("s") is True
+            second = cpu(service)
+            assert set(second) == set(first)
+            assert all(second[key] >= first[key] for key in first)
+
+
 class TestAccuracyWindow:
     @pytest.mark.parametrize("backend", sorted(WINDOW_BACKENDS))
     def test_shadow_window_is_the_synopsis_window(self, tier, backend):

@@ -131,3 +131,30 @@ class TestPipelineRollback:
         reference.extend(tail)
         assert pipeline.arrivals == reference.arrivals
         assert _synopsis_state(interrupted) == _synopsis_state(clean)
+
+
+#: The four ways a non-finite point can reach a backend through the
+#: maintainer verbs: a float64 array (which skips list conversion) and a
+#: single point, each with NaN and with an infinity.
+NON_FINITE = {
+    "extend_nan": lambda m: m.extend(np.array([1.0, np.nan, 2.0])),
+    "extend_inf": lambda m: m.extend(np.array([1.0, np.inf, 2.0])),
+    "append_nan": lambda m: m.append(float("nan")),
+    "append_inf": lambda m: m.append(float("inf")),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(NON_FINITE))
+def test_every_backend_rejects_non_finite_points(all_backends, probe):
+    """``extend`` and ``append`` refuse NaN and infinities for every
+    registered backend before the backend sees them: a NaN in a window
+    makes every range sum over it NaN, and GK would keep an infinity as
+    its exact maximum."""
+    backend, params = all_backends
+    maintainer = make_maintainer(backend, **params)
+    maintainer.extend(np.asarray(CLEAN, dtype=np.float64))
+    before = _synopsis_state(maintainer)
+    with pytest.raises(ValueError):
+        NON_FINITE[probe](maintainer)
+    assert maintainer.stats().points == len(CLEAN)
+    assert _synopsis_state(maintainer) == before

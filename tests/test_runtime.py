@@ -332,6 +332,87 @@ class TestPipelineCadence:
         assert reports[0].checkpoints == 4
 
 
+class _StageLog:
+    """Observer recording each ``record_stage`` call but its duration."""
+
+    def __init__(self):
+        self.calls = []
+
+    def record_stage(self, stage, seconds, arrivals):
+        self.calls.append((stage, arrivals))
+
+
+#: Backends that keep the base no-op ``Maintainer._maintain``.
+MAINTENANCE_FREE = {
+    "agglomerative", "cr_precis", "dynamic_wavelet", "eh_count",
+    "equi_depth", "exact", "gk_quantiles", "reservoir",
+}
+
+
+class TestWholeBatchFeeds:
+    """A batch is fed whole where no one can observe the maintenance cuts.
+
+    512-point batches at ``maintain_every=64``: a pipeline without
+    callbacks against one with a do-nothing ``on_maintain`` (which keeps
+    the cuts), and both against per-point feeding.
+    """
+
+    EVERY = 64
+    BATCH = 512
+
+    def _run(self, backend, params, stream, checkpoint_every, on_maintain):
+        maintainer = make_maintainer(backend, **params)
+        observer = _StageLog()
+        checkpoints = []
+        pipeline = StreamPipeline(
+            [maintainer],
+            maintain_every=self.EVERY,
+            checkpoint_every=checkpoint_every,
+            on_maintain=on_maintain,
+            on_checkpoint=lambda a, p: checkpoints.append(a),
+            observer=observer,
+        )
+        for start in range(0, stream.size, self.BATCH):
+            pipeline.extend(stream[start : start + self.BATCH])
+        return {
+            "state": maintainer.state_dict()["backend"],
+            "report": pipeline.reports()[0],
+            "stages": observer.calls,
+            "checkpoints": checkpoints,
+        }
+
+    @pytest.mark.parametrize("checkpoint_every", [None, 100])
+    def test_same_events_and_state_with_or_without_cuts(
+        self, all_backends, checkpoint_every
+    ):
+        backend, params = all_backends
+        # Non-negative integers inside every backend's domain; a ragged
+        # last batch.
+        stream = np.random.default_rng(7).integers(0, 100, 2100).astype(float)
+        maintained = []
+        whole = self._run(backend, params, stream, checkpoint_every, None)
+        cut = self._run(
+            backend, params, stream, checkpoint_every,
+            lambda a, p: maintained.append(a),
+        )
+        reference = make_maintainer(backend, **params)
+        for arrivals, value in enumerate(stream.tolist(), start=1):
+            reference.append(value)
+            if arrivals % self.EVERY == 0:
+                reference.maintain()
+
+        for run in (whole, cut):
+            assert run["state"] == reference.state_dict()["backend"]
+            assert run["report"].stats.counters() == reference.stats().counters()
+        assert whole["report"].checkpoints == cut["report"].checkpoints
+        assert whole["stages"] == cut["stages"]
+        assert whole["checkpoints"] == cut["checkpoints"]
+        assert maintained == list(range(self.EVERY, stream.size + 1, self.EVERY))
+        # Fed whole exactly when the class does no maintenance work.
+        fewer = whole["report"].stats.batches < cut["report"].stats.batches
+        assert fewer == (backend in MAINTENANCE_FREE)
+
+
 class TestDelayedMaintainer:
     def test_lags_inner_by_exactly_lag_points(self):
         stream = utilization(100, seed=6)

@@ -224,6 +224,13 @@ class TestRouterLifecycle:
                 if s["name"] == "repro_shard_up"
             )
             assert up == ["0", "1"]
+            # One CPU-seconds sample per process: the router and each host.
+            cpu = sorted(
+                s["labels"]["shard"]
+                for s in samples
+                if s["name"] == "repro_process_cpu_seconds"
+            )
+            assert cpu == ["0", "1", "router"]
 
     def test_certify_covers_streams_and_placement(self):
         with ShardRouter(num_shards=2) as router:
