@@ -4,9 +4,11 @@ The metrics / tracing / accuracy-monitoring subsystem of the serving
 layer: a label-aware :class:`MetricsRegistry` (counters, gauges,
 bounded-reservoir histograms with race-free snapshots), a :class:`Tracer`
 recording spans around the ingest -> maintain -> materialize ->
-checkpoint -> recover stages, an :class:`AccuracyMonitor` comparing each
-hosted synopsis against a shadowed exact window (observed epsilon vs the
-configured Theorem-1 bound), and Prometheus-text / JSONL exporters.
+checkpoint -> recover stages, an :class:`AccuracyMonitor` auditing each
+hosted maintainer through its backend's exact oracle
+(:mod:`repro.verify.oracles`: Theorem 1's bound for the fixed-window
+histogram, each other backend's own guarantee), and Prometheus-text /
+JSONL exporters.
 :class:`~repro.service.service.StreamService` wires all of it through
 its workers, supervisor and snapshot store; see ``docs/API.md``
 ("Observability") and the README metrics quickstart.

@@ -1,368 +1,202 @@
-"""Online accuracy monitoring: observed epsilon vs the configured bound.
+"""Online accuracy monitoring through the exact oracles.
 
 The paper proves each maintained histogram stays within ``(1 + eps)`` of
-the optimal synopsis (Theorem 1); :class:`AccuracyMonitor` checks the
-*realized* figure while the stream runs.  It shadows the hosted synopsis
-with a bounded exact sliding window of the same ingested points and, at
-a configurable cadence, compares the synopsis's answers against ground
-truth computed from that window:
+the optimal synopsis of the current window (Theorem 1), and
+:mod:`repro.verify.oracles` states that guarantee, and every other
+backend's, once.  :class:`AccuracyMonitor` checks it while the stream
+runs: the worker feeds the backend's oracle
+(:func:`~repro.verify.oracles.oracle_for`, built from the stream's own
+backend parameters, so the bound is the backend's own epsilon) every
+point it ingests, and on a cadence runs the oracle's ``check`` against
+the live maintainer -- the audit
+:class:`~repro.verify.differential.DifferentialChecker` runs offline.
 
-* ``"sse"`` -- for histogram synopses: observed epsilon is
-  ``SSE(served) / SSE(optimal) - 1`` over the shadow window, the exact
-  quantity Theorem 1 bounds (the optimal error comes from the O(n^2 B)
-  V-optimal DP, which is why the shadow window is bounded and the check
-  runs on a cadence, not per point).
-* ``"range_sum"`` -- seeded random range-sum probes; observed epsilon is
-  the worst relative error against exact window sums.
-* ``"quantile"`` -- decile probes; observed epsilon is the worst rank
-  error of the synopsis's quantile answers within the window, the GK
-  summary's native guarantee.
-* ``"window_count"`` -- for the counting backends of
-  :mod:`repro.counting`: against an exponential histogram, the worst
-  relative error of the windowed nonzero count and sum over the shadow
-  tail (size the shadow window at least as large as the synopsis's
-  window); against a CR-precis table, the worst point-query
-  overestimate as a fraction of the total mass decoded from the shadow
-  window (a recent-window proxy once the stream outgrows the shadow,
-  like the whole-prefix modes).
+The oracle's violations are the only verdict, and they count only when
+the check is *exact*: when the oracle holds every point the guarantee
+covers (:attr:`~repro.verify.oracles.Oracle.exact`).  A window oracle
+keeps the last window, and after a restore it is exact once a full
+window has arrived; a frequency oracle (``cr_precis``,
+``dynamic_wavelet``) keeps only its exact table; a whole-stream oracle
+(``agglomerative``, ``gk_quantiles``, ``equi_depth``, ``reservoir``)
+keeps the whole stream, so the monitor drops it once the stream
+outgrows ``window_size``.  A check that is not exact is *unverified*:
+counted as such, never as a pass or a violation.
 
-For whole-prefix backends (GK, reservoir, equi-depth) the shadow window
-is exact ground truth only while it still covers the entire stream;
-after that the comparison degrades into a recent-window proxy, which is
-the operational signal a monitor wants anyway (size the window to taste).
 Every check lands in a bounded report log and, when a registry is
-attached, in ``repro_observed_epsilon`` / ``repro_accuracy_checks_total``
-/ ``repro_accuracy_violations_total``.
+attached, in ``repro_accuracy_checks_total`` /
+``repro_accuracy_violations_total`` / ``repro_accuracy_unverified_total``,
+and -- for the backends whose guarantee is an epsilon bound -- in
+``repro_observed_epsilon``.  Points shed by admission control never
+reach the stream; QoS alone accounts for them
+(:mod:`repro.service.qos`).
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..core.bucket import Histogram
-from ..core.optimal import optimal_error
-from ..counting.cr_precis import CRPrecis
-from ..counting.eh import ExponentialHistogram
-from ..counting.encoding import decode_updates
-from ..query.queries import synopsis_quantile
-from ..streams.window import SlidingWindow
 from .metrics import MetricsRegistry
 
-__all__ = ["AccuracyMonitor", "AccuracyReport"]
+__all__ = ["OPTIONS", "AccuracyMonitor", "AccuracyReport"]
 
-MODES = ("auto", "sse", "range_sum", "quantile", "window_count")
+#: The keys a stream's ``accuracy`` config may carry.
+OPTIONS = ("window_size", "check_every", "max_reports")
 
 OBSERVED_EPSILON_METRIC = "repro_observed_epsilon"
 CHECKS_METRIC = "repro_accuracy_checks_total"
 VIOLATIONS_METRIC = "repro_accuracy_violations_total"
-
-#: Probe fractions of the quantile mode (the deciles).
-QUANTILE_PROBES = tuple(np.linspace(0.1, 0.9, 9))
+UNVERIFIED_METRIC = "repro_accuracy_unverified_total"
 
 
 @dataclass(frozen=True)
 class AccuracyReport:
     """Outcome of one accuracy check.
 
-    ``shed_points`` / ``shed_fraction`` account QoS-shed mass (see
-    :mod:`repro.service.qos`): points the admission layer dropped never
-    reach the synopsis *or* the shadow window, so the comparison alone
-    would under-report the error of the thinned stream.  The effective
-    epsilon is widened by the shed fraction and ``within_bound`` judges
-    the widened figure -- degradation stays honest in the report.
+    ``violations`` names the oracle checks that failed and
+    ``observed_epsilon`` is the epsilon the oracle measured (None for a
+    backend whose guarantee is not an epsilon bound).  Both are empty
+    when the check was not ``exact``, and then ``within_bound`` is None.
     """
 
     arrivals: int
-    mode: str
-    observed_epsilon: float
-    configured_epsilon: float
-    window_points: int
-    shed_points: int = 0
-    shed_fraction: float = 0.0
+    exact: bool
+    violations: tuple[str, ...] = ()
+    observed_epsilon: float | None = None
 
     @property
-    def effective_epsilon(self) -> float:
-        """Observed epsilon widened by the shed mass fraction."""
-        return self.observed_epsilon + self.shed_fraction
-
-    @property
-    def within_bound(self) -> bool:
-        return self.effective_epsilon <= self.configured_epsilon
+    def within_bound(self) -> bool | None:
+        return not self.violations if self.exact else None
 
     def to_dict(self) -> dict:
         return {
             "arrivals": self.arrivals,
-            "mode": self.mode,
+            "exact": self.exact,
+            "violations": list(self.violations),
             "observed_epsilon": self.observed_epsilon,
-            "configured_epsilon": self.configured_epsilon,
-            "window_points": self.window_points,
-            "shed_points": self.shed_points,
-            "shed_fraction": self.shed_fraction,
-            "effective_epsilon": self.effective_epsilon,
             "within_bound": self.within_bound,
         }
 
 
 class AccuracyMonitor:
-    """Shadow an exact window; report observed epsilon on a cadence.
+    """Audit a live maintainer through its backend's oracle on a cadence.
 
     Parameters
     ----------
-    epsilon:
-        The configured approximation bound to report against (for the
-        fixed-window backend, Theorem 1's constant).
+    backend / params:
+        The stream's registry backend and parameters; they pick and
+        build the oracle (and with it the bound).
     window_size:
-        Capacity of the exact shadow window.  Bounds both memory and the
-        cost of a check.
+        The most points a whole-stream oracle keeps before the monitor
+        drops it (default 1,024).  A window backend's oracle keeps the
+        synopsis window, and any other ``window_size`` is a
+        ``ValueError``.
     check_every:
         Minimum ingested points between checks.
-    probes / seed:
-        Number of seeded random ranges the ``range_sum`` mode draws per
-        check (the quantile mode probes the deciles instead).
-    mode:
-        ``"auto"`` (resolve from the first checked synopsis), or one of
-        ``"sse"`` / ``"range_sum"`` / ``"quantile"``.
-    num_buckets:
-        Bucket budget of the optimal reference in ``sse`` mode; defaults
-        to the served histogram's own bucket count.
     max_reports:
         Bound on the retained report log.
+    start:
+        The stream position the monitor is attached at (non-zero after
+        a restore or a supervisor restart).
 
-    The monitor is driven from the owning worker thread (``extend`` then
-    ``maybe_check``); readers take snapshots through ``reports()`` /
-    ``latest()``, which only touch the bounded deque.
+    The monitor is driven from the owning worker thread (``extend``
+    then ``maybe_check``, under the worker's state lock); readers take
+    snapshots through ``reports()`` / ``latest()`` / ``to_dict()``.
     """
 
     def __init__(
         self,
-        epsilon: float,
+        backend: str,
+        params: dict,
         *,
-        window_size: int = 1024,
+        window_size: int | None = None,
         check_every: int = 512,
-        probes: int = 16,
-        seed: int = 0,
-        mode: str = "auto",
-        num_buckets: int | None = None,
         max_reports: int = 256,
+        start: int = 0,
         registry: MetricsRegistry | None = None,
         stream: str = "",
     ) -> None:
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if check_every < 1:
             raise ValueError("check_every must be >= 1")
-        if probes < 1:
-            raise ValueError("probes must be >= 1")
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; use one of {MODES}")
-        self.epsilon = float(epsilon)
+        if max_reports < 1:
+            raise ValueError("max_reports must be >= 1")
+        if window_size is not None and window_size < 1:
+            raise ValueError("window_size must be >= 1")
+        # Imported here: a service with no monitored stream never loads
+        # the verification package.
+        from ..verify.oracles import oracle_for
+
+        try:
+            oracle = oracle_for(backend, {**params, "monotonicity": False})
+        except KeyError as error:
+            raise ValueError(error.args[0]) from None
+        if oracle.retain and window_size not in (None, oracle.retain):
+            raise ValueError(
+                f"accuracy window_size {window_size} must equal the {backend} "
+                f"synopsis window ({oracle.retain}); leave it out to use "
+                "the synopsis window"
+            )
+        self.window_size = oracle.retain or window_size or 1024
         self.check_every = int(check_every)
-        self.probes = int(probes)
-        self.mode = mode
-        self.num_buckets = num_buckets
-        self._window = SlidingWindow(window_size)
-        self._rng = np.random.default_rng(seed)
+        oracle.start = int(start)
+        # A whole-stream or frequency oracle attached mid-stream can never
+        # hold the points its guarantee covers.
+        self._oracle = oracle if oracle.retain or not start else None
+        self._last_checked = int(start)
+        self._observed: float | None = None
         self._reports: deque[AccuracyReport] = deque(maxlen=max_reports)
-        self._last_checked = 0
-        # Shed accounting: points admission control dropped before they
-        # could reach the synopsis or the shadow window.  Guarded by a
-        # leaf lock -- note_shed() is called from producer and worker
-        # threads (QoS admission, drop_oldest evictions).
-        self._shed_lock = threading.Lock()
-        self._shed_points = 0
-        self._observed = (
-            registry.gauge(OBSERVED_EPSILON_METRIC, stream=stream)
-            if registry is not None
-            else None
-        )
-        self._checks = (
-            registry.counter(CHECKS_METRIC, stream=stream)
-            if registry is not None
-            else None
-        )
-        self._violations = (
-            registry.counter(VIOLATIONS_METRIC, stream=stream)
-            if registry is not None
-            else None
-        )
+        self._registry = registry if registry is not None else MetricsRegistry()
+        self._stream = stream
+        self._checks = self._registry.counter(CHECKS_METRIC, stream=stream)
+        self._violations = self._registry.counter(VIOLATIONS_METRIC, stream=stream)
+        self._unverified = self._registry.counter(UNVERIFIED_METRIC, stream=stream)
 
     # ------------------------------------------------------------------
     # Worker-thread side
     # ------------------------------------------------------------------
 
     def extend(self, batch) -> None:
-        """Mirror ingested points into the exact shadow window."""
-        self._window.extend(batch)
+        """Feed ingested points to the oracle."""
+        oracle = self._oracle
+        if oracle is None:
+            return
+        if oracle.retain is None and oracle.count + len(batch) > self.window_size:
+            self._oracle = None
+        else:
+            oracle.extend(batch)
 
-    def note_shed(self, points: int) -> None:
-        """Account points shed before ingestion (QoS / drop_oldest).
-
-        Shed mass widens the effective epsilon of every subsequent
-        report by ``shed / (arrivals + shed)`` -- the monitor cannot
-        claim the configured bound over points it never saw.
-        """
-        if points > 0:
-            with self._shed_lock:
-                self._shed_points += int(points)
-
-    @property
-    def shed_points(self) -> int:
-        with self._shed_lock:
-            return self._shed_points
-
-    def maybe_check(self, arrivals: int, synopsis) -> AccuracyReport | None:
+    def maybe_check(self, arrivals: int, maintainer) -> AccuracyReport | None:
         """Run a check when the cadence is due (returns the report, if any)."""
         if arrivals - self._last_checked < self.check_every:
             return None
-        return self.force_check(arrivals, synopsis)
+        return self.check(arrivals, maintainer)
 
-    def force_check(self, arrivals: int, synopsis) -> AccuracyReport | None:
-        """Run a check now, ignoring the cadence (certification path).
-
-        Still returns None when no meaningful comparison exists: an empty
-        shadow window, or an SSE comparison before the window has re-
-        aligned with the synopsis after a restore.
-        """
-        if len(self._window) == 0:
-            return None
-        if self._resolve_mode(synopsis) == "sse" and not self._aligned(arrivals):
-            # A monitor attached after a restore has not yet re-filled its
-            # shadow window; an SSE comparison against a window covering
-            # different positions than the synopsis would be meaningless.
-            return None
-        return self.check(arrivals, synopsis)
-
-    def _aligned(self, arrivals: int) -> bool:
-        """Has the shadow window seen every point the synopsis covers?"""
-        return self._window.total_seen >= arrivals or self._window.is_full
-
-    def check(self, arrivals: int, synopsis) -> AccuracyReport:
-        """Compare ``synopsis`` against the shadow window right now."""
+    def check(self, arrivals: int, maintainer) -> AccuracyReport:
+        """Audit ``maintainer`` now; it must not change it."""
         self._last_checked = arrivals
-        values = self._window.values()
-        mode = self._resolve_mode(synopsis)
-        if mode == "sse":
-            observed = self._observed_sse_epsilon(synopsis, values)
-        elif mode == "range_sum":
-            observed = self._observed_range_sum_epsilon(synopsis, values)
-        elif mode == "window_count":
-            observed = self._observed_window_count_epsilon(synopsis, values)
+        oracle = self._oracle
+        if oracle is None or not oracle.exact:
+            report = AccuracyReport(arrivals, exact=False)
+            self._unverified.inc()
         else:
-            observed = self._observed_quantile_epsilon(synopsis, values)
-        shed = self.shed_points
-        offered = arrivals + shed
-        report = AccuracyReport(
-            arrivals=arrivals,
-            mode=mode,
-            observed_epsilon=observed,
-            configured_epsilon=self.epsilon,
-            window_points=values.size,
-            shed_points=shed,
-            shed_fraction=shed / offered if offered else 0.0,
-        )
+            violations = oracle.check(maintainer)
+            observed = oracle.observed_epsilon
+            report = AccuracyReport(
+                arrivals,
+                exact=True,
+                violations=tuple(violation.check for violation in violations),
+                observed_epsilon=None if observed is None else float(observed),
+            )
+            if violations:
+                self._violations.inc()
+            if observed is not None:
+                self._observed = report.observed_epsilon
+                self._registry.gauge(
+                    OBSERVED_EPSILON_METRIC, stream=self._stream
+                ).set(self._observed)
+        self._checks.inc()
         self._reports.append(report)
-        if self._observed is not None:
-            self._observed.set(report.effective_epsilon)
-        if self._checks is not None:
-            self._checks.inc()
-        if self._violations is not None and not report.within_bound:
-            self._violations.inc()
         return report
-
-    # ------------------------------------------------------------------
-    # Ground-truth comparisons
-    # ------------------------------------------------------------------
-
-    def _resolve_mode(self, synopsis) -> str:
-        if self.mode != "auto":
-            return self.mode
-        if isinstance(synopsis, Histogram):
-            return "sse"
-        if isinstance(synopsis, (ExponentialHistogram, CRPrecis)):
-            return "window_count"
-        if getattr(synopsis, "range_sum", None) is not None:
-            return "range_sum"
-        return "quantile"
-
-    def _observed_sse_epsilon(self, histogram: Histogram, values) -> float:
-        """Theorem 1's ratio: SSE(served) / SSE(optimal) - 1."""
-        if values.size == 0:
-            return 0.0
-        served = histogram.sse(values)
-        budget = self.num_buckets or histogram.num_buckets
-        optimal = optimal_error(values, budget)
-        if optimal <= 1e-12:
-            # The optimal histogram is exact here; the served one must be
-            # (numerically) exact too or the ratio is unbounded.
-            return 0.0 if served <= 1e-9 else float("inf")
-        return max(0.0, served / optimal - 1.0)
-
-    def _observed_range_sum_epsilon(self, synopsis, values) -> float:
-        if values.size == 0:
-            return 0.0
-        cumulative = np.concatenate(([0.0], np.cumsum(values)))
-        scale = max(float(np.abs(values).mean()), 1e-12)
-        worst = 0.0
-        for _ in range(self.probes):
-            i = int(self._rng.integers(values.size))
-            j = int(self._rng.integers(i, values.size))
-            exact = float(cumulative[j + 1] - cumulative[i])
-            approx = float(synopsis.range_sum(i, j))
-            # Relative to the exact answer, floored at one average point
-            # so near-zero sums do not explode the ratio.
-            worst = max(worst, abs(approx - exact) / max(abs(exact), scale))
-        return worst
-
-    def _observed_window_count_epsilon(self, synopsis, values) -> float:
-        if values.size == 0:
-            return 0.0
-        if isinstance(synopsis, ExponentialHistogram):
-            tail = np.rint(values[-synopsis.window :]).astype(np.int64)
-            exact_nonzero = float(np.count_nonzero(tail))
-            exact_sum = float(tail.sum())
-            count_error = abs(synopsis.nonzero_count() - exact_nonzero) / max(
-                exact_nonzero, 1.0
-            )
-            sum_error = abs(synopsis.window_sum() - exact_sum) / max(
-                exact_sum, 1.0
-            )
-            return max(count_error, sum_error)
-        # CR-precis: worst point-query overestimate over the keys decoded
-        # from the shadow window, as a fraction of the total mass.
-        keys, deltas = decode_updates(values)
-        frequencies: dict[int, int] = {}
-        for key, delta in zip(keys.tolist(), deltas.tolist()):
-            frequencies[key] = frequencies.get(key, 0) + delta
-        mass = float(max(synopsis.l1(), 1))
-        worst = 0.0
-        for key, count in frequencies.items():
-            served = synopsis.point_query(key)
-            worst = max(worst, (served - count) / mass)
-        return worst
-
-    def _observed_quantile_epsilon(self, synopsis, values) -> float:
-        if values.size == 0:
-            return 0.0
-        ordered = np.sort(values)
-        n = ordered.size
-        worst = 0.0
-        for fraction in QUANTILE_PROBES:
-            approx = synopsis_quantile(synopsis, float(fraction))
-            # Rank band the answer occupies in the exact window; the
-            # observed error is its distance from the target rank.
-            lo = bisect.bisect_left(ordered.tolist(), approx)
-            hi = bisect.bisect_right(ordered.tolist(), approx)
-            target = fraction * (n - 1)
-            if lo <= target <= hi:
-                continue
-            distance = min(abs(lo - target), abs(hi - 1 - target))
-            worst = max(worst, distance / n)
-        return worst
 
     # ------------------------------------------------------------------
     # Reader side
@@ -378,23 +212,12 @@ class AccuracyMonitor:
 
     def to_dict(self) -> dict:
         """JSON-friendly summary (reported inside worker stats)."""
-        latest = self.latest()
-        reports = self.reports()
+        oracle = self._oracle
         return {
-            "configured_epsilon": self.epsilon,
             "check_every": self.check_every,
-            "window_points": len(self._window),
-            "checks": len(reports),
-            "violations": sum(1 for r in reports if not r.within_bound),
-            "observed_epsilon": (
-                latest.observed_epsilon if latest is not None else None
-            ),
-            "shed_points": self.shed_points,
-            "shed_fraction": (
-                latest.shed_fraction if latest is not None else 0.0
-            ),
-            "effective_epsilon": (
-                latest.effective_epsilon if latest is not None else None
-            ),
-            "mode": latest.mode if latest is not None else self.mode,
+            "window_points": oracle.held if oracle is not None else 0,
+            "checks": int(self._checks.value),
+            "unverified": int(self._unverified.value),
+            "violations": int(self._violations.value),
+            "observed_epsilon": self._observed,
         }

@@ -16,8 +16,8 @@ a tier's transport:
   (``_register`` / ``_unregister``), ``create_stream``'s spec versus
   ``backend``/``params`` handling, ``streams``, ``spec`` and the
   :class:`UnknownStreamError` message;
-* admission: ``ingest`` validates the batch, runs QoS admission and
-  accounts shed mass before the tier delivers what is left;
+* admission: ``ingest`` validates the batch and runs QoS admission
+  (which accounts shed mass) before the tier delivers what is left;
   ``update`` / ``update_many`` encode turnstile updates onto that path,
   and ``retry_dead_letters`` charges a retry all or nothing;
 * reporting: ``qos()``, the QoS part of every health report, the
@@ -25,11 +25,10 @@ a tier's transport:
 
 Each tier supplies only its transport, through the abstract methods
 below: how a stream is hosted, how an admitted batch is delivered (a
-worker submit or a frame send), how shed mass reaches the stream's
-accuracy monitor, and when an automatic checkpoint is due.  Code written
-against this class runs unchanged on either tier; it deliberately
-excludes ``view()`` / ``synopsis()``, which hand out live in-process
-objects that cannot cross a process boundary.
+worker submit or a frame send), and when an automatic checkpoint is
+due.  Code written against this class runs unchanged on either tier;
+it deliberately excludes ``view()`` / ``synopsis()``, which hand out
+live in-process objects that cannot cross a process boundary.
 """
 
 from __future__ import annotations
@@ -42,6 +41,8 @@ from pathlib import Path
 
 from ..core.prefix import as_stream_batch
 from ..counting.encoding import encode_update, encode_updates
+from ..obs.accuracy import OPTIONS as ACCURACY_OPTIONS
+from ..obs.accuracy import AccuracyMonitor
 from ..obs.export import samples_to_jsonl, samples_to_prometheus_text
 from ..obs.metrics import MetricsRegistry
 from ..runtime.registry import make_maintainer
@@ -65,16 +66,8 @@ logger = logging.getLogger(__name__)
 #: recovery log at about ``snapshot_keep`` times this many points.
 DEFAULT_CHECKPOINT_EVERY = 1 << 20
 
-#: The synopsis-window parameter of each window backend.  An accuracy
-#: monitor's shadow window must be exactly that window: a smaller one
-#: judges the synopsis against fewer points than it summarises, and a
-#: larger one crashes every window backend here except ``eh_count``.
-_WINDOW_PARAMS = {
-    "fixed_window": "window_size",
-    "exact": "window_size",
-    "wavelet": "window_size",
-    "eh_count": "window",
-}
+#: Accuracy keys an older version persisted; a restored spec drops them.
+_RETIRED_ACCURACY_KEYS = ("epsilon", "mode", "probes", "seed", "num_buckets")
 
 
 class UnknownStreamError(KeyError):
@@ -105,13 +98,13 @@ class StreamSpec:
     service is built with a QoS config.
 
     ``accuracy`` opts the stream into online accuracy monitoring: a
-    keyword dict for :class:`~repro.obs.accuracy.AccuracyMonitor`
-    (``epsilon`` is required; ``window_size``, ``check_every``,
-    ``mode``, ... as needed).  The monitor shadows ingested points with
-    an exact window and reports observed epsilon vs the configured
-    bound through stats, metrics and ``StreamService.accuracy()``.  For
-    a window backend the shadow window is the synopsis window: leave
-    ``window_size`` out to take it, any other size is a ``ValueError``.
+    keyword dict for :class:`~repro.obs.accuracy.AccuracyMonitor` with
+    any of ``window_size``, ``check_every`` and ``max_reports`` (``{}``
+    takes the defaults).  The monitor audits the live maintainer
+    through its backend's exact oracle, against the backend's own
+    bound, and reports through stats, metrics and ``accuracy()``.  For
+    a window backend ``window_size`` is the synopsis window: leave it
+    out to take it, any other size is a ``ValueError``.
     """
 
     backend: str
@@ -149,26 +142,13 @@ class StreamSpec:
         if self.accuracy is not None:
             if not isinstance(self.accuracy, dict):
                 raise ValueError("accuracy must be a keyword dict (or None)")
-            if "epsilon" not in self.accuracy:
-                raise ValueError("accuracy config needs an 'epsilon' bound")
-            self.accuracy_options()
-
-    def accuracy_options(self) -> dict | None:
-        """The accuracy monitor's keywords, shadow window resolved."""
-        if self.accuracy is None:
-            return None
-        options = dict(self.accuracy)
-        key = _WINDOW_PARAMS.get(self.backend)
-        if key is not None and key in self.params:
-            window = self.params[key]
-            shadow = options.setdefault("window_size", window)
-            if shadow != window:
+            unknown = sorted(set(self.accuracy) - set(ACCURACY_OPTIONS))
+            if unknown:
                 raise ValueError(
-                    f"accuracy window_size {shadow} must equal the "
-                    f"{self.backend} synopsis window ({key}={window}); "
-                    "leave it out to use the synopsis window"
+                    f"unknown accuracy option(s) {unknown}; "
+                    f"use {list(ACCURACY_OPTIONS)}"
                 )
-        return options
+            AccuracyMonitor(self.backend, self.params, **self.accuracy)
 
     def build_maintainer(self):
         return make_maintainer(self.backend, **self.params)
@@ -182,13 +162,17 @@ class StreamSpec:
             "backpressure": self.backpressure,
             "checkpoint_every": self.checkpoint_every,
             "poison": self.poison,
-            "accuracy": dict(self.accuracy) if self.accuracy else None,
+            "accuracy": None if self.accuracy is None else dict(self.accuracy),
             "tenant": self.tenant,
             "priority": self.priority,
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "StreamSpec":
+        accuracy = payload.get("accuracy")
+        if accuracy is not None:
+            retired = _RETIRED_ACCURACY_KEYS
+            accuracy = {k: v for k, v in accuracy.items() if k not in retired}
         return cls(
             backend=payload["backend"],
             params=dict(payload.get("params", {})),
@@ -197,7 +181,7 @@ class StreamSpec:
             backpressure=payload.get("backpressure", "block"),
             checkpoint_every=payload.get("checkpoint_every"),
             poison=payload.get("poison", "quarantine"),
-            accuracy=payload.get("accuracy"),
+            accuracy=accuracy,
             tenant=payload.get("tenant", "default"),
             priority=int(payload.get("priority", 1)),
         )
@@ -308,18 +292,16 @@ class ServiceProtocol(ABC):
         first passes admission control: a tenant over its token-bucket
         quota gets a typed :class:`~repro.service.qos.QuotaExceededError`
         (with ``retry_after``), and under overload the degradation ladder
-        may deterministically shed part of a sheddable stream's batch --
-        the shed mass is counted and widens the stream's reported
-        effective epsilon.  What is left goes to the tier, whose
-        backpressure and automatic checkpoint cadence then apply.
+        may deterministically shed part of a sheddable stream's batch;
+        the controller counts the shed mass (see ``qos()``).  What is
+        left goes to the tier, whose backpressure and automatic
+        checkpoint cadence then apply.
         """
         if name not in self._specs:
             raise self._unknown(name)
         batch = as_stream_batch(values)
         if self._qos is not None:
-            batch, shed = self._qos.admit(name, batch)
-            if shed:
-                self.note_shed(name, shed)
+            batch, _ = self._qos.admit(name, batch)
         if batch.size == 0:
             return 0
         return self._deliver(name, batch)
@@ -343,10 +325,6 @@ class ServiceProtocol(ABC):
     @abstractmethod
     def _deliver(self, name: str, batch) -> int:
         """Hand an admitted, non-empty batch to the stream's host."""
-
-    @abstractmethod
-    def note_shed(self, name: str, points: int) -> None:
-        """Account shed mass against the stream's accuracy monitor."""
 
     @abstractmethod
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:

@@ -3,9 +3,9 @@
 The serving tiers host streams for many *tenants* with different
 *priorities*; under overload the right behavior is not binary
 (block/reject/drop) but graded -- shed where it costs least, and account
-every shed point so reported accuracy stays honest.  This module is
-that policy layer, shared by :class:`~repro.service.service.
-StreamService` and :class:`~repro.shard.router.ShardRouter`:
+every shed point.  This module is that policy layer, shared by
+:class:`~repro.service.service.StreamService` and
+:class:`~repro.shard.router.ShardRouter`:
 
 * **Admission control** -- each tenant owns a token bucket
   (:class:`TenantQuota`: ``rate`` points/second refill, ``burst``
@@ -27,12 +27,12 @@ StreamService` and :class:`~repro.shard.router.ShardRouter`:
   ``throttle`` clamps sheddable admissions to a fraction of their
   quota (token cost is inflated by ``1/throttle_factor``).  ``shed``
   drops a deterministic, seeded sample of sheddable ingest
-  (``shed_fraction``); every shed point is counted and reported to the
-  stream's :class:`~repro.obs.accuracy.AccuracyMonitor` so the
-  observed epsilon widens honestly instead of silently narrowing over
-  a thinned stream.  ``stale_serve`` sheds *all* sheddable ingest and
-  the owning service marks their served views stale -- queries answer
-  from the last :class:`~repro.service.queries.MaterializedView`.
+  (``shed_fraction``); every shed point is counted here, per stream
+  and per tenant -- the controller is the one shed ledger, and a shed
+  point never reaches the stream or its accuracy monitor.
+  ``stale_serve`` sheds *all* sheddable ingest and the owning service
+  marks their served views stale -- queries answer from the last
+  :class:`~repro.service.queries.MaterializedView`.
 
   Escalation is immediate; demotion is hysteretic: the fill signal
   must sit below the current level for ``cooldown`` consecutive

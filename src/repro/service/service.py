@@ -170,7 +170,8 @@ class StreamService(ServiceProtocol):
         accuracy = None
         if spec.accuracy is not None:
             accuracy = AccuracyMonitor(
-                registry=self.registry, stream=name, **spec.accuracy_options()
+                spec.backend, spec.params, start=arrivals,
+                registry=self.registry, stream=name, **spec.accuracy,
             )
         on_shed = None
         if self._qos is not None:
@@ -450,18 +451,6 @@ class StreamService(ServiceProtocol):
             return None
         return worker.accuracy.to_dict()
 
-    def note_shed(self, name: str, points: int) -> None:
-        """Account shed mass against a stream's accuracy monitor.
-
-        Called for this service's own admission sheds, and by a shard
-        host for the router's, which are shed before they ever reach
-        this (shard-internal) service: the monitor still widens its
-        effective epsilon over the thinned feed.  No-op without one.
-        """
-        worker = self._worker(name)
-        if worker.accuracy is not None and points > 0:
-            worker.accuracy.note_shed(int(points))
-
     def certify(
         self,
         name: str,
@@ -476,9 +465,10 @@ class StreamService(ServiceProtocol):
         Three layers, strongest available first:
 
         1. **Live accuracy** -- if the stream carries an
-           :class:`~repro.obs.accuracy.AccuracyMonitor`, force a check of
-           the served synopsis against the exact shadow window right now
-           (no cadence wait).
+           :class:`~repro.obs.accuracy.AccuracyMonitor`, audit the live
+           maintainer through its exact oracle right now (no cadence
+           wait).  Only an exact check can fail this layer; an
+           unverified one reports ``within_bound`` None.
         2. **Restore fidelity** -- push the worker's ``state_dict``
            through a real JSON round-trip into a fresh maintainer and
            require an identical synopsis (the checkpoint/restore
@@ -506,13 +496,7 @@ class StreamService(ServiceProtocol):
             capture = worker.checkpoint_capture()
             state, arrivals = capture["state"], capture["arrivals"]
 
-            live = None
-            if worker.accuracy is not None:
-                report = worker.accuracy.force_check(
-                    arrivals, self.synopsis(name)
-                )
-                if report is not None:
-                    live = report.to_dict()
+            live = worker.check_accuracy()
 
             clone = spec.build_maintainer()
             clone.load_state_dict(json.loads(json.dumps(state)))
@@ -530,7 +514,7 @@ class StreamService(ServiceProtocol):
             ).run()
 
         passed = (
-            (live is None or live["within_bound"])
+            (live is None or live["within_bound"] is not False)
             and restore_ok
             and differential.passed
         )

@@ -258,9 +258,9 @@ class StreamWorker:
     Observability is opt-in per handle: ``registry`` hosts the worker's
     counters (a private registry is created when omitted), ``tracer``
     attaches per-stage spans (ingest / maintain through the pipeline
-    observer, materialize here), and ``accuracy`` shadows ingested
-    points with an exact window that is checked against the served
-    synopsis on its own cadence.
+    observer, materialize here), and ``accuracy`` feeds ingested points
+    to an :class:`~repro.obs.accuracy.AccuracyMonitor` that audits the
+    maintainer after a materialize, on its own cadence.
     """
 
     def __init__(
@@ -473,11 +473,8 @@ class StreamWorker:
                     evicted = self._queue.popleft()
                     self._queued_points -= evicted.size
                     self.counters.record_dropped(evicted.size)
-                    # Evicted points never reach the synopsis: they are
-                    # shed mass, so the accuracy monitor widens its
-                    # effective epsilon and QoS counts them.
-                    if self.accuracy is not None:
-                        self.accuracy.note_shed(int(evicted.size))
+                    # Evicted points never reach the synopsis: QoS
+                    # counts them as shed mass.
                     if self._on_shed is not None:
                         self._on_shed(int(evicted.size))
             waited = time.perf_counter() - started
@@ -605,8 +602,6 @@ class StreamWorker:
             applied = self._pipeline.arrivals - start
             if applied:
                 self._retain(start, batch[:applied])
-                if self.accuracy is not None:
-                    self.accuracy.extend(batch[:applied])
             rest = batch[applied:]
             self._fatal_leftover = rest
             if (
@@ -620,16 +615,17 @@ class StreamWorker:
             self.dead_letter.record_batch()
             return applied + clean
         self._retain(start, batch)
-        if self.accuracy is not None:
-            self.accuracy.extend(batch)
         self._fatal_leftover = None
         return int(batch.size)
 
     def _retain(self, start: int, batch: np.ndarray) -> None:
-        """Append an ingested batch to the replay log (when tracked)."""
+        """Record an ingested batch: in the replay log (when tracked)
+        and with the accuracy monitor (when configured)."""
         if self._track_replay:
             self._replay.append((start, batch))
             self._replay_points += int(batch.size)
+        if self.accuracy is not None:
+            self.accuracy.extend(batch)
 
     def _quarantine_rest(self, rest: np.ndarray) -> int:
         """Per-point isolation of a failing batch remainder."""
@@ -651,8 +647,6 @@ class StreamWorker:
                 self.dead_letter.quarantine(value, error, start)
             else:
                 self._retain(start, point)
-                if self.accuracy is not None:
-                    self.accuracy.extend(point)
                 clean += 1
         return clean
 
@@ -661,7 +655,9 @@ class StreamWorker:
 
         Uses ``last_synopsis`` where the backend caches one (the
         staleness side of the maintenance cadence); the result is frozen
-        so concurrent queries can never observe later mutation.
+        so concurrent queries can never observe later mutation.  A due
+        accuracy check then audits the maintainer (the caller holds the
+        state lock).
         """
         started = time.perf_counter()
         produce = getattr(self.maintainer, "last_synopsis", None)
@@ -681,7 +677,18 @@ class StreamWorker:
                 "materialize", self.name, time.perf_counter() - started
             )
         if self.accuracy is not None:
-            self.accuracy.maybe_check(self._pipeline.arrivals, synopsis)
+            self.accuracy.maybe_check(self._pipeline.arrivals, self.maintainer)
+
+    def check_accuracy(self) -> dict | None:
+        """Run an accuracy check now, under the state lock (certification).
+
+        Returns the report dict, or None when the stream is unmonitored.
+        """
+        if self.accuracy is None:
+            return None
+        with self._state_lock:
+            report = self.accuracy.check(self._pipeline.arrivals, self.maintainer)
+        return report.to_dict()
 
     def seed_view(self) -> None:
         """Materialize an initial view outside the worker thread.
@@ -726,8 +733,6 @@ class StreamWorker:
                     failed += 1
                 else:
                     self._retain(start, point)
-                    if self.accuracy is not None:
-                        self.accuracy.extend(point)
                     self.counters.record_ingested(1)
                     succeeded += 1
             if succeeded:

@@ -246,9 +246,6 @@ class ShardHost:
             ]
         if verb == "retry_dead_letters":
             return service.retry_dead_letters(args["name"])
-        if verb == "note_shed":
-            service.note_shed(args["name"], int(args["points"]))
-            return None
         if verb == "metrics":
             return service.metrics()
         if verb == "spans":
@@ -304,20 +301,24 @@ class ShardHost:
                 if stopping:
                     self._barrier({"upto_seq": args.get("upto_seq", 0)})
                     self._close_checkpoint = args.get("checkpoint")
-                    reply = {"ok": True, "value": None}
+                    payload = encode_obj({"ok": True, "value": None})
                 else:
                     try:
-                        reply = {"ok": True, "value": self.dispatch(verb, args)}
+                        # Encoding belongs inside the try: a value the
+                        # host cannot encode is an error reply, not a
+                        # dead shard.
+                        payload = encode_obj(
+                            {"ok": True, "value": self.dispatch(verb, args)}
+                        )
                     except Exception as error:  # propagated to the router
-                        reply = {
+                        payload = encode_obj({
                             "ok": False,
                             "error": str(error) or repr(error),
                             "error_type": type(error).__name__,
-                        }
+                        })
                 try:
                     send_frame(
-                        self._ctrl_sock, KIND_REPLY, frame.seq, verb,
-                        encode_obj(reply),
+                        self._ctrl_sock, KIND_REPLY, frame.seq, verb, payload
                     )
                 except OSError:
                     break

@@ -137,7 +137,6 @@ VERB_DEADLINES: dict[str, float] = {
     "spec": 5.0,
     "accuracy": 5.0,
     "dead_letters": 5.0,
-    "note_shed": 5.0,
     "metrics": 10.0,
     "spans": 10.0,
     "range_sum": 10.0,
@@ -780,27 +779,6 @@ class ShardRouter(ServiceProtocol):
                 handle.checkpoint_pending = False
         return points
 
-    def note_shed(self, name: str, points: int) -> None:
-        """Tell the owner shard about router-side shed mass (best effort).
-
-        The shard hosts the stream's accuracy monitor; shed points must
-        widen its effective epsilon even though they never cross the
-        data plane.  Best-effort by design: the router's own QoS
-        counters are the system of record, and a wedged shard must not
-        turn shed accounting into a stall.
-        """
-        handle = self._owner_handle(name)
-        if points <= 0 or handle.state != "up" or handle.breaker.blocked():
-            return
-        try:
-            self._request_raw(
-                handle, "note_shed", {"name": name, "points": int(points)}
-            )
-        except TimeoutError:
-            handle.breaker.record_failure()
-        except (OSError, FramingError, ShardRemoteError, UnknownStreamError):
-            pass
-
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
         """Barrier + drain: every frame sent so far is fully ingested."""
         drained = True
@@ -1047,11 +1025,13 @@ class ShardRouter(ServiceProtocol):
         """Differential certification per shard + placement audit.
 
         With a ``name``: the owning shard runs the same three-layer
-        :meth:`StreamService.certify` it would run in-process.  Without:
+        :meth:`StreamService.certify` it would run in-process, after a
+        flush, so the frames sent so far are ingested first.  Without:
         every hosted stream is certified on its shard and the report
         adds the router-level placement-stability audit.
         """
         if name is not None:
+            self.flush(name, timeout=kwargs.get("timeout"))
             report = self._request(
                 self._owner_handle(name), "certify",
                 {"name": name, **kwargs},

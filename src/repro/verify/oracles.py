@@ -11,8 +11,9 @@ and audits the maintainer's synopsis against ground truth computed from
 its own copy of the data.
 
 Every oracle is deliberately *independent* of the backend under test: it
-keeps the raw stream (verification runs are bounded, so memory is not a
-concern), recomputes exact answers from scratch at every check, and never
+keeps its own copy of what its check reads (the last window of a window
+backend, the whole stream of a whole-stream one, or an exact frequency
+table), recomputes exact answers from scratch at every check, and never
 reads backend internals other than the public synopsis/stats surface.
 ``oracle_for`` maps registry backend names onto oracle instances using
 the same constructor parameters the registry factory takes, so a
@@ -31,6 +32,7 @@ import numpy as np
 from ..core.bucket import Histogram
 from ..core.optimal import optimal_error, optimal_error_table
 from ..counting.encoding import decode_updates
+from ..streams.window import SlidingWindow
 from ..wavelets.haar import haar_inverse, haar_transform, next_power_of_two
 
 __all__ = [
@@ -98,10 +100,24 @@ class Oracle(ABC):
     ``extend(batch)`` mirrors ingestion; ``check(maintainer)`` audits the
     maintainer's current synopsis against exact answers and returns the
     violations found (empty list == certified at this position).  The
-    base class stores the raw stream; subclasses state the guarantee.
+    base class stores what the check reads of the raw stream, per
+    ``retain``: ``None`` keeps the whole stream, ``0`` nothing (the
+    oracle keeps its own exact table), ``k`` the last ``k`` points.
+    Subclasses state the guarantee; those whose guarantee is an epsilon
+    bound leave the epsilon their last check measured in
+    ``observed_epsilon``.
+
+    ``start`` is the stream position the oracle was attached at: 0 for
+    a run fed from the first point, later for an oracle attached to a
+    restored maintainer.  :attr:`exact` says whether the oracle holds
+    every point the guarantee covers.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, retain: int | None = None) -> None:
+        self.retain = retain
+        self.start = 0
+        self.observed_epsilon: float | None = None
+        self._window = SlidingWindow(retain) if retain else None
         self._chunks: list[np.ndarray] = []
         self._count = 0
 
@@ -109,25 +125,45 @@ class Oracle(ABC):
         array = np.asarray(batch, dtype=np.float64)
         if array.size == 0:
             return
-        self._chunks.append(array.copy())
         self._count += array.size
+        if self._window is not None:
+            self._window.extend(array)
+        elif self.retain is None:
+            self._chunks.append(array.copy())
 
     @property
     def count(self) -> int:
         """Stream points consumed so far."""
         return self._count
 
+    @property
+    def held(self) -> int:
+        """Raw stream points retained."""
+        if self._window is not None:
+            return len(self._window)
+        return sum(chunk.size for chunk in self._chunks)
+
+    @property
+    def exact(self) -> bool:
+        """Does the oracle hold every point its guarantee covers?
+
+        A window oracle needs a full window since it was attached (or
+        the whole stream); any other needs the stream from arrival 0.
+        """
+        if self.retain:
+            return self.start == 0 or self._count >= self.retain
+        return self.start == 0
+
     def values(self) -> np.ndarray:
-        """The full stream seen so far (oldest first)."""
+        """The retained stream points (oldest first): the whole stream,
+        or the last ``retain`` points."""
+        if self._window is not None:
+            return self._window.values()
         if not self._chunks:
             return np.empty(0, dtype=np.float64)
         if len(self._chunks) > 1:
             self._chunks = [np.concatenate(self._chunks)]
         return self._chunks[0]
-
-    def window(self, size: int) -> np.ndarray:
-        """The last ``size`` stream points (the sliding-window view)."""
-        return self.values()[-size:]
 
     @abstractmethod
     def check(self, maintainer) -> list[Violation]:
@@ -139,13 +175,14 @@ class Oracle(ABC):
 
     def _check_points(self, maintainer) -> list[Violation]:
         points = maintainer.stats().points
-        if points != self._count:
+        fed = self.start + self._count
+        if points != fed:
             return [
                 Violation(
                     "ingest-count",
-                    f"maintainer counted {points} points, oracle fed {self._count}",
+                    f"maintainer counted {points} points, oracle fed {fed}",
                     observed=float(points),
-                    bound=float(self._count),
+                    bound=float(fed),
                 )
             ]
         return []
@@ -238,6 +275,13 @@ def _herror_monotonicity(values: np.ndarray, num_buckets: int) -> list[Violation
     return violations
 
 
+def _sse_epsilon(served: float, optimal: float) -> float:
+    """Theorem 1's measured epsilon: ``SSE(served) / OPT - 1``, floored
+    at the comparison's slack so an exact-fit window stays finite."""
+    slack = 1e-6 * (1.0 + optimal)
+    return max(0.0, served - optimal) / max(optimal, slack)
+
+
 class VOptimalWindowOracle(Oracle):
     """Theorem 1 audited exactly: the fixed-window histogram vs the DP.
 
@@ -258,15 +302,15 @@ class VOptimalWindowOracle(Oracle):
         monotonicity: bool = True,
         **_ignored,
     ) -> None:
-        super().__init__()
-        self.window_size = int(window_size)
+        super().__init__(retain=int(window_size))
         self.num_buckets = int(num_buckets)
         self.epsilon = float(epsilon)
         self.monotonicity = monotonicity
 
     def check(self, maintainer) -> list[Violation]:
+        self.observed_epsilon = None
         violations = self._check_points(maintainer)
-        window = self.window(self.window_size)
+        window = self.values()
         if window.size == 0:
             return violations
         buffered = maintainer.window_values()
@@ -283,6 +327,7 @@ class VOptimalWindowOracle(Oracle):
         violations += _histogram_structure(histogram, window, self.num_buckets)
         served = histogram.sse(window)
         optimal = optimal_error(window, self.num_buckets)
+        self.observed_epsilon = _sse_epsilon(served, optimal)
         bound = (1.0 + self.epsilon) * optimal
         slack = 1e-6 * (1.0 + optimal)
         if served > bound + slack:
@@ -328,7 +373,8 @@ class VOptimalPrefixOracle(Oracle):
     entire prefix seen so far (paper section 4.3).  The exact DP is
     quadratic in the prefix length, so past ``max_exact_points`` the SSE
     comparison is skipped and only the structural checks run --
-    verification streams are sized to stay under the cap.
+    verification streams are sized to stay under the cap, and a check
+    past it is not :attr:`exact`.
     """
 
     def __init__(
@@ -344,7 +390,12 @@ class VOptimalPrefixOracle(Oracle):
         self.epsilon = float(epsilon)
         self.max_exact_points = int(max_exact_points)
 
+    @property
+    def exact(self) -> bool:
+        return super().exact and self._count <= self.max_exact_points
+
     def check(self, maintainer) -> list[Violation]:
+        self.observed_epsilon = None
         violations = self._check_points(maintainer)
         prefix = self.values()
         if prefix.size == 0:
@@ -355,6 +406,7 @@ class VOptimalPrefixOracle(Oracle):
             return violations
         served = histogram.sse(prefix)
         optimal = optimal_error(prefix, self.num_buckets)
+        self.observed_epsilon = _sse_epsilon(served, optimal)
         bound = (1.0 + self.epsilon) * optimal
         slack = 1e-6 * (1.0 + optimal)
         if served > bound + slack:
@@ -404,13 +456,12 @@ class WaveletWindowOracle(Oracle):
     """
 
     def __init__(self, window_size: int, budget: int, **_ignored) -> None:
-        super().__init__()
-        self.window_size = int(window_size)
+        super().__init__(retain=int(window_size))
         self.budget = int(budget)
 
     def check(self, maintainer) -> list[Violation]:
         violations = self._check_points(maintainer)
-        window = self.window(self.window_size)
+        window = self.values()
         if window.size == 0:
             return violations
         synopsis = maintainer.synopsis()
@@ -483,7 +534,7 @@ class DynamicWaveletOracle(Oracle):
     """
 
     def __init__(self, domain_size: int, budget: int, **_ignored) -> None:
-        super().__init__()
+        super().__init__(retain=0)
         self.domain_size = int(domain_size)
         self.budget = int(budget)
         self._frequencies = np.zeros(self.domain_size, dtype=np.float64)
@@ -573,6 +624,17 @@ def _quantile_target(fraction: float, n: int) -> int:
     return max(1, int(round(fraction * n)))
 
 
+def _probe_ranks(ordered: np.ndarray, query) -> list[tuple[float, float, float]]:
+    """``(fraction, answer, rank error)`` for each decile probe of ``query``."""
+    n = ordered.size
+    probes = []
+    for fraction in QUANTILE_PROBES:
+        answer = query(fraction)
+        target = _quantile_target(fraction, n)
+        probes.append((fraction, answer, _rank_band_error(ordered, answer, target)))
+    return probes
+
+
 class GKQuantileOracle(Oracle):
     """Greenwald-Khanna's deterministic guarantee: eps-approximate ranks.
 
@@ -587,6 +649,7 @@ class GKQuantileOracle(Oracle):
         self.epsilon = float(epsilon)
 
     def check(self, maintainer) -> list[Violation]:
+        self.observed_epsilon = None
         violations = self._check_points(maintainer)
         values = self.values()
         if values.size == 0:
@@ -595,9 +658,9 @@ class GKQuantileOracle(Oracle):
         n = ordered.size
         allowance = self.epsilon * n + 1.0
         summary = maintainer.synopsis()
-        for fraction in QUANTILE_PROBES:
-            answer = summary.query(fraction)
-            error = _rank_band_error(ordered, answer, _quantile_target(fraction, n))
+        probes = _probe_ranks(ordered, summary.query)
+        self.observed_epsilon = max(error for _, _, error in probes) / n
+        for fraction, answer, error in probes:
             if error > allowance:
                 violations.append(
                     Violation(
@@ -638,6 +701,7 @@ class EquiDepthOracle(Oracle):
         self.epsilon = float(epsilon)
 
     def check(self, maintainer) -> list[Violation]:
+        self.observed_epsilon = None
         violations = self._check_points(maintainer)
         values = self.values()
         if values.size == 0:
@@ -646,9 +710,9 @@ class EquiDepthOracle(Oracle):
         n = ordered.size
         summary = maintainer.synopsis()
         allowance = self.epsilon * n + 1.0
-        for fraction in QUANTILE_PROBES:
-            answer = summary.estimate_quantile(fraction)
-            error = _rank_band_error(ordered, answer, _quantile_target(fraction, n))
+        probes = _probe_ranks(ordered, summary.estimate_quantile)
+        self.observed_epsilon = max(error for _, _, error in probes) / n
+        for fraction, answer, error in probes:
             if error > allowance:
                 violations.append(
                     Violation(
@@ -743,12 +807,11 @@ class ExactBufferOracle(Oracle):
     """The exact backend must be *exactly* exact: zero tolerance."""
 
     def __init__(self, window_size: int, **_ignored) -> None:
-        super().__init__()
-        self.window_size = int(window_size)
+        super().__init__(retain=int(window_size))
 
     def check(self, maintainer) -> list[Violation]:
         violations = self._check_points(maintainer)
-        window = self.window(self.window_size)
+        window = self.values()
         if window.size == 0:
             return violations
         synopsis = maintainer.synopsis()
@@ -793,14 +856,14 @@ class EHCountOracle(Oracle):
     """
 
     def __init__(self, window: int, epsilon: float, **_ignored) -> None:
-        super().__init__()
-        self.window_size = int(window)
+        super().__init__(retain=int(window))
         self.epsilon = float(epsilon)
 
     def check(self, maintainer) -> list[Violation]:
+        self.observed_epsilon = None
         violations = self._check_points(maintainer)
         synopsis = maintainer.synopsis()
-        window = np.rint(self.window(self.window_size)).astype(np.int64)
+        window = np.rint(self.values()).astype(np.int64)
         length = int(window.size)
         if synopsis.window_count() != length:
             violations.append(
@@ -821,6 +884,11 @@ class EHCountOracle(Oracle):
         checks = (
             ("nonzero-count", synopsis.nonzero_count(), float(exact_nonzero)),
             ("window-sum", synopsis.window_sum(), float(exact_sum)),
+        )
+        # The windowed mean's denominator is exact, so its relative error
+        # is the sum's: the measured epsilon is the worse of these two.
+        self.observed_epsilon = max(
+            abs(served - exact) / max(exact, 1.0) for _, served, exact in checks
         )
         for check, served, exact in checks:
             allowance = eps * exact + RELATIVE_SLACK * (1.0 + exact)
@@ -883,7 +951,7 @@ class CRPrecisOracle(Oracle):
     HEAVY_PHI = 0.05
 
     def __init__(self, rows: int, base: int, domain: int, **_ignored) -> None:
-        super().__init__()
+        super().__init__(retain=0)
         self.rows = int(rows)
         self.base = int(base)
         self.domain = int(domain)
@@ -898,6 +966,11 @@ class CRPrecisOracle(Oracle):
                 self._frequencies[key] += delta
                 if self._frequencies[key] == 0:
                     del self._frequencies[key]
+
+    @property
+    def exact(self) -> bool:
+        # The bounds hold in the strict turnstile model only.
+        return super().exact and min(self._frequencies.values(), default=0) >= 0
 
     def _probe_keys(self) -> list[int]:
         """A deterministic probe set: the heaviest keys, the lightest,

@@ -635,30 +635,49 @@ class TestServiceUpdateVerbs:
 
         params = BACKEND_PARAMS["eh_count"]
         maintainer = make_maintainer("eh_count", **params)
-        monitor = AccuracyMonitor(
-            params["epsilon"], window_size=params["window"], check_every=1
-        )
+        monitor = AccuracyMonitor("eh_count", params, check_every=1)
         rng = np.random.default_rng(13)
         chunk = rng.integers(0, 80, 256).astype(float)
         maintainer.extend(chunk)
         monitor.extend(chunk)
-        report = monitor.check(chunk.size, maintainer.synopsis())
-        assert report.mode == "window_count"
-        assert report.within_bound, report.observed_epsilon
+        report = monitor.check(chunk.size, maintainer)
+        # The windowed count and sum, judged against the exact last
+        # window the oracle keeps.
+        assert monitor.to_dict()["window_points"] == params["window"]
+        assert report.exact
+        assert report.within_bound, report.violations
+        assert report.observed_epsilon <= params["epsilon"]
 
     def test_accuracy_monitor_window_count_covers_cr_precis(self):
         from repro.obs import AccuracyMonitor
 
-        maintainer = make_maintainer("cr_precis", **BACKEND_PARAMS["cr_precis"])
-        monitor = AccuracyMonitor(1.0, window_size=256, check_every=1)
+        params = BACKEND_PARAMS["cr_precis"]
+        maintainer = make_maintainer("cr_precis", **params)
+        monitor = AccuracyMonitor("cr_precis", params, check_every=1)
         batch = encode_updates([(5, 40), (9, 20), (5, -10)])
         maintainer.extend(batch)
         monitor.extend(batch)
-        report = monitor.check(batch.size, maintainer.synopsis())
-        assert report.mode == "window_count"
-        # Overestimate mass is normalized by l1, so it cannot exceed
-        # e/t = 3/5 here -- well within epsilon = 1.
-        assert report.within_bound
+        report = monitor.check(batch.size, maintainer)
+        # Judged against the exact frequency table (no raw points kept):
+        # every probed point query within the CRT collision bound.
+        assert monitor.to_dict()["window_points"] == 0
+        assert report.exact
+        assert report.within_bound, report.violations
+
+    def test_accuracy_monitor_outside_strict_turnstile_is_unverified(self):
+        from repro.obs import AccuracyMonitor
+
+        # Deleting a key never inserted drives its frequency negative;
+        # the CRT bounds no longer apply, so the check cannot judge.
+        params = BACKEND_PARAMS["cr_precis"]
+        maintainer = make_maintainer("cr_precis", **params)
+        monitor = AccuracyMonitor("cr_precis", params, check_every=1)
+        batch = encode_updates([(5, 3), (9, -1)])
+        maintainer.extend(batch)
+        monitor.extend(batch)
+        report = monitor.check(batch.size, maintainer)
+        assert not report.exact
+        assert report.within_bound is None
 
     def test_sharded_tier_carries_updates(self):
         from repro.shard import ShardRouter

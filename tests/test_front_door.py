@@ -218,12 +218,12 @@ class TestAccuracyWindow:
                 with pytest.raises(ValueError, match="synopsis window"):
                     service.create_stream(
                         "w", backend=backend, params=params,
-                        accuracy=dict(epsilon=0.1, window_size=shadow),
+                        accuracy=dict(window_size=shadow),
                     )
             assert service.streams() == []
             service.create_stream(
                 "w", backend=backend, params=params, maintain_every=64,
-                accuracy=dict(epsilon=0.1, check_every=512),
+                accuracy=dict(check_every=512),
             )
             data = _stream(4096, seed=1)
             for start in range(0, 4096, 512):
@@ -232,9 +232,119 @@ class TestAccuracyWindow:
             report = service.accuracy("w")
             assert report["checks"] >= 1
             assert report["window_points"] == 512
+            assert report["unverified"] == 0
+            assert report["violations"] == 0
             assert service.health("w")["state"] == "healthy"
-            if backend == "exact":
-                assert report["violations"] == 0
+
+
+def _backend_stream(backend: str, params: dict, n: int, seed: int = 3):
+    """A fuzzed stream every backend accepts (turnstile for CR-precis)."""
+    from repro.verify import StreamFuzzer
+
+    profile = "turnstile" if backend == "cr_precis" else "uniform"
+    clip = params.get("domain_size")
+    return StreamFuzzer(profile, seed, clip_domain=clip).take(n)
+
+
+class TestLiveAccuracy:
+    """The monitor judges through the backend's exact oracle, on both
+    tiers, and reports a violation only when that oracle is exact."""
+
+    def test_every_backend_stays_healthy_without_violations(self, tier):
+        from .conftest import BACKEND_PARAMS
+
+        with tier() as service:
+            for backend, params in BACKEND_PARAMS.items():
+                service.create_stream(
+                    backend, backend=backend, params=params,
+                    maintain_every=16, accuracy={"check_every": 256},
+                )
+                data = _backend_stream(backend, params, 2048)
+                for start in range(0, 2048, 128):
+                    service.ingest(backend, data[start : start + 128])
+            assert service.flush() is True
+            for backend in BACKEND_PARAMS:
+                health = service.health(backend)
+                assert health["state"] == "healthy", (backend, health)
+                assert health["restarts"] == 0
+                report = service.accuracy(backend)
+                assert report["checks"] >= 1, backend
+                assert report["violations"] == 0, (backend, report)
+
+    def test_certify_report_is_json_and_costs_no_restart(self, tier):
+        import json
+
+        with tier() as service:
+            service.create_stream(
+                "q", backend="gk_quantiles", params={"epsilon": 0.05},
+                accuracy={"window_size": 2048, "check_every": 256},
+            )
+            service.ingest("q", _stream(2000, seed=4))
+            report = service.certify("q", points=256)
+            json.dumps(report)
+            assert report["passed"] is True
+            assert report["live_accuracy"]["exact"] is True
+            assert report["live_accuracy"]["within_bound"] is True
+            health = service.health("q")
+            assert health["restarts"] == 0
+            assert health.get("shard_restarts", 0) == 0
+
+    def test_removed_options_are_refused_but_restore(self, tier):
+        legacy = StreamSpec.from_dict({
+            "backend": "gk_quantiles",
+            "params": GK,
+            "accuracy": {"epsilon": 0.25, "mode": "quantile",
+                         "window_size": 512},
+        })
+        assert legacy.accuracy == {"window_size": 512}
+        with tier() as service:
+            for key in ("epsilon", "mode", "probes", "seed", "num_buckets"):
+                with pytest.raises(ValueError, match=key):
+                    service.create_stream(
+                        "s", backend="gk_quantiles", params=GK,
+                        accuracy={key: 1},
+                    )
+            assert service.streams() == []
+            service.create_stream("s", spec=legacy)
+            assert service.spec("s") == legacy
+
+    def test_restored_window_stream_is_unverified_until_it_refills(
+        self, tier, tmp_path
+    ):
+        from .conftest import BACKEND_PARAMS
+
+        window = BACKEND_PARAMS["fixed_window"]["window_size"]
+        specs = {
+            "fw": ("fixed_window", BACKEND_PARAMS["fixed_window"]),
+            "gk": ("gk_quantiles", BACKEND_PARAMS["gk_quantiles"]),
+        }
+        data = _stream(512, seed=6)
+        with tier(snapshot_dir=tmp_path / "snap") as service:
+            for name, (backend, params) in specs.items():
+                service.create_stream(
+                    name, backend=backend, params=params, maintain_every=16,
+                    accuracy={"check_every": 16},
+                )
+                service.ingest(name, data[:256])
+            assert service.flush() is True
+            service.checkpoint()
+        service = type(service).restore(tmp_path / "snap")
+        try:
+            # One check per 16-point batch: the first window after the
+            # restore point is unverified, every later check is exact.
+            for batch, start in enumerate(range(256, 512, 16), start=1):
+                for name in specs:
+                    service.ingest(name, data[start : start + 16])
+                assert service.flush() is True
+                fw, gk = service.accuracy("fw"), service.accuracy("gk")
+                assert fw["checks"] == gk["checks"] == batch
+                assert fw["unverified"] == min(batch, window // 16 - 1)
+                assert fw["violations"] == 0
+                assert gk["unverified"] == batch
+                assert gk["violations"] == 0
+            assert service.health("fw")["state"] == "healthy"
+        finally:
+            service.close()
 
 
 class TestSnapshotDirRequired:

@@ -297,10 +297,7 @@ class TestAccuracyMonitor:
         """Theorem 1, observed live: SSE(served)/SSE(optimal) - 1 <= eps."""
         params = BACKEND_KWARGS["fixed_window"]
         maintainer = make_maintainer("fixed_window", **params)
-        monitor = AccuracyMonitor(
-            params["epsilon"], window_size=params["window_size"],
-            check_every=64, mode="sse",
-        )
+        monitor = AccuracyMonitor("fixed_window", params, check_every=64)
         rng = np.random.default_rng(3)
         arrivals = 0
         reports = []
@@ -310,19 +307,19 @@ class TestAccuracyMonitor:
             maintainer.maintain()
             monitor.extend(chunk)
             arrivals += chunk.size
-            report = monitor.maybe_check(arrivals, maintainer.synopsis())
+            report = monitor.maybe_check(arrivals, maintainer)
             if report is not None:
                 reports.append(report)
         assert len(reports) == 8
-        assert all(r.mode == "sse" for r in reports)
-        assert all(r.within_bound for r in reports), [
-            r.observed_epsilon for r in reports
-        ]
+        assert all(r.exact for r in reports)
+        assert all(r.within_bound for r in reports), [r.violations for r in reports]
+        assert all(
+            0.0 <= r.observed_epsilon <= params["epsilon"] for r in reports
+        ), [r.observed_epsilon for r in reports]
 
     def test_check_cadence_and_report_bound(self):
         monitor = AccuracyMonitor(
-            0.5, window_size=32, check_every=100, mode="range_sum",
-            max_reports=1,
+            "exact", {"window_size": 32}, check_every=100, max_reports=1,
         )
         maintainer = make_maintainer("exact", window_size=32)
         arrivals = 0
@@ -331,33 +328,43 @@ class TestAccuracyMonitor:
             maintainer.extend(chunk)
             monitor.extend(chunk)
             arrivals += chunk.size
-            monitor.maybe_check(arrivals, maintainer.synopsis())
+            monitor.maybe_check(arrivals, maintainer)
         # 320 arrivals at a cadence of 100 check at 128 and 256; the
         # bounded log retains only the newest of them.
         assert len(monitor.reports()) == 1
         assert monitor.latest().arrivals == 256
         assert monitor.latest().within_bound
+        assert monitor.to_dict()["checks"] == 2
 
     def test_registry_mirrors_checks_and_violations(self):
         registry = MetricsRegistry()
         monitor = AccuracyMonitor(
-            1e-9, window_size=16, check_every=1, mode="range_sum",
+            "gk_quantiles", {"epsilon": 0.01}, window_size=16, check_every=1,
             registry=registry, stream="s",
         )
-
-        class _Wildly:
-            def range_sum(self, start, end):
-                return 1.0e9
-
+        # A summary of other points than the ones the monitor was fed.
+        liar = make_maintainer("gk_quantiles", epsilon=0.01)
+        liar.extend(integer_stream(16) + 1000.0)
         monitor.extend(integer_stream(16))
-        report = monitor.check(16, _Wildly())
-        assert not report.within_bound
-        assert registry.counter("repro_accuracy_checks_total", stream="s").value == 1
-        assert (
-            registry.counter("repro_accuracy_violations_total", stream="s").value
-            == 1
-        )
-        assert registry.gauge("repro_observed_epsilon", stream="s").value > 1e-9
+        report = monitor.check(16, liar)
+        assert report.exact and report.within_bound is False
+        assert "quantile-rank" in report.violations
+
+        def value(metric):
+            return registry.counter(metric, stream="s").value
+
+        assert value("repro_accuracy_checks_total") == 1
+        assert value("repro_accuracy_violations_total") == 1
+        assert registry.gauge("repro_observed_epsilon", stream="s").value > 0.01
+        # Past its window_size the whole-stream oracle is dropped: the
+        # next check is unverified, neither a pass nor a violation.
+        monitor.extend(integer_stream(1))
+        report = monitor.check(17, liar)
+        assert not report.exact and report.within_bound is None
+        assert value("repro_accuracy_checks_total") == 2
+        assert value("repro_accuracy_violations_total") == 1
+        assert value("repro_accuracy_unverified_total") == 1
+        assert monitor.to_dict()["window_points"] == 0
 
     def test_service_level_accuracy_monitoring(self):
         with StreamService() as service:
@@ -365,7 +372,7 @@ class TestAccuracyMonitor:
                 "s", backend="fixed_window",
                 params=BACKEND_KWARGS["fixed_window"],
                 maintain_every=16,
-                accuracy=dict(epsilon=0.25, window_size=64, check_every=64),
+                accuracy=dict(window_size=64, check_every=64),
             )
             stream = integer_stream(256, seed=9)
             for start in range(0, 256, 64):
@@ -373,17 +380,166 @@ class TestAccuracyMonitor:
             assert service.flush("s") is True
             summary = service.accuracy("s")
             assert summary["checks"] >= 1
+            assert summary["unverified"] == 0
             assert summary["violations"] == 0
             assert summary["observed_epsilon"] <= 0.25
             assert service.stats("s")["accuracy"] == summary
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            AccuracyMonitor(0.0)
-        with pytest.raises(ValueError, match="mode"):
-            AccuracyMonitor(0.1, mode="vibes")
+        gk = {"epsilon": 0.1}
         with pytest.raises(ValueError, match="check_every"):
-            AccuracyMonitor(0.1, check_every=0)
+            AccuracyMonitor("gk_quantiles", gk, check_every=0)
+        with pytest.raises(ValueError, match="max_reports"):
+            AccuracyMonitor("gk_quantiles", gk, max_reports=0)
+        with pytest.raises(ValueError, match="window_size"):
+            AccuracyMonitor("gk_quantiles", gk, window_size=0)
+        with pytest.raises(ValueError, match="synopsis window"):
+            AccuracyMonitor("exact", {"window_size": 64}, window_size=32)
+        with pytest.raises(ValueError, match="no oracle"):
+            AccuracyMonitor("vibes", {})
+
+    @pytest.mark.parametrize("window_size", [512, 20_000])
+    def test_gk_checks_count_only_when_exact(self, window_size):
+        """An unshed 20,000-point GK stream: every exact check passes,
+        and past a smaller window_size every check is unverified."""
+        from repro.datasets import att_utilization_stream
+
+        maintainer = make_maintainer("gk_quantiles", epsilon=0.05)
+        monitor = AccuracyMonitor(
+            "gk_quantiles", {"epsilon": 0.05}, window_size=window_size,
+            check_every=1000,
+        )
+        stream = att_utilization_stream(20_000, seed=7)
+        reports = []
+        for start in range(0, stream.size, 1000):
+            chunk = stream[start : start + 1000]
+            maintainer.extend(chunk)
+            monitor.extend(chunk)
+            reports.append(monitor.maybe_check(start + chunk.size, maintainer))
+        assert len(reports) == 20
+        assert all(report.exact is (report.arrivals <= window_size)
+                   for report in reports)
+        assert all(report.within_bound is not False for report in reports)
+        summary = monitor.to_dict()
+        assert summary["violations"] == 0
+        assert summary["unverified"] == sum(
+            report.arrivals > window_size for report in reports
+        )
+        if window_size == 20_000:
+            assert summary["unverified"] == 0
+            assert summary["observed_epsilon"] <= 0.05
+
+    def test_audit_leaves_the_maintainer_untouched(self):
+        """A monitored stream's maintainer state equals an unmonitored
+        twin's after the same batches, for every backend."""
+
+        def state(service, name):
+            payload = service._workers[name].maintainer.state_dict()
+            stats = {
+                key: value for key, value in payload.pop("stats").items()
+                if not key.endswith("_seconds")
+            }
+            payload.pop("name")
+            return payload, stats
+
+        from .test_front_door import _backend_stream
+
+        with StreamService() as service:
+            for backend, params in BACKEND_KWARGS.items():
+                data = _backend_stream(backend, params, 1024)
+                for name, accuracy in (
+                    (f"{backend}_m", {"check_every": 64}),
+                    (f"{backend}_u", None),
+                ):
+                    service.create_stream(
+                        name, backend=backend, params=params,
+                        maintain_every=16, accuracy=accuracy,
+                    )
+                    for start in range(0, data.size, 64):
+                        service.ingest(name, data[start : start + 64])
+            assert service.flush() is True
+            for backend in BACKEND_KWARGS:
+                assert service.accuracy(f"{backend}_m")["checks"] >= 1
+                assert state(service, f"{backend}_m") == state(
+                    service, f"{backend}_u"
+                ), backend
+
+    def test_monitor_memory_is_bounded(self):
+        """After 20k points a monitor holds at most max(synopsis window,
+        window_size) raw points, and none for the frequency oracles."""
+        from .test_front_door import _backend_stream
+
+        for backend, params in BACKEND_KWARGS.items():
+            monitor = AccuracyMonitor(backend, params)
+            data = _backend_stream(backend, params, 20_000)
+            for start in range(0, data.size, 500):
+                monitor.extend(data[start : start + 500])
+            window = params.get("window_size", params.get("window", 0))
+            held = monitor.to_dict()["window_points"]
+            if backend in ("cr_precis", "dynamic_wavelet"):
+                assert held == 0, backend
+            else:
+                assert held <= max(window, monitor.window_size), backend
+
+    def test_restarted_window_stream_reverifies_once_refilled(self, tmp_path):
+        from repro.service import FaultInjector
+
+        window = BACKEND_KWARGS["fixed_window"]["window_size"]
+        injector = (
+            FaultInjector()
+            .crash_at(160, stream="fw")
+            .crash_at(160, stream="gk")
+        )
+        data = integer_stream(512, seed=8)
+        with StreamService(
+            tmp_path, supervise=True, restart_policy=FAST_RESTARTS,
+            fault_injector=injector,
+        ) as service:
+            for name, backend in (("fw", "fixed_window"), ("gk", "gk_quantiles")):
+                service.create_stream(
+                    name, backend=backend, params=BACKEND_KWARGS[backend],
+                    maintain_every=16, accuracy={"check_every": 16},
+                )
+
+            def feed(start, stop):
+                for begin in range(start, stop, 16):
+                    for name in ("fw", "gk"):
+                        service.ingest(name, data[begin : begin + 16])
+                    assert service.flush() is True
+
+            feed(0, 128)
+            service.checkpoint()
+            before = service.accuracy("fw")
+            assert before["unverified"] == 0 and before["violations"] == 0
+            gk_before = service.accuracy("gk")
+            assert gk_before["unverified"] == 0
+            # The batch ending at arrival 160 crashes the worker; the
+            # supervisor restores arrival 128 and replays the rest.
+            feed(128, 176)
+            assert service.health("fw")["restarts"] == 1
+            assert service.health("gk")["restarts"] == 1
+            after = service.accuracy("fw")
+            assert after["unverified"] > before["unverified"]
+            gk_after = service.accuracy("gk")
+            assert gk_after["unverified"] > gk_before["unverified"]
+            # 64 points past the restore point the window is full again.
+            feed(176, 128 + window)
+            refilled = service.accuracy("fw")
+            feed(128 + window, 512)
+            final = service.accuracy("fw")
+            assert final["checks"] > refilled["checks"]
+            assert final["unverified"] == refilled["unverified"]
+            assert final["violations"] == 0
+            # A whole-stream oracle restarted mid-stream never holds the
+            # points its guarantee covers: every later check is unverified.
+            gk = service.accuracy("gk")
+            assert gk["checks"] > gk_after["checks"]
+            assert (
+                gk["unverified"] - gk_after["unverified"]
+                == gk["checks"] - gk_after["checks"]
+            )
+            assert gk["violations"] == 0
+            assert service.health("fw")["state"] == "healthy"
 
 
 # ----------------------------------------------------------------------

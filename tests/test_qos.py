@@ -47,7 +47,8 @@ from repro.shard.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
 from repro.shard.router import _IDEMPOTENT_VERBS, VERB_DEADLINES
 
 GK = dict(epsilon=0.1)
-ACCURACY = dict(epsilon=0.25, window_size=64, check_every=64)
+#: A window_size above every stream's length here: each GK check is exact.
+ACCURACY = dict(window_size=8192, check_every=64)
 
 
 def _stream(n: int, seed: int = 0) -> np.ndarray:
@@ -370,7 +371,7 @@ class TestServiceQoS:
             assert {TRANSITIONS_METRIC, SHED_METRIC} <= names
             assert TRANSITIONS_METRIC in service.prometheus_metrics()
 
-    def test_forced_shed_widens_reported_accuracy(self):
+    def test_forced_shed_is_accounted_by_qos_alone(self):
         ctrl = QoSController(QoSConfig())
         with StreamService(qos=ctrl) as service:
             service.create_stream(
@@ -381,11 +382,15 @@ class TestServiceQoS:
             accepted = service.ingest("s", _stream(256, seed=1))
             assert 0 < accepted < 256
             assert service.flush("s") is True
-            report = service.accuracy("s")
             shed = service.qos()["streams"]["s"]["shed_points"]
-            assert shed > 0
-            assert report["shed_points"] == shed
-            assert report["effective_epsilon"] > report["observed_epsilon"]
+            assert shed == 256 - accepted
+            assert service.stats("s")["arrivals"] + shed == 128 + 256
+            # Shed points never reach the stream: the monitor judges the
+            # points that did, exactly, and keeps no shed ledger.
+            report = service.accuracy("s")
+            assert report["unverified"] == 0
+            assert report["violations"] == 0
+            assert "shed_points" not in report
 
     def test_stale_serve_marks_views_and_health(self):
         ctrl = QoSController(QoSConfig())
@@ -454,16 +459,19 @@ class TestServiceQoS:
             assert service.flush("m") is True
             snapshot = service.qos()
             assert snapshot["shed_points"] > 0
-            report = service.accuracy("m")
             # Admission sheds and queue evictions both land in the same
-            # ledgers: the controller totals, the per-tenant metric, and
-            # the stream's accuracy monitor all agree.
-            assert report["shed_points"] == snapshot["shed_points"]
-            assert report["shed_points"] == snapshot["streams"]["m"]["shed_points"]
+            # ledger: the controller totals, the stream's record and the
+            # per-tenant metric agree, and account every offered point.
+            assert snapshot["streams"]["m"]["shed_points"] == snapshot["shed_points"]
+            assert (
+                service.stats("m")["arrivals"] + snapshot["shed_points"]
+                == 3 * 20 * 64
+            )
             counter = ctrl.registry.counter(
                 SHED_METRIC, tenant="default", priority="2"
             )
             assert counter.value == snapshot["shed_points"]
+            assert service.accuracy("m")["violations"] == 0
             # Polling qos() drives ladder evaluation on a quiet service;
             # with the queue drained it must walk back to healthy.
             deadline = time.monotonic() + 15.0
@@ -642,7 +650,7 @@ class TestRouterControlPlane:
             }
             assert {TRANSITIONS_METRIC, SHED_METRIC} <= names
 
-    def test_router_admission_propagates_shed_to_shard_accuracy(self):
+    def test_router_admission_sheds_are_accounted_at_the_router(self):
         ctrl = QoSController(QoSConfig(seed=5))
         with ShardRouter(num_shards=1, qos=ctrl) as router:
             router.create_stream(
@@ -656,10 +664,12 @@ class TestRouterControlPlane:
             snapshot = router.qos()
             shed = snapshot["streams"]["q"]["shed_points"]
             assert shed > 0
-            # Router-side sheds reached the shard's accuracy monitor
-            # through the note_shed control verb.
+            # The router's controller is the one shed ledger; the shard
+            # only ever sees the admitted points, and judges them exactly.
+            assert router.stats("q")["arrivals"] + shed == 128 + 512
             report = router.accuracy("q")
-            assert report["shed_points"] == shed
+            assert report["unverified"] == 0
+            assert report["violations"] == 0
             assert router.health("q")["degradation"] in (
                 "healthy", "throttle", "shed",
             )
@@ -745,14 +755,17 @@ class TestOverloadChaos:
             )
             assert service.flush() is True
             hot = service.accuracy("hot")
-            assert hot["shed_points"] == 0
+            snapshot = service.qos()
+            assert snapshot["streams"]["hot"]["shed_points"] == 0
             assert hot["violations"] == 0
+            assert hot["unverified"] == 0
             assert hot["observed_epsilon"] is not None
             assert service.health("hot")["state"] == "healthy"
-            bulk = service.accuracy("bulk")
-            snapshot = service.qos()
             assert snapshot["shed_points"] > 0
-            assert bulk["shed_points"] == snapshot["shed_points"]
+            assert snapshot["streams"]["bulk"]["shed_points"] == (
+                snapshot["shed_points"]
+            )
+            assert service.accuracy("bulk")["violations"] == 0
             deadline = time.monotonic() + 15.0
             while time.monotonic() < deadline:
                 if service.qos()["level"] == "healthy":

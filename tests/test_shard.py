@@ -34,6 +34,7 @@ from repro.shard import FramingError, HashRing, ShardRouter
 from repro.shard.framing import (
     KIND_CONTROL,
     KIND_DATA,
+    KIND_REPLY,
     decode_batch,
     decode_obj,
     encode_batch,
@@ -119,6 +120,40 @@ class TestFraming:
         np.testing.assert_array_equal(
             decode_batch(batch), np.asarray([1.0, 2.0, 3.0])
         )
+
+
+class TestShardHostReplies:
+    def test_unencodable_reply_is_an_error_not_a_dead_shard(self, monkeypatch):
+        from repro.shard.host import ShardHost
+
+        data_host, data_router = socket.socketpair()
+        ctrl_host, ctrl_router = socket.socketpair()
+        host = ShardHost(0, data_host, ctrl_host, {"snapshot_dir": None})
+        dispatch = host.dispatch
+        monkeypatch.setattr(
+            host, "dispatch",
+            lambda verb, args: {1, 2} if verb == "streams" else dispatch(verb, args),
+        )
+        runner = threading.Thread(target=host.run, daemon=True)
+        runner.start()
+
+        def call(seq, verb):
+            send_frame(ctrl_router, KIND_CONTROL, seq, verb, encode_obj({}))
+            frame = recv_frame(ctrl_router)
+            assert (frame.kind, frame.seq) == (KIND_REPLY, seq)
+            return decode_obj(frame.payload)
+
+        try:
+            reply = call(1, "streams")  # a set has no JSON encoding
+            assert reply["ok"] is False
+            assert reply["error_type"] == "TypeError"
+            assert call(2, "ping")["value"]["shard"] == 0
+            assert call(3, "stop")["ok"] is True
+            runner.join(timeout=10.0)
+            assert not runner.is_alive()
+        finally:
+            data_router.close()
+            ctrl_router.close()
 
 
 class TestHashRing:

@@ -302,7 +302,7 @@ class TestServiceCertify:
                 spec=StreamSpec(
                     backend="fixed_window",
                     params=BACKEND_PARAMS["fixed_window"],
-                    accuracy=dict(epsilon=0.25, window_size=64, check_every=64),
+                    accuracy=dict(window_size=64, check_every=64),
                 ),
             )
             rng = np.random.default_rng(21)
@@ -311,6 +311,7 @@ class TestServiceCertify:
             report = service.certify("hist", points=256)
         assert report["passed"] is True
         assert report["restore_identity"] is True
+        assert report["live_accuracy"]["exact"] is True
         assert report["live_accuracy"]["within_bound"] is True
         assert report["differential"]["passed"] is True
         json.dumps(report)  # JSON-serializable end to end
