@@ -145,6 +145,9 @@ class StreamService(ServiceProtocol):
         # Arrival positions of the retained base generations (supervised
         # retention reaches back to the oldest one).
         self._generation_arrivals: dict[str, deque] = {}
+        # The cut each restored stream's snapshot recorded (see
+        # _capture_checkpoint), None for a snapshot without one.
+        self._restored_cuts: dict[str, int | None] = {}
         self._supervisor: StreamSupervisor | None = None
         if supervise:
             self._supervisor = StreamSupervisor(self, restart_policy)
@@ -562,11 +565,12 @@ class StreamService(ServiceProtocol):
         for stream_name in names:
             with self.tracer.span("checkpoint", stream_name):
                 captured = self._capture_checkpoint(stream_name, mode)
-                path, _ = self._write_checkpoint(captured)
-            paths.append(path)
+                paths.append(self._write_checkpoint(captured))
         return paths
 
-    def _capture_checkpoint(self, name: str, mode: str) -> tuple:
+    def _capture_checkpoint(
+        self, name: str, mode: str, cut: int | None = None
+    ) -> tuple:
         """Capture one stream's next checkpoint without writing it.
 
         A delta's slice when one can be written: mode ``"auto"``, the
@@ -575,6 +579,9 @@ class StreamService(ServiceProtocol):
         the last checkpoint.  Otherwise the full state.  The capture is
         the cut :meth:`_write_checkpoint` persists, however much the
         stream ingests in between (the shard host relies on this).
+        ``cut`` is the caller's name for that point (the shard host's
+        frame watermark); the snapshot records it, and a restore
+        reports it back in ``_restored_cuts``.
         """
         if mode not in ("auto", "full"):
             raise ValueError(f"unknown checkpoint mode {mode!r}")
@@ -587,19 +594,21 @@ class StreamService(ServiceProtocol):
             < self._snapshot_base_every - 1
             and self._store.can_extend(name)
         )
+        capture = None
         if want_delta:
-            capture = worker.checkpoint_capture(state=False, replay_since=mark)
-            if _tiles_contiguously(capture["replay"], mark, capture["arrivals"]):
-                return name, worker, mark, capture
-        return name, worker, mark, worker.checkpoint_capture()
+            delta = worker.checkpoint_capture(state=False, replay_since=mark)
+            if _tiles_contiguously(delta["replay"], mark, delta["arrivals"]):
+                capture = delta
+        if capture is None:
+            capture = worker.checkpoint_capture()
+        if cut is not None:
+            capture["cut"] = cut
+        return name, worker, mark, capture
 
-    def _write_checkpoint(self, captured: tuple) -> tuple[str, int]:
+    def _write_checkpoint(self, captured: tuple) -> str:
         """Persist a :meth:`_capture_checkpoint`, then trim the worker's
         replay log by the retention rule beside ``_checkpoint_marks``.
-
-        Returns the written path and the arrivals a restore from it
-        reaches: the captured arrivals plus the buffered tail.
-        """
+        Returns the written path."""
         name, worker, mark, capture = captured
         arrivals = capture["arrivals"]
         if "state" in capture:
@@ -618,6 +627,7 @@ class StreamService(ServiceProtocol):
                 from_arrivals=mark,
                 batches=capture["replay"],
                 tail=capture["tail"],
+                cut=capture.get("cut"),
             )
             self._deltas_since_base[name] = (
                 self._deltas_since_base.get(name, 0) + 1
@@ -627,14 +637,14 @@ class StreamService(ServiceProtocol):
             worker.trim_replay(arrivals)
         elif generations := self._generation_arrivals.get(name):
             worker.trim_replay(generations[0])
-        tail = sum(int(batch.size) for batch in capture["tail"])
-        return str(path), arrivals + tail
+        return str(path)
 
     def restore_stream(self, name: str) -> StreamWorker:
         """Recreate one stream from its latest verifiable snapshot."""
         if self._store is None:
             raise RuntimeError("service was created without a snapshot_dir")
         payload = self._store.load_latest(name)
+        self._restored_cuts[name] = payload.get("cut")
         worker = self._add_stream(
             name,
             StreamSpec.from_dict(payload["spec"]),

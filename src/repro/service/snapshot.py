@@ -441,15 +441,18 @@ class SnapshotStore:
         from_arrivals: int,
         batches,
         tail,
+        cut: int | None = None,
     ) -> Path:
         """Persist a delta checkpoint chained onto the newest generation.
 
         ``batches`` are the ``(start_arrival, batch)`` pairs ingested
         since the previous checkpoint (which ended at ``from_arrivals``);
         ``tail`` is the currently buffered, not-yet-ingested suffix.
-        Raises ``ValueError`` when the stream has no manifest head (or
-        no known base) to chain from -- the caller falls back to a full
-        snapshot.
+        ``cut`` is the writer's own mark for this point (the shard
+        host's frame watermark), kept in the header; a full snapshot
+        keeps it with its other metadata.  Raises ``ValueError`` when
+        the stream has no manifest head (or no known base) to chain
+        from -- the caller falls back to a full snapshot.
         """
         manifest = self._manifest_or_rebuild()
         entry = manifest["streams"].get(name)
@@ -478,6 +481,8 @@ class SnapshotStore:
             "batch_lengths": [int(b.size) for _, b in batch_arrays],
             "tail_lengths": [int(b.size) for b in tail_arrays],
         }
+        if cut is not None:
+            header["cut"] = int(cut)
         sections = [
             ("batches", b"".join(b.tobytes() for _, b in batch_arrays)),
             ("tail", b"".join(b.tobytes() for b in tail_arrays)),
@@ -650,7 +655,8 @@ class SnapshotStore:
         does that), and the chain is truncated at the first gap or
         unverifiable link.  Each delta carries the tail as of its
         checkpoint, so truncation at any link still yields the
-        consistent (state, arrivals, tail) triple that link persisted.
+        consistent (state, arrivals, tail) triple that link persisted,
+        and the ``cut`` it recorded (None when it recorded none).
         """
         base_seq = int(head["base_seq"])
         base_path = self._chain_file(name, base_seq)
@@ -662,7 +668,7 @@ class SnapshotStore:
         payload = self._resolve(base_path, name)  # full .snap or legacy .json
         position = int(payload.get("arrivals", 0))
         accepted: list[np.ndarray] = []
-        tail = payload["tail"]
+        tail, cut = payload["tail"], payload.get("cut")
         truncated = False
         for seq in range(base_seq + 1, int(head["seq"]) + 1):
             delta_path = self._chain_file(name, seq, delta=True)
@@ -706,9 +712,12 @@ class SnapshotStore:
                 tail = _split_tail(
                     header.get("tail_lengths", []), sections.get("tail", b"")
                 )
+                cut = header.get("cut")
         if truncated:
             self._count("fallback_loads", name)
         payload["tail"] = list(accepted) + list(tail)
+        if cut is not None or "cut" in payload:
+            payload["cut"] = cut
         return payload
 
     def _chain_file(

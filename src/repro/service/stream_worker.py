@@ -12,10 +12,10 @@ The queue hand-off is whole-batch on both sides: ``submit`` enqueues one
 queue item per batch (the bounded capacity and every backpressure policy
 count whole batches by their point count), and the worker takes the
 *entire* backlog in a single lock acquisition per drain cycle, feeding
-batch after batch under one state-lock hold and materializing the view
-once at the end of the cycle.  Points are never serialized individually
-through the queue, so a producer burst of k chunks costs one worker
-wakeup and one view refresh instead of k.
+it batch by batch and materializing the view once at the end of the
+cycle.  Points are never serialized individually through the queue, so
+a producer burst of k chunks costs one worker wakeup and one view
+refresh instead of k.
 
 Backpressure when the queue is full is configurable:
 
@@ -337,9 +337,13 @@ class StreamWorker:
         self._in_flight: list[np.ndarray] | None = None
         self._fatal_leftover: np.ndarray | None = None
         self._cv = threading.Condition()
-        # Held by the worker around each pipeline feed and by checkpoint
-        # readers; guarantees a checkpoint never sees a half-applied batch.
+        # Held by the worker around each batch it feeds (and around the
+        # materialize) and by checkpoint readers; guarantees a
+        # checkpoint never sees a half-applied batch.
         self._state_lock = threading.Lock()
+        # Holds on the worker (see hold()): while any is taken, the worker
+        # stops at its next batch boundary, outside the state lock.
+        self._holds = 0
         self._view: MaterializedView | None = None
         self._view_lock = threading.Lock()
         self._error: BaseException | None = None
@@ -536,6 +540,15 @@ class StreamWorker:
     # ------------------------------------------------------------------
 
     def _run(self) -> None:
+        """Drain cycles: take the whole backlog, feed it one batch per
+        state-lock hold, then materialize once under one more.
+
+        Between two batches the in-flight list holds exactly the batches
+        not yet applied, so a :meth:`checkpoint_capture` may take the
+        lock there and still get a clean cut.  Before each lock hold the
+        worker waits out any :meth:`hold`, so a capture waits for one
+        batch at most.
+        """
         while True:
             with self._cv:
                 self._cv.wait_for(lambda: self._queue or self._stop_requested)
@@ -543,20 +556,22 @@ class StreamWorker:
                     break
                 # Take the whole backlog in one go: every queue item is a
                 # whole submitted batch, and the cycle below pays one
-                # state-lock acquisition and one materialize for all of
-                # them instead of one per batch.
+                # queue hand-off and one materialize for all of them
+                # instead of one per batch.
                 batches = list(self._queue)
                 self._queue.clear()
                 self._queued_points = 0
                 self._in_flight = batches
                 self._cv.notify_all()
             try:
-                with self._state_lock:
-                    while batches:
-                        batch = batches[0]
-                        ingested = self._feed(batch)
+                while batches:
+                    self._wait_while_held()
+                    with self._state_lock:
+                        ingested = self._feed(batches[0])
                         self.counters.record_drained(ingested)
                         del batches[0]
+                self._wait_while_held()
+                with self._state_lock:
                     self._materialize()
                     with self._cv:
                         self._in_flight = None
@@ -579,6 +594,27 @@ class StreamWorker:
                     self._in_flight = None
                     self._cv.notify_all()
                 break
+
+    def _wait_while_held(self) -> None:
+        if self._holds:
+            with self._cv:
+                self._cv.wait_for(lambda: not self._holds)
+
+    def hold(self) -> None:
+        """Stop the worker at its next batch boundary until
+        :meth:`release` (holds nest).  A lock handed straight back from
+        batch to batch would starve a capture waiting for it; the shard
+        host also holds a barrier's streams while it writes them, so the
+        writes do not compete with their ingest (the queues absorb the
+        pause)."""
+        with self._cv:
+            self._holds += 1
+
+    def release(self) -> None:
+        """Undo one :meth:`hold`."""
+        with self._cv:
+            self._holds -= 1
+            self._cv.notify_all()
 
     def _feed(self, batch: np.ndarray) -> int:
         """Feed one batch; returns the number of points ingested.
@@ -754,27 +790,31 @@ class StreamWorker:
     ) -> dict:
         """One consistent capture of everything a checkpoint can use.
 
-        Holding the state lock first parks the worker *between* batches;
-        the queue lock then captures the not-yet-ingested tail (numpy
-        copies), so every submitted point lands in exactly one of
-        ``state`` (the maintainer's ``state_dict()``) or ``tail``.
-        ``state=False`` skips the state capture entirely -- delta
-        checkpoints only need arrivals, tail, and the replay slice.
-        With ``replay_since`` the capture also includes the replay-log
-        slice starting at that arrival -- the
+        Holding the state lock parks the worker *between* batches: the
+        worker takes it once per batch, and the capture holds the worker
+        (:meth:`hold`) while it waits, so it waits for at most one
+        batch, not a whole drain cycle.  The queue lock then captures the
+        not-yet-ingested tail (numpy copies): the rest of the drain
+        cycle, then the queue.  Every submitted point lands in exactly
+        one of ``state`` (the maintainer's ``state_dict()``) or
+        ``tail``.  ``state=False`` skips the state capture entirely --
+        delta checkpoints only need arrivals, tail, and the replay
+        slice.  With ``replay_since`` the capture also includes the
+        replay-log slice starting at that arrival -- the
         ingested-since-last-checkpoint batches a delta checkpoint
         persists.  Serializing the state is left to the caller, outside
         both locks.
         """
-        with self._state_lock:
-            with self._cv:
+        self.hold()
+        try:
+            with self._state_lock, self._cv:
                 self._raise_if_failed()
                 tail = [batch.copy() for batch in self._queue]
                 if self._in_flight is not None:
-                    # The worker only applies in-flight batches while
-                    # holding the state lock, so any batches it already
-                    # popped are still entirely un-applied here: they
-                    # belong to the tail, ahead of the queued ones.
+                    # The worker drops a batch from the in-flight list
+                    # under the state lock once it is applied, so the
+                    # ones left are entirely un-applied: they belong to
+                    # the tail, ahead of the queued ones.
                     tail = [batch.copy() for batch in self._in_flight] + tail
                 capture: dict = {
                     "arrivals": self._pipeline.arrivals,
@@ -789,6 +829,8 @@ class StreamWorker:
                 if state:
                     capture["state"] = self.maintainer.state_dict()
                 return capture
+        finally:
+            self.release()
 
     # ------------------------------------------------------------------
     # Recovery side (supervisor)

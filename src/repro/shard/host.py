@@ -14,7 +14,12 @@ A shard owns two channels back to the router:
   replay so barriers against pre-crash sequence numbers resolve).
   Each frame is applied under the lock a checkpoint holds while it
   captures, so a snapshot holds exactly the frames up to the
-  watermark it reports, even when other producers keep sending.
+  watermark it reports, even when other producers keep sending.  Each
+  snapshot records that watermark as its *cut*, and a restored shard
+  reports every stream's restored cut (``restore_report``), so the
+  router replays exactly the frames after it, whichever generation the
+  restore reached and whether or not the router heard the barrier's
+  reply.
 * the **control channel** -- the main thread answers one JSON verb at a
   time (create/drop/query/health/metrics/checkpoint/...), each reply
   echoing the request's sequence number.
@@ -35,6 +40,7 @@ router's job (respawn + restore + replay, see
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack
 from dataclasses import asdict
 
 from ..service.service import StreamService, StreamSpec, UnknownStreamError
@@ -177,12 +183,6 @@ class ShardHost:
                 f"(applied {self._watermark.applied})"
             )
 
-    def _stream_arrivals(self) -> dict[str, int]:
-        return {
-            name: int(self.service.stats(name)["arrivals"])
-            for name in self.service.streams()
-        }
-
     def dispatch(self, verb: str, args: dict):
         """Answer one control verb against the internal service."""
         service = self.service
@@ -193,13 +193,13 @@ class ShardHost:
             }
         if verb == "restore_report":
             # A restored service resubmits each snapshot's buffered tail
-            # through the normal queues; drain first so the reported
-            # arrival counts are the stable post-restore totals the
-            # router compares against its checkpoint bookkeeping.
+            # through the normal queues; drain it, so the router's
+            # replay starts from settled streams.  A cut is None for a
+            # snapshot written without one (an older version's).
             service.flush()
             return {
                 "streams": service.streams(),
-                "arrivals": self._stream_arrivals(),
+                "cuts": dict(service._restored_cuts),
             }
         if verb == "create_stream":
             service.create_stream(
@@ -257,25 +257,53 @@ class ShardHost:
             return service.certify(args.pop("name"), **args)
         if verb == "checkpoint":
             self._barrier(args)
-            name, mode = args.get("name"), args.get("mode", "auto")
+            name = args.get("name")
             names = [name] if name is not None else service.streams()
-            # The cut: every stream is captured between the same two
-            # data frames.  The writes follow while new frames apply.
+            paths, applied = self._checkpoint(names, args.get("mode", "auto"))
+            return {"paths": paths, "applied_seq": applied}
+        raise ValueError(f"unknown shard verb {verb!r}")
+
+    def _checkpoint(self, names: list[str], mode: str) -> tuple[list[str], int]:
+        """Snapshot ``names`` at one cut; returns the paths and the cut.
+
+        Every stream is captured between the same two data frames, and
+        each snapshot records the watermark there.  The writes follow
+        while new frames apply, with the streams' workers held at a
+        batch boundary: beside busy workers they would take ten times
+        as long, while the queues absorb the short pause.  The holds
+        are taken under the apply lock, so no frame waits on a held
+        worker's full queue while holding it.
+        """
+        service = self.service
+        with ExitStack() as held:
             with self._apply_lock:
+                for stream in names:
+                    worker = service._worker(stream)
+                    worker.hold()
+                    held.callback(worker.release)
+                applied = self._watermark.applied
                 captured = [
-                    service._capture_checkpoint(stream, mode)
+                    service._capture_checkpoint(stream, mode, cut=applied)
                     for stream in names
                 ]
-                applied = self._watermark.applied
-            paths, arrivals = [], {}
+            paths = []
             for stream, capture in zip(names, captured):
                 with service.tracer.span("checkpoint", stream):
-                    path, arrivals[stream] = service._write_checkpoint(capture)
-                paths.append(path)
-            # The watermark at the cut and, per stream, the arrivals a
-            # restore from its snapshot reaches.
-            return {"paths": paths, "applied_seq": applied, "arrivals": arrivals}
-        raise ValueError(f"unknown shard verb {verb!r}")
+                    paths.append(service._write_checkpoint(capture))
+        return paths, applied
+
+    def _close_service(self) -> None:
+        """Drain and stop the service, then take its final checkpoint
+        of every live stream (unless the router declined one), which
+        records its cut like a barrier's."""
+        service = self.service
+        final = self._close_checkpoint is not False and service._store is not None
+        service.close(checkpoint=False)
+        if final:
+            self._checkpoint(
+                [n for n in service.streams() if not service.stats(n)["failed"]],
+                "auto",
+            )
 
     def run(self) -> None:
         """Serve both channels until the router says stop (or dies)."""
@@ -328,7 +356,7 @@ class ShardHost:
             pass
         finally:
             try:
-                self.service.close(checkpoint=self._close_checkpoint)
+                self._close_service()
             finally:
                 for sock in (self._data_sock, self._ctrl_sock):
                     try:

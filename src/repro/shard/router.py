@@ -28,23 +28,33 @@ retained base checkpoint (``shard_states()[id]["replay_points"]``, the
 ``repro_router_replay_points`` gauge); when a shard process dies the
 monitor thread respawns it after the :class:`~repro.service.supervisor.
 RestartPolicy` backoff, restores it from its own SnapshotStore
-directory, reconciles the stream set, and replays the retained frames
-newer than the last checkpoint -- deterministic synopses plus identical
-replay make the recovered shard bit-identical to one that never
-crashed.  A shard that exhausts its restart budget is ``failed``;
-producers get :class:`~repro.service.supervisor.StreamFailedError`.
+directory, reconciles the stream set, and replays each stream's
+retained frames after the *cut* its restored snapshot recorded (the
+shard's frame watermark at capture) -- deterministic synopses plus
+identical replay make the recovered shard bit-identical to one that
+never crashed, whichever generation the restore reached.  A shard that
+exhausts its restart budget is ``failed``; producers get
+:class:`~repro.service.supervisor.StreamFailedError`.
 
+**Barriers.**  An automatic barrier falls due once a shard's cadence of
+points has been framed to it: every stream's ``checkpoint_every``
+(the smallest counts), or, without a ``snapshot_dir``,
+:data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY`.  The producer
+that trips it only marks the shard due; one router-owned checkpointer
+thread runs the barrier, and the next cadence counts from the trip.
+Producers wait only when the shard falls due again while its previous
+barrier is still in flight (``repro_router_checkpoint_wait_seconds``),
+which bounds each shard's frame log at ``(snapshot_keep + 1) x
+(cadence + one batch)`` points when every barrier writes a base (the
+default ``snapshot_base_every``).  ``repro_router_checkpoint_seconds``
+times each barrier from when it falls due to when it is recorded.
 Without a ``snapshot_dir`` the shards' stores live in a private
-temporary directory, and the router takes a barrier once
-:data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY` points have
-been framed to a shard (sooner when a stream sets ``checkpoint_every``),
-so the frame log holds about ``snapshot_keep`` cadences.  ``close()``
-removes that directory without a final checkpoint, and the public
-``checkpoint()`` and ``restore()`` still refuse without the caller's
+temporary directory; ``close()`` lets an in-flight barrier finish,
+then removes the directory without a final checkpoint, and the public
+``checkpoint()`` and ``restore()`` refuse without the caller's
 directory.  A caller's ``snapshot_dir`` keeps the caller's cadence:
 without ``checkpoint_every`` its log grows until the caller
-checkpoints.  Each barrier's wait is the
-``repro_router_checkpoint_seconds`` histogram.
+checkpoints.
 
 Two deliberate semantic differences from the threaded tier:
 
@@ -53,10 +63,9 @@ Two deliberate semantic differences from the threaded tier:
   ``block`` propagates, through the OS socket buffer).
 * ``checkpoint(name)`` checkpoints the whole owning shard (every
   stream it hosts): replay retention is per shard, so its durable
-  watermark must advance as one unit.  The automatic cadence follows:
-  a shard is due once its smallest ``checkpoint_every`` of points has
-  been framed to it since its last barrier, and a failed automatic
-  checkpoint counts against every stream of the shard.
+  watermark must advance as one unit.  The automatic cadence follows
+  (see *Barriers*), and a failed automatic checkpoint counts against
+  every stream of the shard.
 """
 
 from __future__ import annotations
@@ -173,9 +182,9 @@ _IDEMPOTENT_VERBS = frozenset(
 )
 
 
-def _frame_points(record: tuple[int, str, int, bytes]) -> int:
+def _frame_points(record: tuple[int, str, bytes]) -> int:
     """Points in a replay-log record (its payload is a float64 buffer)."""
-    return len(record[3]) // 8
+    return len(record[2]) // 8
 
 
 class ShardDownError(RuntimeError):
@@ -202,33 +211,42 @@ class _ShardHandle:
         self.process = None
         self.data_sock = None
         self.ctrl_sock = None
-        # send_lock orders data frames and guards the replay buffer;
-        # ctrl_lock serializes request/reply pairs on the control channel.
+        # send_lock orders data frames and guards the replay buffer and
+        # the barrier bookkeeping; ctrl_lock serializes request/reply
+        # pairs on the control channel; barrier_lock lets one barrier
+        # (automatic or public) run on the shard at a time.
         self.send_lock = threading.Lock()
+        self.barrier_done = threading.Condition(self.send_lock)
         self.ctrl_lock = threading.Lock()
+        self.barrier_lock = threading.Lock()
         self.next_seq = 1
         self.ctrl_seq = 0
-        # Frames since the oldest retained checkpoint generation:
-        # (seq, stream, per-stream submitted-point offset, payload),
-        # and the points they hold.
-        self.replay: deque[tuple[int, str, int, bytes]] = deque()
+        # Frames since the oldest retained base checkpoint:
+        # (seq, stream, payload), and the points they hold.
+        self.replay: deque[tuple[int, str, bytes]] = deque()
         self.replay_points = 0
-        self.checkpoint_seqs: deque[int] = deque(maxlen=2)
+        # Per stream, the newest frame number the log no longer holds
+        # (trimmed, or from before a cold restore): a restore to an
+        # earlier cut cannot be replayed exactly.
+        self.trimmed_upto: dict[str, int] = {}
         # Barriers that wrote *full* (base) generations: replay frames
         # are only droppable once a base covers them -- a delta barrier
         # still needs every frame back to its base on a corrupt chain.
         self.base_seqs: deque[int] = deque(maxlen=2)
         self.deltas_since_base = 0
-        self.arrivals_at_checkpoint: dict[str, int] = {}
         self.points_since_checkpoint = 0
         self.checkpoint_cadence: int | None = None
-        self.checkpoint_pending = False
+        # Automatic barriers owed, as the times they fell due: the first
+        # is in flight (or next for the checkpointer); while a second
+        # one waits behind it, producers wait too.
+        self.barriers_due: deque[float] = deque()
         self.state = "down"  # up / dead / recovering / failed / closed
         self.restarts = 0
         self.last_error: str | None = None
         self.lossy = False
         self.breaker: CircuitBreaker | None = None  # set by the router
         self.checkpoint_latency = None  # set by the router
+        self.checkpoint_wait = None  # set by the router
 
 
 class ShardRouter(ServiceProtocol):
@@ -244,8 +262,16 @@ class ShardRouter(ServiceProtocol):
         ``router.json`` manifest (specs + ring geometry) beside them.
         Without it the stores live in a private temporary directory
         that only bounds the replay log: the router takes automatic
-        barriers into it, ``checkpoint()`` and ``restore()`` are
-        unavailable, and ``close()`` removes it.
+        barriers into it every
+        :data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY` points
+        framed to a shard, on its checkpointer thread, so producers do
+        not wait for them, and each shard's frame log stays within
+        ``(snapshot_keep + 1) x (cadence + one batch)`` points (a
+        producer waits, timed in
+        ``repro_router_checkpoint_wait_seconds``, only when a shard
+        falls due again while its barrier is in flight).
+        ``checkpoint()`` and ``restore()`` are unavailable, and
+        ``close()`` removes the directory.
     virtual_nodes:
         Ring points per shard (placement granularity).
     restart_policy:
@@ -323,6 +349,8 @@ class ShardRouter(ServiceProtocol):
         )
         self._cond = threading.Condition()
         self._stop_event = threading.Event()
+        # Wakes the checkpointer when a shard falls due (and at close).
+        self._barrier_cond = threading.Condition()
 
         restoring = bool(_restore)
         if restoring:
@@ -333,7 +361,6 @@ class ShardRouter(ServiceProtocol):
                 self._register(name, StreamSpec.from_dict(spec))
         self.num_shards = int(num_shards)
         self._ring = HashRing(range(self.num_shards), virtual_nodes)
-        self._submitted: dict[str, int] = {}
         # Hot-path routing cache: stream -> (handle, points counter).
         self._route: dict[str, tuple[_ShardHandle, object]] = {}
 
@@ -342,7 +369,6 @@ class ShardRouter(ServiceProtocol):
             for shard_id in range(self.num_shards)
         }
         for handle in self._shards.values():
-            handle.checkpoint_seqs = deque(maxlen=self._snapshot_keep)
             handle.base_seqs = deque(maxlen=self._snapshot_keep)
             handle.breaker = CircuitBreaker(
                 shard=str(handle.shard_id),
@@ -352,6 +378,10 @@ class ShardRouter(ServiceProtocol):
             )
             handle.checkpoint_latency = self.registry.histogram(
                 "repro_router_checkpoint_seconds", shard=str(handle.shard_id)
+            )
+            handle.checkpoint_wait = self.registry.histogram(
+                "repro_router_checkpoint_wait_seconds",
+                shard=str(handle.shard_id),
             )
             try:
                 self._spawn(handle, restore=restoring)
@@ -372,6 +402,13 @@ class ShardRouter(ServiceProtocol):
             target=self._monitor, name="shard-router-monitor", daemon=True
         )
         self._monitor_thread.start()
+        # Not the monitor: a barrier that meets a dead shard waits for
+        # the monitor to recover it.
+        self._checkpointer_thread = threading.Thread(
+            target=self._checkpointer, name="shard-router-checkpointer",
+            daemon=True,
+        )
+        self._checkpointer_thread.start()
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -486,29 +523,20 @@ class ShardRouter(ServiceProtocol):
                         pass
                 handle.process.join(timeout=5.0)
                 self._spawn(handle, restore=True)
-                restored = self._reconcile(handle)
-                exact = all(
-                    restored.get(name, 0) == count
-                    for name, count in handle.arrivals_at_checkpoint.items()
-                )
-                checkpoint_seq = (
-                    handle.checkpoint_seqs[-1] if handle.checkpoint_seqs else 0
-                )
+                cuts = self._reconcile(handle)
                 replayed = 0
-                for seq, name, start, payload in handle.replay:
-                    if name not in self._specs:
-                        continue
-                    if exact:
-                        if seq <= checkpoint_seq:
-                            continue
-                    elif start < restored.get(name, 0):
-                        continue
-                    send_frame(handle.data_sock, KIND_DATA, seq, name, payload)
-                    replayed += 1
-                if not exact:
-                    # The shard fell back past the newest generation (or
-                    # restored nothing); offset-based replay is exact
-                    # unless poison quarantine skewed arrival counts.
+                for seq, name, payload in handle.replay:
+                    if name in self._specs and seq > cuts.get(name, 0):
+                        send_frame(
+                            handle.data_sock, KIND_DATA, seq, name, payload
+                        )
+                        replayed += 1
+                # Exact from any restored generation whose cut the log
+                # still reaches back to.
+                if any(
+                    cuts.get(name, 0) < upto
+                    for name, upto in handle.trimmed_upto.items()
+                ):
                     handle.lossy = True
                 if handle.next_seq > 1:
                     # Watermark sync so pre-crash barriers resolve even
@@ -621,7 +649,9 @@ class ShardRouter(ServiceProtocol):
     def _owned(self, shard_id: int) -> list[str]:
         """The hosted streams the ring places on one shard, sorted."""
         return sorted(
-            name for name in self._specs if self._ring.owner(name) == shard_id
+            name
+            for name in list(self._specs)
+            if self._ring.owner(name) == shard_id
         )
 
     # ------------------------------------------------------------------
@@ -680,7 +710,6 @@ class ShardRouter(ServiceProtocol):
             # The shard died mid-create; recovery re-creates every owned
             # stream from the spec map, so registration stands.
             self._note_dead(handle)
-        self._submitted.setdefault(name, 0)
         self._cache_route(name)
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
@@ -691,7 +720,6 @@ class ShardRouter(ServiceProtocol):
         self._request(handle, "drop_stream", {"name": name, "drain": drain})
         self._unregister(name)
         self._route.pop(name, None)
-        self._submitted.pop(name, None)
         with handle.send_lock:
             handle.replay = deque(
                 record for record in handle.replay if record[1] != name
@@ -699,6 +727,7 @@ class ShardRouter(ServiceProtocol):
             handle.replay_points = sum(
                 _frame_points(record) for record in handle.replay
             )
+            handle.trimmed_upto.pop(name, None)
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
 
@@ -720,8 +749,10 @@ class ShardRouter(ServiceProtocol):
         the replay buffer and recovery re-delivers it.  A wedged shard
         whose breaker is open raises :class:`ShardUnavailableError`
         instead of blocking on its socket.  The automatic checkpoint
-        cadence counts points framed to the shard since its last
-        barrier, and a due checkpoint covers the whole shard.
+        cadence counts points framed to the shard since its last barrier
+        fell due; the frame that trips it marks the whole shard due for
+        the checkpointer and starts the next count.  A producer waits
+        only while the shard owes a second barrier behind one in flight.
         """
         handle, counter = self._route[name]
         points = int(batch.size)
@@ -736,20 +767,24 @@ class ShardRouter(ServiceProtocol):
             )
         send_failed = False
         with handle.send_lock:
+            if len(handle.barriers_due) > 1:
+                started = time.perf_counter()
+                handle.barrier_done.wait_for(
+                    lambda: len(handle.barriers_due) < 2 or self._closed
+                )
+                handle.checkpoint_wait.observe(time.perf_counter() - started)
             seq = handle.next_seq
             handle.next_seq = seq + 1
-            start = self._submitted[name]
-            self._submitted[name] = start + points
-            handle.replay.append((seq, name, start, payload))
+            handle.replay.append((seq, name, payload))
             handle.replay_points += points
             handle.points_since_checkpoint += points
             checkpoint_due = (
                 handle.checkpoint_cadence is not None
                 and handle.points_since_checkpoint >= handle.checkpoint_cadence
-                and not handle.checkpoint_pending
             )
             if checkpoint_due:
-                handle.checkpoint_pending = True
+                handle.points_since_checkpoint = 0
+                handle.barriers_due.append(time.perf_counter())
             # A dropped frame stays in the replay buffer: the fault
             # models a send lost to a dying shard, recoverable only by
             # crash + replay.
@@ -765,19 +800,46 @@ class ShardRouter(ServiceProtocol):
                 else:
                     self._send_latency.observe(time.perf_counter() - started)
         counter.inc(points)
+        if checkpoint_due:
+            with self._barrier_cond:
+                self._barrier_cond.notify()
         if send_failed:
-            if checkpoint_due:
-                handle.checkpoint_pending = False
             self._note_dead(handle)
-        elif checkpoint_due:
-            try:
+        return points
+
+    def _checkpointer(self) -> None:
+        """Run the automatic barriers shards fall due for, oldest first,
+        one at a time, until ``close()``; a barrier in flight at close
+        finishes (or fails) first, and the ones still owed are dropped."""
+        shards = list(self._shards.values())
+        while True:
+            with self._barrier_cond:
+                self._barrier_cond.wait_for(
+                    lambda: self._closed or any(h.barriers_due for h in shards)
+                )
+                if self._closed:
+                    return
+                due = min(
+                    (h for h in shards if h.barriers_due),
+                    key=lambda h: h.barriers_due[0],
+                )
+            self._run_barrier(due)
+
+    def _run_barrier(self, handle: _ShardHandle) -> None:
+        """One automatic barrier; a failure counts against the shard's
+        streams, and either way the producers waiting on it go on."""
+        try:
+            with handle.barrier_lock:
                 self._auto_checkpoint(
-                    lambda: self._checkpoint_shard(handle),
+                    lambda: self._checkpoint_shard(
+                        handle, handle.barriers_due[0]
+                    ),
                     self._owned(handle.shard_id),
                 )
-            finally:
-                handle.checkpoint_pending = False
-        return points
+        finally:
+            with handle.send_lock:
+                handle.barriers_due.popleft()
+                handle.barrier_done.notify_all()
 
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
         """Barrier + drain: every frame sent so far is fully ingested."""
@@ -1101,27 +1163,32 @@ class ShardRouter(ServiceProtocol):
         Shard-granular: naming a stream checkpoints every stream of its
         owning shard (replay retention advances per shard).  After each
         shard acknowledges, the router trims that shard's replay buffer
-        to the oldest retained generation.  Refused without the
-        caller's ``snapshot_dir``.
+        to the oldest retained generation.  Synchronous: it waits for an
+        automatic barrier in flight on the same shard, never overlapping
+        one.  Refused without the caller's ``snapshot_dir``.
         """
         if self._private_dir is not None:
             raise RuntimeError("router was created without a snapshot_dir")
         paths: list[str] = []
         for handle in self._involved(name):
-            paths.extend(self._checkpoint_shard(handle))
+            scheduled = time.perf_counter()
+            with handle.barrier_lock:
+                paths.extend(self._checkpoint_shard(handle, scheduled))
         return paths
 
-    def _checkpoint_shard(self, handle: _ShardHandle) -> list[str]:
-        """One barrier: the shard snapshots every stream it hosts, and
-        the router trims its frame log to the oldest retained base.
+    def _checkpoint_shard(
+        self, handle: _ShardHandle, scheduled: float
+    ) -> list[str]:
+        """One barrier (the caller holds ``barrier_lock``): the shard
+        snapshots every stream it hosts, and the router trims its frame
+        log to the oldest retained base.
 
         The shard captures every frame up to the barrier, plus any later
-        frames other producers got in first; the router records the cut
-        the shard reports (its watermark at capture and the arrivals
-        each stream restores to), not the one it asked for.  A completed
-        barrier is timed as its caller waited for it.
+        frames other producers got in first, and each snapshot records
+        that cut (its watermark at capture); the router records the cut
+        the shard reports, not the one it asked for.  A completed
+        barrier is timed from ``scheduled`` (when it fell due).
         """
-        started = time.perf_counter()
         while True:
             if handle.state != "up":
                 self._await_up(handle)
@@ -1150,24 +1217,18 @@ class ShardRouter(ServiceProtocol):
                 continue
             cut = int(reply["applied_seq"])
             with handle.send_lock:
-                handle.checkpoint_seqs.append(cut)
                 if force_full:
                     handle.base_seqs.append(cut)
                     handle.deltas_since_base = 0
                 else:
                     handle.deltas_since_base += 1
-                handle.arrivals_at_checkpoint = {
-                    stream: int(count)
-                    for stream, count in reply["arrivals"].items()
-                }
                 if handle.base_seqs:
                     oldest = handle.base_seqs[0]
                     while handle.replay and handle.replay[0][0] <= oldest:
-                        handle.replay_points -= _frame_points(
-                            handle.replay.popleft()
-                        )
-                handle.points_since_checkpoint = 0
-            handle.checkpoint_latency.observe(time.perf_counter() - started)
+                        record = handle.replay.popleft()
+                        handle.replay_points -= _frame_points(record)
+                        handle.trimmed_upto[record[1]] = record[0]
+            handle.checkpoint_latency.observe(time.perf_counter() - scheduled)
             return list(reply["paths"])
 
     def _manifest_path(self) -> Path:
@@ -1203,7 +1264,9 @@ class ShardRouter(ServiceProtocol):
 
         Drops the streams its restore brought back that the ring no
         longer places on it, creates the owned ones it lacks, and
-        returns the arrivals its restore reported per stream.
+        returns the cut each restored stream's snapshot recorded (0
+        for a snapshot without one: it predates every frame the router
+        holds).
         """
         report = self._request_raw(handle, "restore_report", {})
         owned = self._owned(handle.shard_id)
@@ -1217,21 +1280,27 @@ class ShardRouter(ServiceProtocol):
                     handle, "create_stream",
                     {"name": stream, "spec": self._shard_spec(stream)},
                 )
-        return {
-            stream: int(count) for stream, count in report["arrivals"].items()
-        }
+        return {stream: int(cut or 0) for stream, cut in report["cuts"].items()}
 
     def _reconcile_restored(self) -> None:
-        """After a cold restore, align every shard with the manifest."""
+        """After a cold restore, align every shard with the manifest.
+
+        Frame numbers continue past every restored cut, so a crash
+        before the first new barrier replays all the new frames; a
+        watermark sync lets barriers at the restored numbers resolve.
+        """
         for handle in self._shards.values():
-            restored = self._reconcile(handle)
-            owned = self._owned(handle.shard_id)
-            handle.arrivals_at_checkpoint = {
-                stream: restored.get(stream, 0) for stream in owned
-            }
+            cuts = self._reconcile(handle)
             handle.checkpoint_cadence = self._shard_cadence(handle)
-            for stream in owned:
-                self._submitted[stream] = restored.get(stream, 0)
+            handle.trimmed_upto = {
+                stream: cuts[stream]
+                for stream in self._owned(handle.shard_id)
+                if cuts.get(stream)
+            }
+            top = max(cuts.values(), default=0)
+            if top:
+                handle.next_seq = top + 1
+                send_frame(handle.data_sock, KIND_DATA, top, "", b"")
 
     @classmethod
     def restore(cls, snapshot_dir, **kwargs) -> "ShardRouter":
@@ -1253,14 +1322,23 @@ class ShardRouter(ServiceProtocol):
 
     def close(self, checkpoint: bool | None = None) -> None:
         """Barrier, optionally checkpoint, and stop every shard
-        (idempotent).  ``checkpoint=None`` means each shard takes its
-        default final checkpoint into the caller's ``snapshot_dir``; a
-        private store gets none and is removed."""
+        (idempotent).  An automatic barrier in flight finishes (or
+        fails) first; owed ones are dropped.  ``checkpoint=None`` means
+        each shard takes its default final checkpoint into the caller's
+        ``snapshot_dir``; a private store gets none and is removed."""
         if self._closed:
             return
         self._closed = True
         if self._private_dir is not None:
             checkpoint = False
+        # A barrier in flight finishes (the monitor can still recover
+        # its shard) before any shard is stopped; owed ones are dropped.
+        with self._barrier_cond:
+            self._barrier_cond.notify_all()
+        self._checkpointer_thread.join()
+        for handle in self._shards.values():
+            with handle.send_lock:
+                handle.barrier_done.notify_all()
         self._stop_event.set()
         if self._monitor_thread.is_alive():
             self._monitor_thread.join(timeout=5.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import shutil
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -554,6 +555,66 @@ class TestCheckpointRestore:
         direct.extend(stream[:200])
         direct.extend(stream[200:300])
         assert restored.synopsis().to_dict() == direct.synopsis().to_dict()
+
+    def test_capture_waits_for_one_batch_not_the_drain_cycle(self):
+        """A capture issued mid drain cycle parks the worker at the next
+        batch boundary: the batches the cycle has not applied yet go
+        into its tail, and a restore from it equals the whole run."""
+        size, seconds = 512, 0.05
+        stream = integer_stream(8 * size, seed=11)
+        batches = [stream[i : i + size] for i in range(0, stream.size, size)]
+        injector = FaultInjector().slow_ingest_at(0, seconds, times=8)
+        worker = StreamWorker(
+            "t", make_maintainer("gk_quantiles", epsilon=0.05),
+            injector=injector,
+        )
+        worker.preload(batches)  # one drain cycle takes all eight
+        worker.start()
+        time.sleep(0.06)
+        started = time.perf_counter()
+        capture = worker.checkpoint_capture()
+        waited = time.perf_counter() - started
+        worker.stop()
+        assert worker.counters.ingested_points == stream.size
+        assert waited < 2 * seconds, f"capture waited {waited:.3f}s"
+        applied = capture["arrivals"]
+        assert 0 < applied < stream.size
+        np.testing.assert_array_equal(
+            np.concatenate(capture["tail"]), stream[applied:]
+        )
+        restored = make_maintainer("gk_quantiles", epsilon=0.05)
+        restored.load_state_dict(capture["state"])
+        resumed = StreamPipeline([restored], initial_arrivals=applied)
+        for batch in capture["tail"]:
+            resumed.extend(batch)
+        direct = make_maintainer("gk_quantiles", epsilon=0.05)
+        whole = StreamPipeline([direct])
+        for batch in batches:
+            whole.extend(batch)
+        assert restored.synopsis().to_dict() == direct.synopsis().to_dict()
+
+    def test_hold_parks_the_worker_at_a_batch_boundary(self):
+        size = 256
+        stream = integer_stream(6 * size, seed=13)
+        injector = FaultInjector().slow_ingest_at(0, 0.02, times=6)
+        worker = StreamWorker(
+            "t", make_maintainer("gk_quantiles", epsilon=0.05),
+            injector=injector,
+        )
+        worker.preload(
+            stream[i : i + size] for i in range(0, stream.size, size)
+        )
+        worker.start()
+        time.sleep(0.03)
+        worker.hold()
+        time.sleep(0.05)  # the batch in progress ends
+        parked = worker.arrivals
+        time.sleep(0.1)
+        assert worker.arrivals == parked < stream.size
+        worker.release()
+        assert worker.flush(timeout=10.0) is True
+        worker.stop()
+        assert worker.arrivals == stream.size
 
     def test_auto_checkpoint_cadence(self, tmp_path):
         store = SnapshotStore(tmp_path)

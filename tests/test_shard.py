@@ -77,6 +77,32 @@ QUERIES = (
 )
 
 
+def _uninterrupted(backend: str, params: dict, chunks) -> dict:
+    """Every query's outcome on a threaded run that never crashed."""
+    with StreamService() as reference:
+        reference.create_stream(
+            "rec", backend=backend, params=params, maintain_every=16
+        )
+        for chunk in chunks:
+            reference.ingest("rec", chunk)
+        assert reference.flush("rec") is True
+        return {
+            label: _outcome(reference, query, "rec") for label, query in QUERIES
+        }
+
+
+def _assert_recovered(router: ShardRouter, expected: dict, label: str) -> None:
+    """Healthy, not lossy, and every answer equal to the reference."""
+    assert router.stats("rec")["arrivals"] == POINTS
+    health = router.health("rec")
+    assert health["state"] == "healthy"
+    assert health["lossy_recovery"] is False
+    for query_label, query in QUERIES:
+        assert _outcome(router, query, "rec") == expected[query_label], (
+            f"{label}: {query_label} diverged after crash recovery"
+        )
+
+
 class TestFraming:
     def test_roundtrip_data_and_control(self):
         left, right = socket.socketpair()
@@ -266,6 +292,18 @@ class TestRouterLifecycle:
                 if s["name"] == "repro_process_cpu_seconds"
             )
             assert cpu == ["0", "1", "router"]
+            # Each shard's barrier series: how long barriers took from
+            # falling due, and how long producers waited for them.
+            for series in (
+                "repro_router_checkpoint_seconds_count",
+                "repro_router_checkpoint_wait_seconds_count",
+            ):
+                shards = sorted(
+                    s["labels"]["shard"]
+                    for s in parse_prometheus_text(text)
+                    if s["name"] == series
+                )
+                assert shards == ["0", "1"], series
 
     def test_certify_covers_streams_and_placement(self):
         with ShardRouter(num_shards=2) as router:
@@ -308,6 +346,21 @@ def _barriers(router: ShardRouter, shard_id: int) -> int:
     return router.registry.histogram(
         "repro_router_checkpoint_seconds", shard=str(shard_id)
     ).count
+
+
+def _wait_for_barriers(router: ShardRouter, shard_id: int, count: int,
+                       timeout: float = 30.0) -> None:
+    """Wait until ``count`` barriers on the shard have been recorded
+    (automatic barriers run on the router's checkpointer thread)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if _barriers(router, shard_id) >= count:
+            return
+        time.sleep(0.01)
+    raise AssertionError(
+        f"shard {shard_id} recorded {_barriers(router, shard_id)} of "
+        f"{count} barriers within {timeout:.0f}s"
+    )
 
 
 def _wait_for_state(router: ShardRouter, shard_id: int, state: str,
@@ -442,7 +495,7 @@ class TestShardCrashRecovery:
             for chunk in chunks[: half + 1]:
                 router.ingest("rec", chunk)
             shard_id = router.placement()["rec"]
-            assert _barriers(router, shard_id) >= 2
+            _wait_for_barriers(router, shard_id, 2)
             _kill_owner(router, "rec")
             for chunk in chunks[half + 1 :]:
                 router.ingest("rec", chunk)
@@ -571,6 +624,176 @@ class TestShardCrashRecovery:
             assert router.quantile("v", 0.5) == before
 
 
+@pytest.mark.chaos
+class TestMidBarrierCrash:
+    """A shard killed in the middle of a barrier: every snapshot records
+    its frame cut, so recovery replays exactly the frames after it,
+    whether or not the router heard the barrier's reply."""
+
+    def test_kill_before_the_reply_is_recorded_recovers_bit_identical(
+        self, all_backends, monkeypatch
+    ):
+        """The shard wrote the second barrier's snapshots and dies
+        before the router records the reply: recovery restores that
+        generation, which the router never heard of."""
+        backend, params = all_backends
+        chunks = _chunks(_domain_stream(POINTS, seed=13))
+        expected = _uninterrupted(backend, params, chunks)
+        with ShardRouter(num_shards=2) as router:
+            router.create_stream(
+                "rec", backend=backend, params=params, maintain_every=16,
+                checkpoint_every=2 * CHUNK,
+            )
+            shard_id = router.placement()["rec"]
+            request_raw = router._request_raw
+            replies: list[dict] = []
+
+            def lose_the_second_reply(handle, verb, args):
+                value = request_raw(handle, verb, args)
+                if verb == "checkpoint":
+                    replies.append(value)
+                    if len(replies) == 2:
+                        os.kill(handle.process.pid, signal.SIGKILL)
+                        raise FramingError("the shard died with its reply")
+                return value
+
+            monkeypatch.setattr(router, "_request_raw", lose_the_second_reply)
+            for chunk in chunks:
+                router.ingest("rec", chunk)
+            _wait_for_restart(router, shard_id)
+            assert router.flush("rec") is True
+            _assert_recovered(router, expected, backend)
+
+    def test_sigkill_while_the_shard_holds_a_barrier_recovers_bit_identical(
+        self,
+    ):
+        params = {"epsilon": 0.05}
+        chunks = _chunks(_domain_stream(POINTS, seed=67))
+        expected = _uninterrupted("gk_quantiles", params, chunks)
+        # The shard holds every checkpoint verb 0.3 s before it runs.
+        injector = FaultInjector().slow_control_at("checkpoint", 0.3, times=100)
+        with ShardRouter(num_shards=1, fault_injector=injector) as router:
+            router.create_stream(
+                "rec", backend="gk_quantiles", params=params,
+                maintain_every=16, checkpoint_every=2 * CHUNK,
+            )
+            for chunk in chunks[:4]:
+                router.ingest("rec", chunk)
+            _wait_for_barriers(router, 0, 2)
+            for chunk in chunks[4:6]:  # the third barrier falls due
+                router.ingest("rec", chunk)
+            time.sleep(0.1)
+            assert _barriers(router, 0) == 2
+            _kill_owner(router, "rec")
+            for chunk in chunks[6:]:
+                router.ingest("rec", chunk)
+            _wait_for_restart(router, 0)
+            assert router.flush("rec") is True
+            _assert_recovered(router, expected, "gk_quantiles")
+
+
+class TestBarrierScheduling:
+    """Automatic barriers run on the router's checkpointer thread."""
+
+    def test_the_ingest_that_makes_a_shard_due_does_not_wait(self):
+        injector = FaultInjector().slow_control_at("checkpoint", 0.5)
+        data = _domain_stream(1024, seed=61)
+        with ShardRouter(num_shards=1, fault_injector=injector) as router:
+            router.create_stream(
+                "g", backend="gk_quantiles", params={"epsilon": 0.05},
+                checkpoint_every=1024,
+            )
+            router.ingest("g", data[:512])
+            started = time.perf_counter()
+            router.ingest("g", data[512:])  # the shard falls due
+            assert time.perf_counter() - started < 0.1
+            assert _barriers(router, 0) == 0
+            _wait_for_barriers(router, 0, 1)
+            # Timed from when the shard fell due; no producer waited.
+            barrier = router.registry.histogram(
+                "repro_router_checkpoint_seconds", shard="0"
+            )
+            assert barrier.sum >= 0.5
+            waited = router.registry.histogram(
+                "repro_router_checkpoint_wait_seconds", shard="0"
+            )
+            assert waited.count == 0
+
+    def test_two_producers_stay_within_the_frame_log_bound(self):
+        """Points other producers frame during a barrier count toward
+        the next one, and a shard that falls due again while its
+        barrier is in flight holds every producer back."""
+        cadence, chunk, keep, batches = 4096, 512, 2, 300
+        bound = (keep + 1) * (cadence + chunk)
+        injector = FaultInjector().slow_control_at(
+            "checkpoint", 0.2, times=1000
+        )
+        with ShardRouter(
+            num_shards=1, snapshot_keep=keep, fault_injector=injector
+        ) as router:
+            router.create_stream(
+                "g", backend="gk_quantiles", params={"epsilon": 0.05},
+                checkpoint_every=cadence,
+            )
+            samples: list[int] = []
+
+            def produce(seed: int) -> None:
+                data = _domain_stream(batches * chunk, seed)
+                for start in range(0, data.size, chunk):
+                    router.ingest("g", data[start : start + chunk])
+                    samples.append(router.shard_states()[0]["replay_points"])
+
+            producers = [
+                threading.Thread(target=produce, args=(seed,))
+                for seed in (71, 73)
+            ]
+            for producer in producers:
+                producer.start()
+            for producer in producers:
+                producer.join(timeout=120.0)
+            assert not any(producer.is_alive() for producer in producers)
+            assert max(samples) <= bound
+            points = 2 * batches * chunk
+            _wait_for_barriers(router, 0, points // cadence - 1)
+            waited = router.registry.histogram(
+                "repro_router_checkpoint_wait_seconds", shard="0"
+            )
+            assert waited.count > 0
+            assert router.flush() is True
+            assert router.stats("g")["arrivals"] == points
+
+    def test_public_checkpoint_waits_for_an_automatic_barrier(
+        self, tmp_path, monkeypatch
+    ):
+        injector = FaultInjector().slow_control_at("checkpoint", 0.3, times=2)
+        with ShardRouter(
+            num_shards=1, snapshot_dir=tmp_path / "snap",
+            fault_injector=injector,
+        ) as router:
+            router.create_stream(
+                "g", backend="gk_quantiles", params={"epsilon": 0.05},
+                checkpoint_every=512,
+            )
+            running = threading.Lock()
+            overlapped: list[bool] = []
+            checkpoint_shard = router._checkpoint_shard
+
+            def exclusive(*args):
+                alone = running.acquire(blocking=False)
+                overlapped.append(not alone)
+                try:
+                    return checkpoint_shard(*args)
+                finally:
+                    if alone:
+                        running.release()
+
+            monkeypatch.setattr(router, "_checkpoint_shard", exclusive)
+            router.ingest("g", _domain_stream(512, seed=79))  # falls due
+            assert router.checkpoint()
+            _wait_for_barriers(router, 0, 2)
+            assert overlapped == [False, False]
+
+
 class TestStorelessRouter:
     """A router without a ``snapshot_dir`` checkpoints into a private
     temporary directory, which bounds its frame log."""
@@ -578,13 +801,14 @@ class TestStorelessRouter:
     def test_frame_log_stays_bounded(self):
         """No snapshot_dir, no checkpoint_every: automatic barriers into
         the private store keep the router's frame log within
-        ``snapshot_keep`` cadences, the exported metrics show it, and
-        the answers match the threaded tier.  The CI shard job runs this
-        test under a fresh TMPDIR and fails if close() left it unclean.
+        ``snapshot_keep + 1`` cadences (one batch each), the exported
+        metrics show it, and the answers match the threaded tier.  The
+        CI shard job runs this test under a fresh TMPDIR and fails if
+        close() left it unclean.
         """
         chunk, keep = 512, 2
         data = _domain_stream(3 * DEFAULT_CHECKPOINT_EVERY, seed=53)
-        bound = keep * (DEFAULT_CHECKPOINT_EVERY + chunk)
+        bound = (keep + 1) * (DEFAULT_CHECKPOINT_EVERY + chunk)
         with StreamService() as reference, ShardRouter(
             num_shards=1, snapshot_keep=keep
         ) as router:
@@ -600,6 +824,7 @@ class TestStorelessRouter:
                 router.ingest("g", batch)
                 peak = max(peak, router.shard_states()[0]["replay_points"])
             assert DEFAULT_CHECKPOINT_EVERY <= peak <= bound
+            _wait_for_barriers(router, 0, 3)
             exported = {
                 sample["name"]: sample["value"]
                 for sample in parse_prometheus_text(router.prometheus_metrics())
@@ -612,6 +837,34 @@ class TestStorelessRouter:
             assert router.flush() is True
             assert reference.flush() is True
             assert router.histogram("g") == reference.histogram("g")
+
+    def test_close_with_a_barrier_in_flight_leaves_nothing_behind(self):
+        """close() lets the in-flight barrier finish, then removes the
+        private store; no router thread outlives it, and no snapshot
+        appears afterwards.  The CI shard job runs this under a fresh
+        TMPDIR too, and fails if close() left it unclean."""
+        injector = FaultInjector().slow_control_at("checkpoint", 0.5)
+        router = ShardRouter(num_shards=1, fault_injector=injector)
+        private = router._private_dir
+        try:
+            router.create_stream(
+                "s", backend="gk_quantiles", params={"epsilon": 0.1},
+                checkpoint_every=512,
+            )
+            router.ingest("s", _domain_stream(512, seed=5))  # falls due
+            time.sleep(0.1)  # the shard holds the barrier
+            assert _barriers(router, 0) == 0
+        finally:
+            router.close()
+        assert _barriers(router, 0) == 1
+        assert not private.exists()
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("shard-router-")
+        ]
+        time.sleep(0.6)
+        assert not private.exists()
 
     def test_close_removes_the_private_store_without_a_final_checkpoint(
         self, tmp_path, monkeypatch
@@ -670,6 +923,33 @@ class TestRouterRestore:
                 restored.ingest("r", chunk)
             assert restored.flush("r") is True
             assert restored.histogram("r") == expected
+
+    def test_crash_after_a_cold_restore_replays_the_new_frames(self, tmp_path):
+        """Frame numbers continue past the restored cuts: a crash before
+        the first new barrier replays every frame sent since restore."""
+        params = {"epsilon": 0.05}
+        chunks = _chunks(_domain_stream(POINTS, seed=23))
+        half = len(chunks) // 2
+        expected = _uninterrupted("gk_quantiles", params, chunks)
+        snap = tmp_path / "snap"
+        router = ShardRouter(num_shards=1, snapshot_dir=snap)
+        try:
+            router.create_stream(
+                "rec", backend="gk_quantiles", params=params,
+                maintain_every=16,
+            )
+            for chunk in chunks[:half]:
+                router.ingest("rec", chunk)
+        finally:
+            router.close(checkpoint=True)
+        with ShardRouter.restore(snap) as restored:
+            for chunk in chunks[half:]:
+                restored.ingest("rec", chunk)
+            assert restored.flush("rec") is True
+            _kill_owner(restored, "rec")
+            _wait_for_restart(restored, 0)
+            assert restored.flush("rec") is True
+            _assert_recovered(restored, expected, "gk_quantiles")
 
 
 class TestServiceConfig:
