@@ -20,10 +20,10 @@ bounded queues while the per-stream workers drain them, for fleets of
   ``SHARD_COUNTS``, so the process tier's IPC overhead and scaling curve
   are recorded next to the threaded numbers they must beat;
 * checkpoint cost: a 16-stream fleet of state-heavy sliding-window
-  buffers is checkpointed under the binary delta cadence
-  (``snapshot_base_every=CHECKPOINT_BASE_EVERY``) and against the
+  buffers is checkpointed in the shapes the service chooses by size
+  (a full, then deltas while they weigh less than it) and against the
   format-2 JSON layout the store used to write, recording bytes per
-  checkpoint (full, delta, amortized over a base cycle), checkpoint
+  checkpoint (full, delta, amortized over a full-to-full cycle), checkpoint
   p50/p99 latency for both layouts, and cold-restore latency.
 
 Standalone:  ``PYTHONPATH=src python benchmarks/bench_service_throughput.py``
@@ -78,9 +78,11 @@ REGRESSION_TOLERANCE = 0.15
 CHECKPOINT_STREAMS = 16
 CHECKPOINT_BACKEND = "exact"
 CHECKPOINT_PARAMS = {"window_size": 4096}
-CHECKPOINT_BASE_EVERY = 8
+#: Barriers per full-to-full cycle the shape rule settles into here: a
+#: 33.8 KB full outweighs seven 4.6 KB deltas but not eight.
+CHECKPOINT_CYCLE = 8
 CHECKPOINT_INTERVAL = 512  # points per stream between barriers
-CHECKPOINT_CYCLES = 2  # full delta cycles driven (base_every barriers each)
+CHECKPOINT_CYCLES = 2  # full-to-full cycles driven
 CHECKPOINT_JSON_TRIALS = 6  # timed format-2 JSON checkpoint passes
 
 #: ``--check`` fails when amortized binary checkpoint bytes are not at
@@ -304,10 +306,10 @@ def _write_format2_json(directory: Path, name: str, seq: int, payload: dict) -> 
 
 
 def run_checkpoint() -> dict:
-    """Checkpoint bytes and latency: binary delta cadence vs JSON.
+    """Checkpoint bytes and latency: binary fulls and deltas vs JSON.
 
     A 16-stream fleet of ``CHECKPOINT_BACKEND`` streams is filled, then
-    driven through ``CHECKPOINT_CYCLES`` base cycles of checkpoint
+    driven through ``CHECKPOINT_CYCLES`` full-to-full cycles of checkpoint
     barriers with ``CHECKPOINT_INTERVAL`` points per stream between
     them; every barrier's wall time and on-disk bytes are recorded.
     The JSON columns write the format-2 file the store used to persist
@@ -317,15 +319,13 @@ def run_checkpoint() -> dict:
     """
     stream = att_utilization_stream(
         CHECKPOINT_PARAMS["window_size"]
-        + CHECKPOINT_INTERVAL * CHECKPOINT_BASE_EVERY * CHECKPOINT_CYCLES,
+        + CHECKPOINT_INTERVAL * CHECKPOINT_CYCLE * CHECKPOINT_CYCLES,
         seed=7,
     )
     fill = CHECKPOINT_PARAMS["window_size"]
     names = [f"c{i}" for i in range(CHECKPOINT_STREAMS)]
     with tempfile.TemporaryDirectory() as snapshot_dir:
-        service = StreamService(
-            snapshot_dir, snapshot_base_every=CHECKPOINT_BASE_EVERY
-        )
+        service = StreamService(snapshot_dir)
         try:
             for name in names:
                 service.create_stream(
@@ -363,12 +363,13 @@ def run_checkpoint() -> dict:
                     json_seconds.append(time.perf_counter() - started)
                     json_bytes = sum(p.stat().st_size for p in paths)
 
-            # -- binary delta cadence: drive whole base cycles.
+            # -- binary fulls and deltas: drive whole cycles.
             barrier_seconds = []
             barrier_bytes = []
             full_bytes, delta_bytes = [], []
+            fulls_per_barrier = []
             position = fill
-            for _ in range(CHECKPOINT_BASE_EVERY * CHECKPOINT_CYCLES):
+            for _ in range(CHECKPOINT_CYCLE * CHECKPOINT_CYCLES):
                 for name in names:
                     service.ingest(
                         name, stream[position : position + CHECKPOINT_INTERVAL]
@@ -383,18 +384,26 @@ def run_checkpoint() -> dict:
                 for path, size in zip(paths, sizes):
                     (delta_bytes if path.endswith(".delta") else
                      full_bytes).append(size)
+                fulls_per_barrier.append(
+                    sum(not path.endswith(".delta") for path in paths)
+                )
         finally:
             service.close(checkpoint=False)
 
+        # The cycle the amortization assumes: per CHECKPOINT_CYCLE
+        # barriers, one where every stream writes a full.
+        cycle = fulls_per_barrier[-CHECKPOINT_CYCLE:]
+        assert sorted(cycle) == [0] * (CHECKPOINT_CYCLE - 1) + [
+            CHECKPOINT_STREAMS
+        ], f"unexpected full/delta cycle {fulls_per_barrier}"
+
         # Amortized over the last complete cycle (the first full is a
         # cold write, every later cycle is steady state).
-        steady = barrier_bytes[-CHECKPOINT_BASE_EVERY:]
+        steady = barrier_bytes[-CHECKPOINT_CYCLE:]
         amortized = sum(steady) / len(steady)
 
         restore_started = time.perf_counter()
-        restored = StreamService.restore(
-            snapshot_dir, snapshot_base_every=CHECKPOINT_BASE_EVERY
-        )
+        restored = StreamService.restore(snapshot_dir)
         try:
             restored.flush()
             restore_seconds = time.perf_counter() - restore_started
@@ -408,7 +417,7 @@ def run_checkpoint() -> dict:
         "streams": CHECKPOINT_STREAMS,
         "backend": CHECKPOINT_BACKEND,
         "params": CHECKPOINT_PARAMS,
-        "base_every": CHECKPOINT_BASE_EVERY,
+        "base_every": CHECKPOINT_CYCLE,
         "interval_points": CHECKPOINT_INTERVAL,
         "json_bytes_per_checkpoint": json_bytes,
         "json_checkpoint_p50_seconds": json_p50,
@@ -559,7 +568,7 @@ def main(output_path: str = "BENCH_service.json") -> dict:
     checkpoint = run_checkpoint()
     print(
         f"checkpoint ({checkpoint['streams']} streams, "
-        f"base every {checkpoint['base_every']}): "
+        f"a full every {checkpoint['base_every']} barriers): "
         f"{checkpoint['amortized_bytes_per_checkpoint']:,.0f} B amortized "
         f"vs {checkpoint['json_bytes_per_checkpoint']:,} B JSON "
         f"({checkpoint['bytes_ratio_json_over_binary']:.1f}x smaller), "

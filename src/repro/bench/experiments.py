@@ -538,16 +538,19 @@ def maintenance_cadence(
     )
     stream = att_utilization_stream(window + arrivals, seed=seed)
     for cadence in cadences:
-        maintainer = FixedWindowMaintainer(
-            window, num_buckets, epsilon, cache_synopsis=True
-        )
+        maintainer = FixedWindowMaintainer(window, num_buckets, epsilon)
         maintainer.extend(stream[:window])
         maintainer.maintain()
+        # The histogram as of the last maintain: stale by up to c - 1.
+        stale = [maintainer.synopsis()]
         workload = RandomRangeWorkload(window, seed=seed)
         error = {"total": 0.0, "count": 0}
 
+        def refresh(arrivals_seen: int, pipeline: StreamPipeline) -> None:
+            stale[0] = maintainer.synopsis()
+
         def score(arrivals_seen: int, pipeline: StreamPipeline) -> None:
-            histogram = maintainer.last_synopsis()  # stale by up to c - 1
+            histogram = stale[0]
             live = maintainer.window_values()
             for query in workload.sample(queries_per_checkpoint):
                 exact = float(live[query.start : query.end + 1].sum())
@@ -561,6 +564,7 @@ def maintenance_cadence(
             # any cadence (staleness would otherwise be invisible).
             checkpoint_every=37,
             on_checkpoint=score,
+            on_maintain=refresh,
         ).run(stream[window:])[0]
         table.add_row(
             cadence=cadence,

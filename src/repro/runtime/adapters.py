@@ -81,11 +81,7 @@ class FixedWindowMaintainer(Maintainer):
 
     ``maintain()`` triggers the interval-cover rebuild; between maintains
     the builder only slides its window, so a maintenance cadence of ``c``
-    amortizes one rebuild over ``c`` arrivals.  With
-    ``cache_synopsis=True`` every maintain also materializes the
-    histogram, and :meth:`last_synopsis` serves that (possibly stale)
-    snapshot without touching the builder -- the staleness side of the
-    cadence dial.
+    amortizes one rebuild over ``c`` arrivals.
     """
 
     def __init__(
@@ -93,7 +89,6 @@ class FixedWindowMaintainer(Maintainer):
         window_size: int,
         num_buckets: int,
         epsilon: float,
-        cache_synopsis: bool = False,
         name: str | None = None,
     ) -> None:
         super().__init__(
@@ -101,8 +96,6 @@ class FixedWindowMaintainer(Maintainer):
             or f"fixed_window(n={window_size}, B={num_buckets}, eps={epsilon:g})"
         )
         self._builder = FixedWindowHistogramBuilder(window_size, num_buckets, epsilon)
-        self._cache_synopsis = cache_synopsis
-        self._cached: Histogram | None = None
 
     @property
     def builder(self) -> FixedWindowHistogramBuilder:
@@ -116,18 +109,10 @@ class FixedWindowMaintainer(Maintainer):
 
     def _maintain(self) -> None:
         self._builder.update()
-        if self._cache_synopsis:
-            self._cached = self._builder.histogram()
 
     def synopsis(self) -> Histogram:
         """The histogram of the *current* window (rebuilds if stale)."""
         return self._builder.histogram()
-
-    def last_synopsis(self) -> Histogram:
-        """The histogram as of the last maintain (requires caching)."""
-        if self._cached is not None:
-            return self._cached
-        return self.synopsis()
 
     def window_values(self) -> np.ndarray:
         return self._builder.window_values()
@@ -142,8 +127,6 @@ class FixedWindowMaintainer(Maintainer):
         lifetime = self._builder.lifetime_stats
         return {
             "builder": self._builder.to_state(),
-            "cache_synopsis": self._cache_synopsis,
-            "cached": self._cached.to_dict() if self._cached is not None else None,
             # Lifetime telemetry is not part of the builder snapshot;
             # carry it so stats stay continuous across a restore.
             "rebuild_count": self._builder.rebuild_count,
@@ -160,9 +143,6 @@ class FixedWindowMaintainer(Maintainer):
         self._builder.lifetime_stats.search_probes = int(
             state.get("search_probes", 0)
         )
-        self._cache_synopsis = bool(state.get("cache_synopsis", False))
-        cached = state.get("cached")
-        self._cached = Histogram.from_dict(cached) if cached is not None else None
 
 
 class AgglomerativeMaintainer(Maintainer):

@@ -73,14 +73,14 @@ def _column_code(values, column: int) -> str | None:
 
 
 def _list_code(values) -> str | None:
-    """Uniform scalar code of a flat list, or None if not extractable."""
-    code = _scalar_code(values[0])
-    if code is None:
-        return None
-    for value in values:
-        if _scalar_code(value) != code:
-            return None
-    return code
+    """Uniform scalar code of a flat list, or None if not extractable:
+    :func:`_scalar_code`'s answer for every element, found in C."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return "f8"
+    if kinds == {int} and _INT64_MIN <= min(values) and max(values) <= _INT64_MAX:
+        return "i8"
+    return None
 
 
 def _rectangular(values) -> int:

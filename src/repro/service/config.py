@@ -80,6 +80,11 @@ _SPEC_KEYS = (
     "priority",
 )
 
+#: Top-level keys an older version read; a config naming one still loads.
+#: ``snapshot_base_every`` went when checkpoints began choosing their own
+#: shape by size.
+_RETIRED_KEYS = ("snapshot_base_every",)
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -89,7 +94,6 @@ class ServiceConfig:
     shards: int = 4
     snapshot_dir: str | None = None
     snapshot_keep: int = 2
-    snapshot_base_every: int = 1
     virtual_nodes: int = 64
     supervise: bool = True
     qos: QoSConfig | None = None
@@ -108,18 +112,19 @@ class ServiceConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ServiceConfig":
+        """Parse a config mapping.  A key an older version read and
+        this one retired (``_RETIRED_KEYS``) is ignored."""
         known = {
             "mode",
             "shards",
             "snapshot_dir",
             "snapshot_keep",
-            "snapshot_base_every",
             "virtual_nodes",
             "supervise",
             "qos",
             "streams",
         }
-        unknown = sorted(set(payload) - known)
+        unknown = sorted(set(payload) - known - set(_RETIRED_KEYS))
         if unknown:
             raise ValueError(
                 f"unknown config keys: {', '.join(unknown)} "
@@ -148,7 +153,6 @@ class ServiceConfig:
             shards=int(payload.get("shards", 4)),
             snapshot_dir=payload.get("snapshot_dir"),
             snapshot_keep=int(payload.get("snapshot_keep", 2)),
-            snapshot_base_every=int(payload.get("snapshot_base_every", 1)),
             virtual_nodes=int(payload.get("virtual_nodes", 64)),
             supervise=bool(payload.get("supervise", True)),
             qos=(
@@ -186,11 +190,7 @@ def _open_tier(config: ServiceConfig, *, restore: bool):
     Both ways take every durability and QoS setting from the config; a
     restored router reads its ring geometry from its own manifest.
     """
-    options = dict(
-        snapshot_keep=config.snapshot_keep,
-        snapshot_base_every=config.snapshot_base_every,
-        qos=config.qos,
-    )
+    options = dict(snapshot_keep=config.snapshot_keep, qos=config.qos)
     if config.mode == "sharded":
         from ..shard.router import ShardRouter
 

@@ -38,6 +38,7 @@ Typical lifetime::
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import replace
 
@@ -66,9 +67,9 @@ def _tiles_contiguously(batches, start: int, end: int) -> bool:
     The delta-checkpoint safety gate: a delta is only written when the
     replay-log slice provably re-derives every arrival since the last
     checkpoint.  Quarantined poison points never advance the arrival
-    counter, so a healthy replay log always tiles; anything else (a
-    trimmed log, replay tracking off) fails here and the checkpoint
-    falls back to a full snapshot.
+    counter, so a kept replay log always tiles; anything else (a
+    trimmed or emptied log) fails here and the checkpoint falls back to
+    a full snapshot.
     """
     position = start
     for batch_start, batch in batches:
@@ -85,12 +86,10 @@ class StreamService(ServiceProtocol):
     with ``restart_policy``); ``fault_injector`` threads a
     :class:`FaultInjector` through every worker and the snapshot store;
     ``snapshot_keep`` bounds the retained snapshot generations per
-    stream (>= 2 keeps a fallback behind the newest);
-    ``snapshot_base_every`` sets the delta-checkpoint cadence: every
-    K-th checkpoint of a stream writes a full base generation and the
-    K-1 in between write cheap binary deltas (1, the default, keeps the
-    old always-full behavior); ``qos`` is as in
+    stream (>= 2 keeps a fallback behind the newest); ``qos`` is as in
     :class:`~repro.service.protocol.ServiceProtocol`.
+    ``snapshot_base_every`` is accepted and ignored: each checkpoint
+    chooses its own shape (see :meth:`checkpoint`).
 
     Without ``snapshot_dir`` the service takes no checkpoints, so a
     supervised service's replay logs grow with its streams (a
@@ -106,15 +105,13 @@ class StreamService(ServiceProtocol):
         restart_policy: RestartPolicy | None = None,
         fault_injector: FaultInjector | None = None,
         snapshot_keep: int = 2,
-        snapshot_base_every: int = 1,
+        snapshot_base_every: int | None = None,
         qos: QoSConfig | QoSController | None = None,
     ) -> None:
         if restart_policy is not None and not supervise:
             raise ValueError("restart_policy requires supervise=True")
         if snapshot_keep < 1:
             raise ValueError("snapshot_keep must be >= 1")
-        if snapshot_base_every < 1:
-            raise ValueError("snapshot_base_every must be >= 1")
         super().__init__(qos)
         self.tracer = Tracer(self.registry)
         self._store = (
@@ -128,21 +125,20 @@ class StreamService(ServiceProtocol):
             else None
         )
         self._injector = fault_injector
-        self._snapshot_base_every = int(snapshot_base_every)
-        # Per-stream delta counter: full/delta cadence is tracked per
-        # stream (not service-wide) so no checkpoint interleaving can
-        # starve a stream of base generations and let its replay log
-        # and delta chain grow without bound.
-        self._deltas_since_base: dict[str, int] = {}
         self._workers: dict[str, StreamWorker] = {}
+        # Per stream, the shape rule's ledger: (bytes of its last full
+        # less the tail it carried, which a delta would carry too, and
+        # bytes of the deltas written since).
+        self._chain_bytes: dict[str, tuple[int, int]] = {}
         # Arrivals at each stream's last checkpoint.  Replay retention
         # rule: after a write the worker's replay log keeps only what a
         # reader can still ask for.  Without a supervisor the only reader
         # is the next delta checkpoint, which wants the batches since
-        # this mark; a supervisor may instead fall back to the oldest
-        # retained *base* generation and replay forward from it.
+        # this mark, and no delta outweighs the last full (the log's
+        # byte limit); a supervisor may instead fall back to the oldest
+        # retained full generation and replay forward from it.
         self._checkpoint_marks: dict[str, int] = {}
-        # Arrival positions of the retained base generations (supervised
+        # Arrival positions of the retained full generations (supervised
         # retention reaches back to the oldest one).
         self._generation_arrivals: dict[str, deque] = {}
         # The cut each restored stream's snapshot recorded (see
@@ -165,6 +161,7 @@ class StreamService(ServiceProtocol):
         state: dict | None,
         arrivals: int,
         dead_letter: DeadLetterBuffer | None = None,
+        replay_limit: float = 0,
     ) -> StreamWorker:
         """A configured (not yet started) worker; shared with recovery."""
         maintainer = spec.build_maintainer()
@@ -194,11 +191,7 @@ class StreamService(ServiceProtocol):
             initial_arrivals=arrivals,
             poison=spec.poison,
             injector=self._injector,
-            # Delta checkpoints persist the replay-log slice since the
-            # last checkpoint, so the log is also tracked (without a
-            # supervisor) whenever the store runs a delta cadence.
-            track_replay=self._supervisor is not None
-            or (self._store is not None and self._snapshot_base_every > 1),
+            replay_limit=math.inf if self._supervisor is not None else replay_limit,
             dead_letter=dead_letter,
             registry=self.registry,
             tracer=self.tracer,
@@ -211,23 +204,31 @@ class StreamService(ServiceProtocol):
 
     def _host_stream(
         self, name: str, spec: StreamSpec, *, state: dict | None = None,
-        arrivals: int = 0,
+        arrivals: int = 0, chain_bytes: tuple[int, int] = (0, 0),
     ) -> StreamWorker:
-        worker = self._build_worker(name, spec, state=state, arrivals=arrivals)
+        """Host a restored stream (``state``, its chain's ``chain_bytes``)
+        or a fresh one, which retires a dropped predecessor's snapshots."""
+        if state is None and self._store is not None:
+            self._store.retire(name)
+        worker = self._build_worker(
+            name, spec, state=state, arrivals=arrivals,
+            replay_limit=chain_bytes[0],
+        )
         self._workers[name] = worker
         self._checkpoint_marks[name] = arrivals
-        self._deltas_since_base[name] = 0
+        self._chain_bytes[name] = chain_bytes
         worker.start()
         return worker
 
     def drop_stream(self, name: str, drain: bool = True) -> None:
-        """Stop and forget a stream (its snapshots stay on disk)."""
+        """Stop and forget a stream (its snapshots stay until a fresh create)."""
         worker = self._worker(name)
         worker.stop(drain=drain)
         del self._workers[name]
         del self._checkpoint_marks[name]
-        self._deltas_since_base.pop(name, None)
+        self._chain_bytes.pop(name, None)
         self._generation_arrivals.pop(name, None)
+        self._restored_cuts.pop(name, None)
         self._unregister(name)
 
     def _worker(self, name: str) -> StreamWorker:
@@ -536,27 +537,25 @@ class StreamService(ServiceProtocol):
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint(
-        self, name: str | None = None, *, mode: str = "auto"
-    ) -> list[str]:
+    def checkpoint(self, name: str | None = None) -> list[str]:
         """Write durable snapshots (one stream or all); returns paths.
 
         Each snapshot captures the maintainer state at a batch boundary
         plus the buffered tail, so a restore replays exactly the points
         the crashed service had accepted but not yet applied.
 
-        With ``snapshot_base_every=K > 1`` only every K-th checkpoint of
-        a stream writes a full base; the others persist a binary delta
+        Each checkpoint chooses its own shape by size: a binary delta
         (the replay-log slice since the last checkpoint plus the current
-        tail) -- but only when that slice provably tiles the arrival
-        range without a gap, and there is a base on disk to chain from;
-        otherwise the checkpoint silently falls back to a full.
-        ``mode="full"`` forces full snapshots regardless of cadence (the
-        shard router uses this to align delta chains with its own replay
-        trimming).  After a successful write the worker's replay log is
-        trimmed by the retention rule beside ``_checkpoint_marks``: to
-        this checkpoint without a supervisor, to the oldest retained
-        *base* generation with one.  A failed write trims nothing.
+        tail) only while the stream's deltas since its last full, this
+        one included, stay smaller in bytes than that full (less the
+        tail it carried), and only when the slice provably tiles the
+        arrivals since the last checkpoint; otherwise a full.  A restore
+        therefore reads less than two fulls' worth, and the bytes
+        written stay within twice the cheaper shape's.  After the write
+        the worker's replay log is trimmed by the retention rule beside
+        ``_checkpoint_marks``: to this checkpoint without a supervisor,
+        to the oldest retained full generation with one.  A failed
+        write trims nothing.
         """
         if self._store is None:
             raise RuntimeError("service was created without a snapshot_dir")
@@ -564,77 +563,65 @@ class StreamService(ServiceProtocol):
         paths = []
         for stream_name in names:
             with self.tracer.span("checkpoint", stream_name):
-                captured = self._capture_checkpoint(stream_name, mode)
+                captured = self._capture_checkpoint(stream_name)
                 paths.append(self._write_checkpoint(captured))
         return paths
 
-    def _capture_checkpoint(
-        self, name: str, mode: str, cut: int | None = None
-    ) -> tuple:
+    def _capture_checkpoint(self, name: str, cut: int | None = None) -> tuple:
         """Capture one stream's next checkpoint without writing it.
 
-        A delta's slice when one can be written: mode ``"auto"``, the
-        stream's delta cadence not used up, a generation on disk to
-        chain onto, and a replay slice that tiles the arrivals since
-        the last checkpoint.  Otherwise the full state.  The capture is
-        the cut :meth:`_write_checkpoint` persists, however much the
-        stream ingests in between (the shard host relies on this).
-        ``cut`` is the caller's name for that point (the shard host's
-        frame watermark); the snapshot records it, and a restore
-        reports it back in ``_restored_cuts``.
+        A delta, already encoded, when the shape rule allows one (see
+        :meth:`checkpoint`); otherwise the full state.  A delta holds 8
+        bytes per point since the last checkpoint, so a stream whose
+        points since then already outweigh its budget skips the slice
+        capture.  The capture is the cut :meth:`_write_checkpoint`
+        persists, however much the stream ingests in between (the shard
+        host relies on this).  ``cut`` is the caller's name for that
+        point (the shard host's frame watermark); the snapshot records
+        it, and a restore reports it back in ``_restored_cuts``.
         """
-        if mode not in ("auto", "full"):
-            raise ValueError(f"unknown checkpoint mode {mode!r}")
         worker = self._worker(name)
         mark = self._checkpoint_marks.get(name, 0)
-        want_delta = (
-            mode == "auto"
-            and self._snapshot_base_every > 1
-            and self._deltas_since_base.get(name, 0)
-            < self._snapshot_base_every - 1
-            and self._store.can_extend(name)
-        )
+        full, spent = self._chain_bytes.get(name, (0, 0))
         capture = None
-        if want_delta:
-            delta = worker.checkpoint_capture(state=False, replay_since=mark)
+        if 8 * (worker.arrivals - mark) < full - spent:
+            delta = worker.checkpoint_capture(replay_since=mark)
             if _tiles_contiguously(delta["replay"], mark, delta["arrivals"]):
-                capture = delta
+                encoded = self._store.encode_delta(
+                    name, arrivals=delta["arrivals"], from_arrivals=mark,
+                    batches=delta["replay"], tail=delta["tail"], cut=cut,
+                )
+                if encoded is not None and len(encoded[1]) < full - spent:
+                    capture = {"arrivals": delta["arrivals"], "delta": encoded}
         if capture is None:
             capture = worker.checkpoint_capture()
-        if cut is not None:
-            capture["cut"] = cut
-        return name, worker, mark, capture
+            if cut is not None:
+                capture["cut"] = cut
+        return name, worker, capture
 
     def _write_checkpoint(self, captured: tuple) -> str:
         """Persist a :meth:`_capture_checkpoint`, then trim the worker's
         replay log by the retention rule beside ``_checkpoint_marks``.
         Returns the written path."""
-        name, worker, mark, capture = captured
+        name, worker, capture = captured
         arrivals = capture["arrivals"]
-        if "state" in capture:
+        if "delta" in capture:
+            path = self._store.commit_delta(capture["delta"])
+            full, spent = self._chain_bytes[name]
+            spent += len(capture["delta"][1])
+        else:
             path = self._store.write(
                 name, {"spec": self._specs[name].to_dict(), **capture}
             )
-            self._deltas_since_base[name] = 0
-            generations = self._generation_arrivals.setdefault(
+            tail = sum(int(batch.size) for batch in capture["tail"])
+            full, spent = path.stat().st_size - 8 * tail, 0
+            self._generation_arrivals.setdefault(
                 name, deque(maxlen=self._store.keep)
-            )
-            generations.append(arrivals)
-        else:
-            path = self._store.write_delta(
-                name,
-                arrivals=arrivals,
-                from_arrivals=mark,
-                batches=capture["replay"],
-                tail=capture["tail"],
-                cut=capture.get("cut"),
-            )
-            self._deltas_since_base[name] = (
-                self._deltas_since_base.get(name, 0) + 1
-            )
+            ).append(arrivals)
+        self._chain_bytes[name] = (full, spent)
         self._checkpoint_marks[name] = arrivals
         if self._supervisor is None:
-            worker.trim_replay(arrivals)
+            worker.trim_replay(arrivals, full)
         elif generations := self._generation_arrivals.get(name):
             worker.trim_replay(generations[0])
         return str(path)
@@ -650,6 +637,7 @@ class StreamService(ServiceProtocol):
             StreamSpec.from_dict(payload["spec"]),
             state=payload["state"],
             arrivals=int(payload["arrivals"]),
+            chain_bytes=tuple(payload["chain_bytes"]),
         )
         for batch in payload["tail"]:
             worker.submit(batch)
@@ -665,7 +653,7 @@ class StreamService(ServiceProtocol):
         recovered service converges to the state the crashed one would
         have reached after draining its queues.  Keyword arguments
         (``supervise``, ``restart_policy``, ``fault_injector``,
-        ``snapshot_keep``) are forwarded to the constructor.
+        ``snapshot_keep``, ``qos``) are forwarded to the constructor.
         """
         if not snapshot_dir:
             raise RuntimeError("StreamService.restore needs a snapshot_dir")

@@ -398,40 +398,17 @@ class SnapshotStore:
         the previous generation and the manifest are left untouched.
         """
         manifest = self._manifest_or_rebuild()
-        entry = manifest["streams"].get(name, {})
-        seq = int(entry.get("seq", 0)) + 1
-        filename = f"{_encode_name(name)}-{seq:08d}{SUFFIX_FULL}"
-        path = self.directory / filename
+        seq = int(manifest["streams"].get(name, {}).get("seq", 0)) + 1
         created_at = time.time()
-        try:
-            if self._injector is not None:
-                self._injector.on_snapshot_write(name, seq)
-            data, checksum = self._encode_full(name, seq, created_at, payload)
-            _atomic_write(path, data, self._injector)
-            manifest["streams"][name] = {
-                "file": filename,
-                "seq": seq,
-                "kind": "full",
-                "arrivals": int(payload.get("arrivals", 0)),
-                "created_at": created_at,
-                CHECKSUM_FIELD: checksum,
-            }
-            _atomic_write_json(self._manifest_path, manifest, self._injector)
-        except OSError:
-            self._count("write_failures", name)
-            raise
-        self._count("writes", name)
+        data, checksum = self._encode_full(name, seq, created_at, payload)
+        path = self._commit(name, seq, SUFFIX_FULL, data, {
+            "kind": "full",
+            "arrivals": int(payload.get("arrivals", 0)),
+            "created_at": created_at,
+            CHECKSUM_FIELD: checksum,
+        }, manifest)
         self._prune(name)
         return path
-
-    def can_extend(self, name: str) -> bool:
-        """Whether :meth:`write_delta` would find a generation of
-        ``name`` to chain onto.  An unreadable manifest answers False, so
-        the caller writes a full, which rebuilds it."""
-        try:
-            return _extendable(self.manifest()["streams"].get(name))
-        except SnapshotCorruptError:
-            return False
 
     def write_delta(
         self,
@@ -443,26 +420,42 @@ class SnapshotStore:
         tail,
         cut: int | None = None,
     ) -> Path:
-        """Persist a delta checkpoint chained onto the newest generation.
+        """Persist a delta checkpoint chained onto the newest generation:
+        :meth:`encode_delta` then :meth:`commit_delta`.  Raises
+        ``ValueError`` when the stream has no generation (or no known
+        base) to chain from -- the caller writes a full instead."""
+        delta = self.encode_delta(
+            name, arrivals=arrivals, from_arrivals=from_arrivals,
+            batches=batches, tail=tail, cut=cut,
+        )
+        if delta is None:
+            raise ValueError(f"stream {name!r} has no base snapshot to extend")
+        return self.commit_delta(delta)
+
+    def encode_delta(
+        self,
+        name: str,
+        *,
+        arrivals: int,
+        from_arrivals: int,
+        batches,
+        tail,
+        cut: int | None = None,
+    ) -> tuple[dict, bytes] | None:
+        """A delta chained onto the newest generation, encoded but not
+        written: ``(header, data)``, None without a head (or a known base)
+        to chain onto.
 
         ``batches`` are the ``(start_arrival, batch)`` pairs ingested
         since the previous checkpoint (which ended at ``from_arrivals``);
         ``tail`` is the currently buffered, not-yet-ingested suffix.
         ``cut`` is the writer's own mark for this point (the shard
         host's frame watermark), kept in the header; a full snapshot
-        keeps it with its other metadata.  Raises ``ValueError`` when
-        the stream has no manifest head (or no known base) to chain
-        from -- the caller falls back to a full snapshot.
+        keeps it with its other metadata.
         """
-        manifest = self._manifest_or_rebuild()
-        entry = manifest["streams"].get(name)
+        entry = self._manifest_or_rebuild()["streams"].get(name)
         if not _extendable(entry):
-            raise ValueError(f"stream {name!r} has no base snapshot to extend")
-        seq = int(entry.get("seq", 0)) + 1
-        base_seq = int(entry.get("base_seq", entry.get("seq", 0)))
-        filename = f"{_encode_name(name)}-{seq:08d}{SUFFIX_DELTA}"
-        path = self.directory / filename
-        created_at = time.time()
+            return None
         batch_arrays = [
             (int(start), _as_batch_array(batch)) for start, batch in batches
         ]
@@ -471,10 +464,10 @@ class SnapshotStore:
             "format": SNAPSHOT_FORMAT,
             "kind": "delta",
             "stream": name,
-            "seq": seq,
-            "base_seq": base_seq,
+            "seq": int(entry.get("seq", 0)) + 1,
+            "base_seq": int(entry.get("base_seq", entry.get("seq", 0))),
             "prev_seq": int(entry.get("seq", 0)),
-            "created_at": created_at,
+            "created_at": time.time(),
             "arrivals": int(arrivals),
             "from_arrivals": int(from_arrivals),
             "batch_starts": [start for start, _ in batch_arrays],
@@ -487,24 +480,49 @@ class SnapshotStore:
             ("batches", b"".join(b.tobytes() for _, b in batch_arrays)),
             ("tail", b"".join(b.tobytes() for b in tail_arrays)),
         ]
+        return header, _encode_binary(header, sections)
+
+    def commit_delta(self, delta: tuple[dict, bytes]) -> Path:
+        """Write an :meth:`encode_delta` result and point the manifest
+        at it, like :meth:`write`."""
+        header, data = delta
+        return self._commit(header["stream"], header["seq"], SUFFIX_DELTA, data, {
+            "kind": "delta",
+            "base_seq": header["base_seq"],
+            "arrivals": header["arrivals"],
+            "created_at": header["created_at"],
+        })
+
+    def _commit(
+        self, name: str, seq: int, suffix: str, data: bytes, entry: dict,
+        manifest: dict | None = None,
+    ) -> Path:
+        """Write generation ``seq`` of ``name``, then its manifest entry
+        (into ``manifest``, or the manifest as it is on disk now)."""
+        filename = f"{_encode_name(name)}-{seq:08d}{suffix}"
+        path = self.directory / filename
         try:
             if self._injector is not None:
                 self._injector.on_snapshot_write(name, seq)
-            _atomic_write(path, _encode_binary(header, sections), self._injector)
-            manifest["streams"][name] = {
-                "file": filename,
-                "seq": seq,
-                "kind": "delta",
-                "base_seq": base_seq,
-                "arrivals": int(arrivals),
-                "created_at": created_at,
-            }
+            _atomic_write(path, data, self._injector)
+            if manifest is None:
+                manifest = self._manifest_or_rebuild()
+            manifest["streams"][name] = {"file": filename, "seq": seq, **entry}
             _atomic_write_json(self._manifest_path, manifest, self._injector)
         except OSError:
             self._count("write_failures", name)
             raise
         self._count("writes", name)
         return path
+
+    def retire(self, name: str) -> None:
+        """Delete every generation of ``name``, files first (a failed
+        unlink raises, manifest entry intact), then its manifest entry."""
+        for path in self.generations(name):
+            path.unlink()
+        manifest = self._manifest_or_rebuild()
+        if manifest["streams"].pop(name, None) is not None:
+            _atomic_write_json(self._manifest_path, manifest, self._injector)
 
     def _encode_full(
         self, name: str, seq: int, created_at: float, payload: dict
@@ -544,7 +562,8 @@ class SnapshotStore:
         """The most recent *verifiable* snapshot payload of ``name``.
 
         Every file kind comes back in one shape: the written metadata
-        plus ``arrivals``, ``state`` and ``tail`` (float64 batches).
+        plus ``arrivals``, ``state``, ``tail`` (float64 batches) and
+        ``chain_bytes`` (see :meth:`_resolve`).
 
         Tries the manifest's newest generation first, then falls back to
         older on-disk generations (newest first) whenever a file is
@@ -605,13 +624,19 @@ class SnapshotStore:
         return [path for _, path in sorted(matches)]
 
     def _resolve(self, path: Path, name: str) -> dict:
-        """Verified payload of one head candidate (chain-resolved)."""
+        """Verified payload of one head candidate (chain-resolved), with
+        ``chain_bytes``: ``[full, deltas]``, the bytes of the full it rests
+        on less its tail, and of the delta links it rolled forward."""
         if path.name.endswith(SUFFIX_JSON):
-            return self._load_legacy_json(path, name)
-        header, sections = self._load_binary(path, name)
-        if header.get("kind") == "delta":
-            return self._resolve_chain(header, name)
-        return self._full_payload(header, sections)
+            payload = self._load_legacy_json(path, name)
+        else:
+            header, sections = self._load_binary(path, name)
+            if header.get("kind") == "delta":
+                return self._resolve_chain(header, name)
+            payload = self._full_payload(header, sections)
+        tail = sum(int(batch.size) for batch in payload["tail"])
+        payload["chain_bytes"] = [path.stat().st_size - 8 * tail, 0]
+        return payload
 
     def _load_binary(self, path: Path, name: str):
         try:
@@ -713,6 +738,7 @@ class SnapshotStore:
                     header.get("tail_lengths", []), sections.get("tail", b"")
                 )
                 cut = header.get("cut")
+            payload["chain_bytes"][1] += delta_path.stat().st_size
         if truncated:
             self._count("fallback_loads", name)
         payload["tail"] = list(accepted) + list(tail)

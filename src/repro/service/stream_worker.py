@@ -38,14 +38,17 @@ in-flight batch is pushed back onto the queue, the error is published
 to producers as :class:`WorkerFailedError`, and the worker thread dies
 for the supervisor to find.
 
-The worker can keep a *replay log* (``track_replay=True``): every
+The worker can keep a *replay log* (``replay_limit > 0``): every
 successfully ingested batch is retained, stamped with its start arrival,
 until the service trims it after a checkpoint.  It has two readers.  A
 delta checkpoint persists the slice since the previous checkpoint, and
 a supervisor restores the last durable snapshot and re-feeds the suffix
 after it, which reproduces the lost worker bit-exactly -- the same
 determinism argument that makes the synopses checkpointable at all.
-``stats()["replay_points"]`` reports how many points the log holds.
+A log kept only for deltas has a byte limit, the weight of the last
+full snapshot, which no delta may reach: a log that reaches it is
+emptied.  ``stats()["replay_points"]`` reports how many points the log
+holds.
 
 Every decision is counted (:class:`WorkerCounters`): points submitted /
 ingested / dropped, batches rejected, enqueue wait time, and a bounded
@@ -250,8 +253,9 @@ class StreamWorker:
     what an ingest error does (``"quarantine"`` records, the default, or
     ``"fail"`` the worker); ``injector`` threads a
     :class:`~repro.service.faults.FaultInjector` through the feed path;
-    ``track_replay`` retains ingested batches for delta checkpoints and
-    supervised recovery (the service trims them, see :meth:`trim_replay`);
+    ``replay_limit`` is the bytes of ingested batches the replay log
+    may hold for deltas and supervised recovery (``math.inf``: all; 0:
+    none; the service trims it and resets the limit, :meth:`trim_replay`);
     ``dead_letter`` lets a supervisor carry the quarantine buffer across
     a restart.
 
@@ -274,7 +278,7 @@ class StreamWorker:
         initial_arrivals: int = 0,
         poison: str = "quarantine",
         injector: FaultInjector | None = None,
-        track_replay: bool = False,
+        replay_limit: float = 0,
         dead_letter: DeadLetterBuffer | None = None,
         dead_letter_capacity: int = 1024,
         registry: MetricsRegistry | None = None,
@@ -316,7 +320,7 @@ class StreamWorker:
             )
         )
         self._injector = injector
-        self._track_replay = track_replay
+        self._replay_limit = replay_limit
         self._replay: list[tuple[int, np.ndarray]] = []
         self._replay_points = 0
         self._pipeline = StreamPipeline(
@@ -403,12 +407,6 @@ class StreamWorker:
         """Points currently waiting in the queue."""
         with self._cv:
             return self._queued_points
-
-    @property
-    def in_flight(self) -> bool:
-        """True while dequeued batches are still being ingested."""
-        with self._cv:
-            return self._in_flight is not None
 
     def caught_up(self) -> bool:
         """Has this worker fully processed everything handed to it?
@@ -655,11 +653,13 @@ class StreamWorker:
         return int(batch.size)
 
     def _retain(self, start: int, batch: np.ndarray) -> None:
-        """Record an ingested batch: in the replay log (when tracked)
-        and with the accuracy monitor (when configured)."""
-        if self._track_replay:
+        """Record an ingested batch: in the replay log (while it is
+        kept) and with the accuracy monitor (when configured)."""
+        if self._replay_limit:
             self._replay.append((start, batch))
             self._replay_points += int(batch.size)
+            if 8 * self._replay_points >= self._replay_limit:
+                self._replay, self._replay_points = [], 0
         if self.accuracy is not None:
             self.accuracy.extend(batch)
 
@@ -785,9 +785,7 @@ class StreamWorker:
         with self._view_lock:
             return self._view
 
-    def checkpoint_capture(
-        self, *, state: bool = True, replay_since: int | None = None
-    ) -> dict:
+    def checkpoint_capture(self, *, replay_since: int | None = None) -> dict:
         """One consistent capture of everything a checkpoint can use.
 
         Holding the state lock parks the worker *between* batches: the
@@ -796,14 +794,12 @@ class StreamWorker:
         batch, not a whole drain cycle.  The queue lock then captures the
         not-yet-ingested tail (numpy copies): the rest of the drain
         cycle, then the queue.  Every submitted point lands in exactly
-        one of ``state`` (the maintainer's ``state_dict()``) or
-        ``tail``.  ``state=False`` skips the state capture entirely --
-        delta checkpoints only need arrivals, tail, and the replay
-        slice.  With ``replay_since`` the capture also includes the
-        replay-log slice starting at that arrival -- the
-        ingested-since-last-checkpoint batches a delta checkpoint
-        persists.  Serializing the state is left to the caller, outside
-        both locks.
+        one of the applied state and ``tail``.  A full's capture holds
+        ``state`` (the maintainer's ``state_dict()``); with
+        ``replay_since`` it is a delta's instead, holding the replay-log
+        slice from that arrival -- the batches ingested since the last
+        checkpoint.  Serializing the state is left to the caller,
+        outside both locks.
         """
         self.hold()
         try:
@@ -826,7 +822,7 @@ class StreamWorker:
                         for start, batch in self._replay
                         if start >= replay_since
                     ]
-                if state:
+                else:
                     capture["state"] = self.maintainer.state_dict()
                 return capture
         finally:
@@ -841,21 +837,26 @@ class StreamWorker:
         with self._state_lock:
             return list(self._replay)
 
-    def trim_replay(self, min_arrival: int) -> None:
+    def trim_replay(self, min_arrival: int, limit: float | None = None) -> None:
         """Drop replay batches that start before ``min_arrival``.
 
-        The service calls this after each successful checkpoint with the
-        oldest arrival a reader may still ask for: the new checkpoint
+        The service calls this after each successful checkpoint with
+        the oldest arrival a reader may still ask for: the checkpoint
         itself when the stream is unsupervised (the next delta only
-        needs the batches since it), the oldest retained *base*
-        generation when a supervisor may recover from it.
+        needs the batches since it), the oldest retained full generation
+        when a supervisor may recover from it.  ``limit`` replaces the
+        log's byte limit.
         """
         with self._state_lock:
+            if limit is not None:
+                self._replay_limit = limit
             self._replay = [
                 (start, batch) for start, batch in self._replay
                 if start >= min_arrival
             ]
             self._replay_points = sum(int(b.size) for _, b in self._replay)
+            if 8 * self._replay_points >= self._replay_limit:
+                self._replay, self._replay_points = [], 0
 
     def drain_pending(self) -> list[np.ndarray]:
         """Take ownership of the not-yet-ingested queue (recovery path).

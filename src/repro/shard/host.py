@@ -110,7 +110,6 @@ def _build_service(options: dict) -> StreamService:
     kwargs = dict(
         supervise=bool(options.get("supervise", True)),
         snapshot_keep=int(options.get("snapshot_keep", 2)),
-        snapshot_base_every=int(options.get("snapshot_base_every", 1)),
         # The router's injector crosses the fork with the options, so
         # shard-internal ingest faults (slow/crash) stay schedulable.
         # QoS deliberately does NOT cross: admission already ran at the
@@ -259,12 +258,13 @@ class ShardHost:
             self._barrier(args)
             name = args.get("name")
             names = [name] if name is not None else service.streams()
-            paths, applied = self._checkpoint(names, args.get("mode", "auto"))
-            return {"paths": paths, "applied_seq": applied}
+            return self._checkpoint(names)
         raise ValueError(f"unknown shard verb {verb!r}")
 
-    def _checkpoint(self, names: list[str], mode: str) -> tuple[list[str], int]:
-        """Snapshot ``names`` at one cut; returns the paths and the cut.
+    def _checkpoint(self, names: list[str]) -> dict:
+        """Snapshot ``names`` at one cut: the reply's ``paths``, the cut
+        (``applied_seq``) and each stream's shape (``shapes``: ``"full"``
+        or ``"delta"``, as the service's rule chose it).
 
         Every stream is captured between the same two data frames, and
         each snapshot records the watermark there.  The writes follow
@@ -283,14 +283,15 @@ class ShardHost:
                     held.callback(worker.release)
                 applied = self._watermark.applied
                 captured = [
-                    service._capture_checkpoint(stream, mode, cut=applied)
+                    service._capture_checkpoint(stream, cut=applied)
                     for stream in names
                 ]
-            paths = []
+            paths, shapes = [], {}
             for stream, capture in zip(names, captured):
                 with service.tracer.span("checkpoint", stream):
                     paths.append(service._write_checkpoint(capture))
-        return paths, applied
+                shapes[stream] = "delta" if "delta" in capture[2] else "full"
+        return {"paths": paths, "applied_seq": applied, "shapes": shapes}
 
     def _close_service(self) -> None:
         """Drain and stop the service, then take its final checkpoint
@@ -301,8 +302,7 @@ class ShardHost:
         service.close(checkpoint=False)
         if final:
             self._checkpoint(
-                [n for n in service.streams() if not service.stats(n)["failed"]],
-                "auto",
+                [n for n in service.streams() if not service.stats(n)["failed"]]
             )
 
     def run(self) -> None:

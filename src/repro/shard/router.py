@@ -23,8 +23,9 @@ id, its other metrics carry ``shard="router"``), so
 fleet.
 
 **Shard failure** reuses the snapshot/restart machinery at shard
-granularity.  The router retains every data frame since the oldest
-retained base checkpoint (``shard_states()[id]["replay_points"]``, the
+granularity.  The router retains each stream's data frames since the
+oldest full snapshot of it the shard still keeps
+(``shard_states()[id]["replay_points"]``, the
 ``repro_router_replay_points`` gauge); when a shard process dies the
 monitor thread respawns it after the :class:`~repro.service.supervisor.
 RestartPolicy` backoff, restores it from its own SnapshotStore
@@ -45,9 +46,12 @@ thread runs the barrier, and the next cadence counts from the trip.
 Producers wait only when the shard falls due again while its previous
 barrier is still in flight (``repro_router_checkpoint_wait_seconds``),
 which bounds each shard's frame log at ``(snapshot_keep + 1) x
-(cadence + one batch)`` points when every barrier writes a base (the
-default ``snapshot_base_every``).  ``repro_router_checkpoint_seconds``
-times each barrier from when it falls due to when it is recorded.
+(cadence + one batch)`` points when every barrier writes fulls (each
+stream's shape is its own, see
+:meth:`~repro.service.service.StreamService.checkpoint`; at the default
+cadence a GK stream's delta would outweigh its full many times over).
+``repro_router_checkpoint_seconds`` times each barrier from when it
+falls due to when it is recorded.
 Without a ``snapshot_dir`` the shards' stores live in a private
 temporary directory; ``close()`` lets an in-flight barrier finish,
 then removes the directory without a final checkpoint, and the public
@@ -221,19 +225,18 @@ class _ShardHandle:
         self.barrier_lock = threading.Lock()
         self.next_seq = 1
         self.ctrl_seq = 0
-        # Frames since the oldest retained base checkpoint:
-        # (seq, stream, payload), and the points they hold.
+        # Each stream's frames since the oldest full of it the shard
+        # keeps: (seq, stream, payload), and the points they hold.
         self.replay: deque[tuple[int, str, bytes]] = deque()
         self.replay_points = 0
         # Per stream, the newest frame number the log no longer holds
         # (trimmed, or from before a cold restore): a restore to an
         # earlier cut cannot be replayed exactly.
         self.trimmed_upto: dict[str, int] = {}
-        # Barriers that wrote *full* (base) generations: replay frames
-        # are only droppable once a base covers them -- a delta barrier
-        # still needs every frame back to its base on a corrupt chain.
-        self.base_seqs: deque[int] = deque(maxlen=2)
-        self.deltas_since_base = 0
+        # Per stream, the cuts of the barriers that wrote it the fulls
+        # its store keeps: a restore lands at or after the oldest, so
+        # the stream's frames up to it can go.
+        self.full_cuts: dict[str, deque[int]] = {}
         self.points_since_checkpoint = 0
         self.checkpoint_cadence: int | None = None
         # Automatic barriers owed, as the times they fell due: the first
@@ -278,13 +281,11 @@ class ShardRouter(ServiceProtocol):
         Shard-process respawn budget/backoff (defaults to
         :class:`RestartPolicy`'s defaults, same as worker supervision).
     snapshot_keep:
-        Snapshot generations each shard retains; also bounds how far
-        back the router keeps replay frames.
-    snapshot_base_every:
-        Delta-checkpoint cadence, forwarded to each shard's internal
-        service: every K-th router checkpoint barrier forces full base
-        snapshots, the barriers in between write binary deltas.  The
-        router trims its replay buffer only at base barriers, so a
+        Full snapshot generations each shard retains per stream; also
+        bounds how far back the router keeps each stream's replay
+        frames.  Each stream's shard decides per barrier whether it
+        writes a full or a delta, and the router keeps the stream's
+        frames back to the oldest full the shard still keeps, so a
         truncated delta chain can always be re-derived from frames.
     supervise_workers:
         Whether each shard's internal service supervises its worker
@@ -299,7 +300,6 @@ class ShardRouter(ServiceProtocol):
         virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         restart_policy: RestartPolicy | None = None,
         snapshot_keep: int = 2,
-        snapshot_base_every: int = 1,
         supervise_workers: bool = True,
         request_timeout: float = 120.0,
         recovery_wait: float = 30.0,
@@ -315,15 +315,12 @@ class ShardRouter(ServiceProtocol):
             raise ValueError("num_shards must be >= 1")
         if snapshot_keep < 1:
             raise ValueError("snapshot_keep must be >= 1")
-        if snapshot_base_every < 1:
-            raise ValueError("snapshot_base_every must be >= 1")
         if "fork" not in multiprocessing.get_all_start_methods():
             raise RuntimeError(
                 "ShardRouter needs the 'fork' start method (POSIX only)"
             )
         self._ctx = multiprocessing.get_context("fork")
         self._snapshot_keep = int(snapshot_keep)
-        self._snapshot_base_every = int(snapshot_base_every)
         self._supervise_workers = bool(supervise_workers)
         self._restart_policy = restart_policy or RestartPolicy()
         self._request_timeout = float(request_timeout)
@@ -337,7 +334,7 @@ class ShardRouter(ServiceProtocol):
         self._injector = fault_injector
         super().__init__(qos)
         # Without the caller's directory the shards' stores live in a
-        # private one, so the frame log always has a base to trim to.
+        # private one, so the frame log always has a full to trim to.
         self._private_dir = (
             None if snapshot_dir else Path(tempfile.mkdtemp(prefix="repro-"))
         )
@@ -369,7 +366,6 @@ class ShardRouter(ServiceProtocol):
             for shard_id in range(self.num_shards)
         }
         for handle in self._shards.values():
-            handle.base_seqs = deque(maxlen=self._snapshot_keep)
             handle.breaker = CircuitBreaker(
                 shard=str(handle.shard_id),
                 failure_threshold=self._breaker_threshold,
@@ -424,7 +420,6 @@ class ShardRouter(ServiceProtocol):
             "snapshot_dir": self._shard_dir(handle.shard_id),
             "supervise": self._supervise_workers,
             "snapshot_keep": self._snapshot_keep,
-            "snapshot_base_every": self._snapshot_base_every,
             "restore": bool(restore),
             # The injector object crosses the fork (like the sockets),
             # so position-deterministic faults fire shard-side too.
@@ -728,6 +723,7 @@ class ShardRouter(ServiceProtocol):
                 _frame_points(record) for record in handle.replay
             )
             handle.trimmed_upto.pop(name, None)
+            handle.full_cuts.pop(name, None)
         handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
 
@@ -1161,9 +1157,9 @@ class ShardRouter(ServiceProtocol):
         """Durable snapshots at a router sequence barrier; returns paths.
 
         Shard-granular: naming a stream checkpoints every stream of its
-        owning shard (replay retention advances per shard).  After each
-        shard acknowledges, the router trims that shard's replay buffer
-        to the oldest retained generation.  Synchronous: it waits for an
+        owning shard (the barrier's cut advances per shard).  After each
+        shard acknowledges, the router trims each of its streams' frames
+        up to the oldest full of it the shard keeps.  Synchronous: it waits for an
         automatic barrier in flight on the same shard, never overlapping
         one.  Refused without the caller's ``snapshot_dir``.
         """
@@ -1180,8 +1176,9 @@ class ShardRouter(ServiceProtocol):
         self, handle: _ShardHandle, scheduled: float
     ) -> list[str]:
         """One barrier (the caller holds ``barrier_lock``): the shard
-        snapshots every stream it hosts, and the router trims its frame
-        log to the oldest retained base.
+        snapshots every stream it hosts, each in the shape it chooses,
+        and the router trims each stream's frames up to the oldest full
+        of it the shard keeps.
 
         The shard captures every frame up to the barrier, plus any later
         frames other producers got in first, and each snapshot records
@@ -1194,20 +1191,9 @@ class ShardRouter(ServiceProtocol):
                 self._await_up(handle)
             with handle.send_lock:
                 upto = handle.next_seq - 1
-                # The shard decides delta-vs-full per stream, but the
-                # router forces a full base when the delta cadence is
-                # exhausted or no base barrier exists yet -- replay
-                # frames may only be dropped once a *base* covers them.
-                force_full = (
-                    self._snapshot_base_every <= 1
-                    or handle.deltas_since_base >= self._snapshot_base_every - 1
-                    or not handle.base_seqs
-                )
             try:
                 reply = self._request_raw(
-                    handle,
-                    "checkpoint",
-                    {"upto_seq": upto, "mode": "full" if force_full else "auto"},
+                    handle, "checkpoint", {"upto_seq": upto}
                 )
             except TimeoutError:
                 handle.breaker.record_failure()
@@ -1217,19 +1203,30 @@ class ShardRouter(ServiceProtocol):
                 continue
             cut = int(reply["applied_seq"])
             with handle.send_lock:
-                if force_full:
-                    handle.base_seqs.append(cut)
-                    handle.deltas_since_base = 0
-                else:
-                    handle.deltas_since_base += 1
-                if handle.base_seqs:
-                    oldest = handle.base_seqs[0]
-                    while handle.replay and handle.replay[0][0] <= oldest:
-                        record = handle.replay.popleft()
-                        handle.replay_points -= _frame_points(record)
-                        handle.trimmed_upto[record[1]] = record[0]
+                for stream, shape in reply["shapes"].items():
+                    if shape == "full":
+                        handle.full_cuts.setdefault(
+                            stream, deque(maxlen=self._snapshot_keep)
+                        ).append(cut)
+                self._trim_frames(handle)
             handle.checkpoint_latency.observe(time.perf_counter() - scheduled)
             return list(reply["paths"])
+
+    @staticmethod
+    def _trim_frames(handle: _ShardHandle) -> None:
+        """Drop each stream's frames up to the oldest full of it the shard
+        keeps, visiting only the log's prefix (``send_lock`` held)."""
+        floors = {stream: cuts[0] for stream, cuts in handle.full_cuts.items()}
+        top = max(floors.values(), default=0)
+        kept = []
+        while handle.replay and handle.replay[0][0] <= top:
+            record = handle.replay.popleft()
+            if record[0] <= floors.get(record[1], 0):
+                handle.replay_points -= _frame_points(record)
+                handle.trimmed_upto[record[1]] = record[0]
+            else:
+                kept.append(record)
+        handle.replay.extendleft(reversed(kept))
 
     def _manifest_path(self) -> Path:
         return self._snapshot_base / MANIFEST_NAME

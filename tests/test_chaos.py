@@ -264,7 +264,10 @@ class TestSnapshotWriteFaults:
             assert any(e["kind"] == "snapshot" for e in injector.events)
         restored = StreamService.restore(tmp_path)
         try:
-            # close() took a final good checkpoint despite the earlier miss.
+            # close() took a final good checkpoint despite the earlier
+            # miss: a delta after the full at 200, whose points the
+            # restored worker replays.
+            restored.flush("s")
             assert restored.stats("s")["arrivals"] == 300
         finally:
             restored.close(checkpoint=False)
@@ -367,16 +370,16 @@ class TestDeltaCheckpointRecovery:
             supervise=True,
             restart_policy=FAST_RESTARTS,
             fault_injector=injector,
-            snapshot_base_every=3,
         ) as service:
             service.create_stream(
                 "s", backend=backend, params=BACKEND_KWARGS[backend],
                 maintain_every=32,
             )
-            # Six checkpoints under a base-every-3 cadence: full, delta,
-            # delta, full, delta, delta.
-            for boundary in range(150, 901, 150):
-                service.ingest("s", stream[boundary - 150 : boundary])
+            # Eighteen checkpoints 50 points apart: a 50-point delta
+            # (about 0.9 KB) weighs less than any of these backends'
+            # fulls (1.4 KB and up), so every chain mixes both shapes.
+            for boundary in range(50, 901, 50):
+                service.ingest("s", stream[boundary - 50 : boundary])
                 service.flush("s")
                 service.checkpoint("s")
             suffixes = {p.suffix for p in service._store.generations("s")}
@@ -400,23 +403,26 @@ class TestDeltaCheckpointRecovery:
             supervise=True,
             restart_policy=FAST_RESTARTS,
             fault_injector=injector,
-            snapshot_base_every=4,
         ) as service:
             service.create_stream(
                 "s", backend="gk_quantiles",
                 params=BACKEND_KWARGS["gk_quantiles"], maintain_every=32,
             )
             paths = []
-            for boundary in range(200, 801, 200):
-                service.ingest("s", stream[boundary - 200 : boundary])
+            # 200 points outweigh a GK full (fulls at 200..800); the
+            # next 50 do not (a delta at 850).
+            previous = 0
+            for boundary in (200, 400, 600, 800, 850):
+                service.ingest("s", stream[previous:boundary])
                 service.flush("s")
                 paths = service.checkpoint("s")
+                previous = boundary
             # The newest generation is a delta; corrupting it must
             # truncate the chain, not break recovery -- replay covers
             # everything past the surviving prefix.
             assert paths[0].endswith(".delta")
             Path(paths[0]).write_bytes(b"garbage")
-            for start in range(800, 1000, 50):
+            for start in range(850, 1000, 50):
                 service.ingest("s", stream[start : start + 50])
             assert service.flush("s") is True
             health = service.health("s")
@@ -425,3 +431,42 @@ class TestDeltaCheckpointRecovery:
             assert service.stats("s")["arrivals"] == 1000
             served = service.synopsis("s")
         assert_same_synopsis(served, direct_run("gk_quantiles", stream))
+
+
+class TestRecreatedStream:
+    """A stream dropped and created again under the same name starts
+    from nothing: recovery must never load its predecessor's data."""
+
+    def test_recovery_ignores_the_dropped_predecessor(self, tmp_path):
+        old = integer_stream(512, seed=61) + 1000.0
+        new = integer_stream(192, seed=62)
+        params = BACKEND_KWARGS["gk_quantiles"]
+        injector = FaultInjector()
+        with StreamService(
+            tmp_path,
+            supervise=True,
+            restart_policy=FAST_RESTARTS,
+            fault_injector=injector,
+        ) as service:
+            service.create_stream("x", backend="gk_quantiles", params=params)
+            service.ingest("x", old)
+            service.flush("x")
+            service.checkpoint("x")
+            service.drop_stream("x")
+            service.create_stream("x", backend="gk_quantiles", params=params)
+            injector.crash_at(100, stream="x")
+            for start in range(0, new.size, 64):
+                service.ingest("x", new[start : start + 64])
+            assert service.flush("x") is True
+            health = service.health("x")
+            assert health["restarts"] == 1
+            assert health["state"] == "healthy"
+            assert health["lossy_recovery"] is False
+            assert service.stats("x")["arrivals"] == new.size
+            served = service.histogram("x")
+        with StreamService() as reference:
+            reference.create_stream("x", backend="gk_quantiles", params=params)
+            for start in range(0, new.size, 64):
+                reference.ingest("x", new[start : start + 64])
+            reference.flush("x")
+            assert served == reference.histogram("x")

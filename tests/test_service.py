@@ -657,15 +657,18 @@ class TestCheckpointRestore:
         shutil.copytree(LEGACY_SNAPSHOTS, directory)
         stream = integer_stream(300, seed=17)
         params = dict(epsilon=0.1)
-        restored = StreamService.restore(directory, snapshot_base_every=3)
+        restored = StreamService.restore(directory)
         restored.flush("legacy")
         assert restored.stats("legacy")["arrivals"] == 150
-        restored.ingest("legacy", stream[150:])
+        restored.ingest("legacy", stream[150:200])
         restored.flush("legacy")
         # The first checkpoint of the restored service chains a delta
-        # onto the legacy JSON head.
+        # onto the legacy JSON head: the 80 points since that head
+        # weigh less than the head itself.
         [path] = restored.checkpoint("legacy")
         assert path.endswith("legacy-00000003.delta")
+        restored.ingest("legacy", stream[200:])
+        restored.flush("legacy")
         served = restored.synopsis("legacy")
         restored.close(checkpoint=False)
         direct = make_maintainer("gk_quantiles", **params)
@@ -673,6 +676,9 @@ class TestCheckpointRestore:
         assert_same_synopsis(served, reference_synopsis(direct))
         # The JSON base + binary delta chain restores to the same answer.
         again = StreamService.restore(directory)
+        again.flush("legacy")
+        assert again.stats("legacy")["arrivals"] == 200
+        again.ingest("legacy", stream[200:])
         again.flush("legacy")
         assert again.stats("legacy")["arrivals"] == 300
         assert_same_synopsis(again.synopsis("legacy"), served)
@@ -702,10 +708,15 @@ class TestCheckpointRestore:
         assert served.to_dict() == reference_synopsis(direct).to_dict()
 
     def test_delta_cadence_round_trip(self, tmp_path):
-        """Restore from a delta head, checkpoint again, restore again."""
+        """Restore from a delta head, checkpoint again, restore again.
+
+        The rule alternates full and delta up to 600 points here (a
+        150-point delta weighs 1.7 KB, the fulls 2.4-4.8 KB), and the
+        restored delta head has room for one more delta.
+        """
         stream = integer_stream(900, seed=23)
-        params = dict(window_size=64, num_buckets=8, epsilon=0.25)
-        with StreamService(tmp_path, snapshot_base_every=3) as service:
+        params = dict(window_size=512, num_buckets=8, epsilon=0.25)
+        with StreamService(tmp_path) as service:
             service.create_stream(
                 "s", backend="fixed_window", params=params, maintain_every=16
             )
@@ -716,12 +727,13 @@ class TestCheckpointRestore:
             service.close(checkpoint=False)
         suffixes = [p.suffix for p in SnapshotStore(tmp_path).generations("s")]
         assert ".delta" in suffixes and ".snap" in suffixes
-        middle = StreamService.restore(tmp_path, snapshot_base_every=3)
+        middle = StreamService.restore(tmp_path)
         middle.flush("s")
         assert middle.stats("s")["arrivals"] == 600
         middle.ingest("s", stream[600:750])
         middle.flush("s")
-        middle.checkpoint("s")  # chains onto the restored head
+        [path] = middle.checkpoint("s")
+        assert path.endswith(".delta")  # chains onto the restored head
         middle.close(checkpoint=False)
         final = StreamService.restore(tmp_path)
         final.flush("s")
@@ -734,25 +746,48 @@ class TestCheckpointRestore:
         StreamPipeline([direct], maintain_every=16).run(stream)
         assert served.to_dict() == reference_synopsis(direct).to_dict()
 
-    def test_checkpoint_mode_full_overrides_cadence(self, tmp_path):
-        with StreamService(tmp_path, snapshot_base_every=4) as service:
+    def test_snapshot_base_every_is_accepted_and_ignored(self, tmp_path):
+        """The retired cadence option still constructs and restores, and
+        changes nothing; a config naming it still loads and builds."""
+        stream = integer_stream(2048, seed=5)
+        with StreamService(tmp_path / "a", snapshot_base_every=0) as service:
             service.create_stream(
-                "s", backend="exact", params=dict(window_size=32)
+                "s", backend="exact", params=dict(window_size=1024)
             )
-            for _ in range(3):
-                service.ingest("s", integer_stream(50, seed=3))
+            for start in range(0, 1024, 256):
+                service.ingest("s", stream[start : start + 256])
                 service.flush("s")
-                service.checkpoint("s", mode="full")
-            suffixes = {
-                p.suffix for p in service._store.generations("s")
-            }
-            assert suffixes == {".snap"}
-            with pytest.raises(ValueError, match="mode"):
-                service.checkpoint("s", mode="bogus")
+                service.checkpoint("s")
+            service.close(checkpoint=False)
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        written = {}
+        for directory, options in (("a", {"snapshot_base_every": 8}), ("b", {})):
+            restored = StreamService.restore(tmp_path / directory, **options)
+            shapes = []
+            for start in range(1024, 2048, 256):
+                restored.ingest("s", stream[start : start + 256])
+                restored.flush("s")
+                [path] = restored.checkpoint("s")
+                shapes.append(Path(path).name)
+            written[directory] = (shapes, restored.histogram("s"))
+            restored.close(checkpoint=False)
+        assert written["a"] == written["b"]
+        assert any(name.endswith(".delta") for name in written["a"][0])
 
-    def test_snapshot_base_every_validated(self, tmp_path):
-        with pytest.raises(ValueError, match="snapshot_base_every"):
-            StreamService(tmp_path, snapshot_base_every=0)
+        from repro.service.config import ServiceConfig, build_service
+
+        config = ServiceConfig.from_dict({
+            "mode": "threaded",
+            "snapshot_dir": str(tmp_path / "c"),
+            "snapshot_base_every": 4,
+            "streams": [{"name": "t", "backend": "exact",
+                         "params": {"window_size": 8}}],
+        })
+        service = build_service(config)
+        try:
+            assert service.streams() == ["t"]
+        finally:
+            service.close(checkpoint=False)
 
     def test_snapshot_keep_validated(self, tmp_path):
         # Checked once, by the constructor, whatever the store.
@@ -782,15 +817,16 @@ class TestReplayRetention:
     """How much of the replay log a service keeps after each checkpoint.
 
     Without a supervisor the log's only reader is the next delta
-    checkpoint, which needs the batches since the last checkpoint; a
-    supervisor may recover from the oldest retained base generation and
-    so keeps everything since that base.
+    checkpoint, which needs the batches since the last checkpoint, and
+    only while a delta could still win; a supervisor may recover from
+    the oldest retained full generation and so keeps everything since
+    that full.
     """
 
     def test_unsupervised_log_holds_only_since_last_checkpoint(self, tmp_path):
         every, chunk = 256, 64
         stream = integer_stream(4096, seed=31)
-        service = StreamService(tmp_path, snapshot_base_every=4)
+        service = StreamService(tmp_path)
         for name, (backend, params) in RETENTION_STREAMS.items():
             service.create_stream(
                 name, backend=backend, params=params, maintain_every=16,
@@ -811,7 +847,7 @@ class TestReplayRetention:
         service.checkpoint()
         for name in RETENTION_STREAMS:
             assert service.stats(name)["replay_points"] == 0
-            # Past three base generations (one full + three deltas each).
+            # At least one write per cadence (16) plus the explicit ones.
             writes = service.registry.counter(
                 "repro_snapshot_writes_total", stream=name
             ).value
@@ -820,7 +856,7 @@ class TestReplayRetention:
         suffixes = {p.suffix for p in SnapshotStore(tmp_path).generations("e")}
         assert suffixes == {".snap", ".delta"}
 
-        restored = StreamService.restore(tmp_path, snapshot_base_every=4)
+        restored = StreamService.restore(tmp_path)
         restored.flush()
         served = {name: restored.histogram(name) for name in RETENTION_STREAMS}
         restored.close(checkpoint=False)
@@ -829,36 +865,38 @@ class TestReplayRetention:
     def test_supervised_log_reaches_back_to_oldest_base(self, tmp_path):
         segment = 256
         stream = integer_stream(4096, seed=31)
-        service = StreamService(tmp_path, snapshot_base_every=4, supervise=True)
+        service = StreamService(tmp_path, supervise=True)
         for name, (backend, params) in RETENTION_STREAMS.items():
             service.create_stream(
                 name, backend=backend, params=params, maintain_every=16
             )
-        bases = []
-        for number, end in enumerate(range(segment, stream.size + 1, segment)):
+        fulls = {name: [] for name in RETENTION_STREAMS}
+        for end in range(segment, stream.size + 1, segment):
             for name in RETENTION_STREAMS:
                 service.ingest(name, stream[end - segment : end])
             service.flush()
-            service.checkpoint()
-            # Checkpoints 0, 4, 8, ... write full bases; keep=2 retains
-            # the last two, and replay must reach back to the older one.
-            if number % 4 == 0:
-                bases.append(end)
-            oldest = bases[-2] if len(bases) > 1 else bases[-1]
             for name in RETENTION_STREAMS:
+                [path] = service.checkpoint(name)
+                if path.endswith(".snap"):
+                    fulls[name].append(end)
+                # keep=2 retains the last two fulls, and replay must
+                # reach back to the older one.
+                oldest = fulls[name][-2:][0]
                 assert service.stats(name)["replay_points"] == end - oldest
                 log = service._worker(name).replay_batches()
                 assert log == [] or log[0][0] == oldest
-        assert len(bases) >= 3
+        assert len(fulls["e"]) >= 3 and len(fulls["q"]) >= 3
+        # The exact window's fulls outweigh a segment's delta; a GK
+        # summary's do not.
+        assert len(fulls["e"]) < len(fulls["q"]) == stream.size // segment
         service.close(checkpoint=False)
 
     def test_failed_delta_write_trims_nothing(self, tmp_path):
-        stream = integer_stream(768, seed=31)
-        # Sequence 2 is the first delta after the base at sequence 1.
+        stream = integer_stream(576, seed=31)
+        # Sequence 2 is the first delta after the full at sequence 1:
+        # the 64 points since that full weigh less than it does.
         injector = FaultInjector().fail_snapshot_write(at_seq=2, times=2)
-        service = StreamService(
-            tmp_path, snapshot_base_every=4, fault_injector=injector
-        )
+        service = StreamService(tmp_path, fault_injector=injector)
         for name, (backend, params) in RETENTION_STREAMS.items():
             service.create_stream(
                 name, backend=backend, params=params, maintain_every=16
@@ -869,14 +907,14 @@ class TestReplayRetention:
                 service.ingest(name, stream[start:end])
             service.flush()
 
-        feed(0, 256)
+        feed(0, 512)
         service.checkpoint()
-        feed(256, 512)
+        feed(512, 544)
         for name in RETENTION_STREAMS:
             with pytest.raises(OSError):
                 service.checkpoint(name)
-            assert service.stats(name)["replay_points"] == 256
-        feed(512, 768)
+            assert service.stats(name)["replay_points"] == 32
+        feed(544, 576)
         paths = service.checkpoint()
         assert all(path.endswith("00000002.delta") for path in paths)
         for name in RETENTION_STREAMS:
@@ -886,10 +924,94 @@ class TestReplayRetention:
         restored = StreamService.restore(tmp_path)
         restored.flush()
         for name in RETENTION_STREAMS:
-            assert restored.stats(name)["arrivals"] == 768
+            assert restored.stats(name)["arrivals"] == 576
         served = {name: restored.histogram(name) for name in RETENTION_STREAMS}
         restored.close(checkpoint=False)
         assert served == direct_histograms(stream)
+
+
+class TestCheckpointShape:
+    """Each checkpoint chooses full or delta by bytes.
+
+    A delta only while the stream's deltas since its last full, this
+    one included, weigh less than that full.  Both streams here run the
+    old checkpoint suite's regime: an unsupervised service, a filled
+    4,096-point window, a checkpoint every 512 points.  An exact
+    window's full (33.8 KB) outweighs seven 512-point deltas (4.6 KB
+    each) but not eight; a GK summary's full (about 1.5 KB) outweighs
+    none.
+    """
+
+    WINDOW, EVERY, CYCLES = 4096, 512, 3
+
+    def drive(self, directory, backend, params):
+        """Fill, then ingest EVERY points as one batch and checkpoint;
+        per checkpoint the file's shape and bytes, the restored chain's
+        bytes, whether a restore matches the live stream, and the replay
+        log's bytes before it next to the last full's bytes."""
+        stream = integer_stream(self.WINDOW + self.EVERY * 8 * self.CYCLES, seed=9)
+        service = StreamService(directory)
+        service.create_stream("s", backend=backend, params=params)
+        service.ingest("s", stream[: self.WINDOW])
+        service.flush("s")
+        rows, logs, last_full = [], [], None
+        for start in range(self.WINDOW, stream.size, self.EVERY):
+            service.ingest("s", stream[start : start + self.EVERY])
+            service.flush("s")
+            logs.append((8 * service.stats("s")["replay_points"], last_full))
+            [path] = service.checkpoint("s")
+            size = Path(path).stat().st_size
+            if path.endswith(".snap"):
+                last_full = size
+            restored = StreamService.restore(directory)
+            restored.flush("s")
+            rows.append({
+                "shape": Path(path).suffix,
+                "bytes": size,
+                "chain": SnapshotStore(directory).load_latest("s")["chain_bytes"],
+                "identical": restored.histogram("s") == service.histogram("s"),
+                "replay_points": service.stats("s")["replay_points"],
+            })
+            restored.close(checkpoint=False)
+        service.close(checkpoint=False)
+        return rows, logs
+
+    def check_invariants(self, rows, logs):
+        assert all(row["identical"] for row in rows)
+        # A restore reads its full and the deltas since: under two fulls.
+        for row in rows:
+            full, deltas = row["chain"]
+            assert deltas < full
+        # Within twice the cheaper shape's bytes over the same checkpoints.
+        fulls = [row["bytes"] for row in rows if row["shape"] == ".snap"]
+        deltas = [row["bytes"] for row in rows if row["shape"] == ".delta"]
+        written = sum(fulls) + sum(deltas)
+        count = len(rows)
+        cheaper = count * min(
+            sum(fulls) / len(fulls),
+            sum(deltas) / len(deltas) if deltas else float("inf"),
+        )
+        assert written <= 2 * cheaper
+        # An unsupervised log never outweighs the last full.
+        for held, last_full in logs:
+            assert held == 0 or held < last_full
+
+    def test_exact_window_repeats_one_full_and_seven_deltas(self, tmp_path):
+        rows, logs = self.drive(tmp_path, "exact", dict(window_size=self.WINDOW))
+        shapes = [row["shape"] for row in rows]
+        assert shapes == ([".snap"] + [".delta"] * 7) * self.CYCLES
+        fulls = [row["bytes"] for row in rows if row["shape"] == ".snap"]
+        deltas = [row["bytes"] for row in rows if row["shape"] == ".delta"]
+        assert all(33_000 < size < 34_600 for size in fulls)
+        assert all(4_400 < size < 4_800 for size in deltas)
+        self.check_invariants(rows, logs)
+
+    def test_gk_writes_only_fulls_and_keeps_no_log(self, tmp_path):
+        rows, logs = self.drive(tmp_path, "gk_quantiles", dict(epsilon=0.05))
+        assert {row["shape"] for row in rows} == {".snap"}
+        assert all(row["replay_points"] == 0 for row in rows)
+        assert all(held == 0 for held, _ in logs)
+        self.check_invariants(rows, logs)
 
 
 class TestSnapshotStore:

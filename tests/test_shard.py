@@ -428,33 +428,30 @@ class TestShardCrashRecovery:
         data = _domain_stream(POINTS, seed=29)
         chunks = _chunks(data)
         quarter = len(chunks) // 4
+        params = {"window_size": 1024}
         with StreamService() as reference:
             reference.create_stream(
-                "rec", backend="gk_quantiles", params={"epsilon": 0.05},
-                maintain_every=16,
+                "rec", backend="exact", params=params, maintain_every=16
             )
             for chunk in chunks:
                 reference.ingest("rec", chunk)
             assert reference.flush("rec") is True
             expected = reference.histogram("rec")
         snap = tmp_path / "snap"
-        with ShardRouter(
-            num_shards=2, snapshot_dir=snap, snapshot_base_every=3
-        ) as router:
-            # Four checkpoint barriers under a base-every-3 cadence:
-            # full, delta, delta, full.
+        with ShardRouter(num_shards=2, snapshot_dir=snap) as router:
+            router.create_stream(
+                "rec", backend="exact", params=params, maintain_every=16
+            )
+            # Four barriers, a quarter of the points apart: the exact
+            # window's full outweighs the next quarter's delta, so the
+            # shard writes full, delta, full, delta.
             for barrier in range(4):
                 for chunk in chunks[barrier * quarter : (barrier + 1) * quarter]:
-                    if barrier == 0 and chunk is chunks[0]:
-                        router.create_stream(
-                            "rec", backend="gk_quantiles",
-                            params={"epsilon": 0.05}, maintain_every=16,
-                        )
                     router.ingest("rec", chunk)
                 router.flush("rec")
                 router.checkpoint()
             deltas = list(snap.rglob("*.delta"))
-            assert deltas, "delta cadence never produced a delta file"
+            assert deltas, "the shape rule never produced a delta file"
             shard_id = _kill_owner(router, "rec")
             for chunk in chunks[4 * quarter :]:
                 router.ingest("rec", chunk)
@@ -465,6 +462,98 @@ class TestShardCrashRecovery:
             assert health["state"] == "healthy"
             assert health["lossy_recovery"] is False
             assert router.histogram("rec") == expected
+
+    def test_frame_log_keeps_each_stream_back_to_its_oldest_full(
+        self, tmp_path
+    ):
+        """One shard hosts an exact window (fulls outweigh several
+        deltas) and a GK summary (fulls only).  After every barrier the
+        router holds each stream's frames after the oldest full of it
+        the shard keeps (keep=2), and a SIGKILL in the middle of the
+        exact stream's delta chain recovers bit-identical."""
+        names = {"e": ("exact", {"window_size": 1024}),
+                 "q": ("gk_quantiles", {"epsilon": 0.05})}
+        data = {name: _domain_stream(4 * 1024, seed=seed)
+                for name, seed in (("e", 71), ("q", 72))}
+        with StreamService() as reference:
+            for name, (backend, params) in names.items():
+                reference.create_stream(name, backend=backend, params=params)
+                reference.ingest(name, data[name])
+            reference.flush()
+            expected = {name: reference.histogram(name) for name in names}
+        with ShardRouter(num_shards=1, snapshot_dir=tmp_path) as router:
+            for name, (backend, params) in names.items():
+                router.create_stream(name, backend=backend, params=params)
+            frames = []  # (seq, stream, points): one frame per ingest
+            fulls = {name: [] for name in names}
+            shapes = []
+            position = 0
+            for end in range(1024, 1024 + 10 * CHUNK, CHUNK):
+                for name in names:
+                    router.ingest(name, data[name][position:end])
+                    frames.append((len(frames) + 1, name, end - position))
+                position = end
+                assert router.flush() is True
+                paths = router.checkpoint()
+                cut = len(frames)
+                for path in paths:
+                    name = Path(path).name.split("-")[0]
+                    if path.endswith(".snap"):
+                        fulls[name].append(cut)
+                shapes.append(
+                    "".join("F" if p.endswith(".snap") else "D" for p in paths)
+                )
+                floors = {name: cuts[-2:][0] for name, cuts in fulls.items()}
+                held = sum(
+                    points for seq, name, points in frames
+                    if seq > floors[name]
+                )
+                assert router.shard_states()[0]["replay_points"] == held
+            # (e, q) per barrier: a 192-point delta (about 2 KB) is a
+            # fifth of the exact window's full, and heavier than GK's.
+            assert shapes == ["FF"] + ["DF"] * 4 + ["FF"] + ["DF"] * 4
+            _kill_owner(router, "e")
+            for name in names:
+                router.ingest(name, data[name][position:])
+            assert router.flush() is True
+            _wait_for_restart(router, 0)
+            assert router.flush() is True
+            for name in names:
+                health = router.health(name)
+                assert health["state"] == "healthy"
+                assert health["lossy_recovery"] is False
+                assert router.stats(name)["arrivals"] == data[name].size
+                assert router.histogram(name) == expected[name]
+
+    def test_recreated_stream_does_not_recover_its_predecessor(
+        self, tmp_path
+    ):
+        old = _domain_stream(512, seed=73) + 1000.0
+        new = _domain_stream(192, seed=74)
+        params = {"epsilon": 0.05}
+        with StreamService() as reference:
+            reference.create_stream("x", backend="gk_quantiles", params=params)
+            reference.ingest("x", new)
+            reference.flush("x")
+            expected = reference.histogram("x")
+        with ShardRouter(num_shards=1, snapshot_dir=tmp_path) as router:
+            router.create_stream("x", backend="gk_quantiles", params=params)
+            router.ingest("x", old)
+            router.flush("x")
+            router.checkpoint()
+            router.drop_stream("x")
+            router.create_stream("x", backend="gk_quantiles", params=params)
+            router.ingest("x", new)
+            assert router.flush("x") is True
+            _kill_owner(router, "x")
+            _wait_for_restart(router, 0)
+            assert router.flush("x") is True
+            health = router.health("x")
+            assert health["state"] == "healthy"
+            assert health["lossy_recovery"] is False
+            assert router.stats("x")["arrivals"] == new.size
+            assert router.quantile("x", 1.0) < 1000.0
+            assert router.histogram("x") == expected
 
     def test_sigkill_without_snapshot_dir_recovers_bit_identical(
         self, all_backends
@@ -984,8 +1073,10 @@ class TestServiceConfig:
             service.close(checkpoint=False)
 
     def test_cli_restore_keeps_the_durability_settings(self, tmp_path):
-        """A restored router keeps the config's delta cadence and
-        retention: deltas between bases, three base generations."""
+        """A restored router keeps the config's retention: three full
+        generations, with the deltas the shape rule wrote between them.
+        The config still names the retired ``snapshot_base_every``; it
+        loads, and the key is ignored."""
         from repro.service.__main__ import main
 
         path = tmp_path / "svc.json"
@@ -996,17 +1087,17 @@ class TestServiceConfig:
             "snapshot_base_every": 4,
             "snapshot_keep": 3,
             "streams": [{
-                "name": "q", "backend": "gk_quantiles",
-                "params": {"epsilon": 0.05}, "maintain_every": 64,
-                "checkpoint_every": 1024,
+                "name": "w", "backend": "exact",
+                "params": {"window_size": 4096}, "maintain_every": 64,
+                "checkpoint_every": 512,
             }],
         }))
         run = [str(path), "--points", "6000", "--checkpoint", "--quiet"]
         assert main(run) == 0
         assert main(run + ["--restore"]) == 0
         shard_dir = tmp_path / "snap" / "shard-0"
-        assert len(list(shard_dir.glob("q-*.snap"))) == 3
-        assert list(shard_dir.glob("q-*.delta"))
+        assert len(list(shard_dir.glob("w-*.snap"))) == 3
+        assert list(shard_dir.glob("w-*.delta"))
 
     def test_unknown_keys_are_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
