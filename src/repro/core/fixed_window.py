@@ -234,22 +234,19 @@ class FixedWindowHistogramBuilder:
 
         One rebuild amortizes over the batch: the prefix structure advances
         in bulk and the interval cover stays stale until the next
-        :meth:`update` / :meth:`histogram`.
+        :meth:`update` / :meth:`histogram`.  The batch is validated
+        before anything moves.
         """
-        if (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.ndim == 1
-        ):
-            array = values  # validated downstream by the prefix structure
-        else:
-            array = as_stream_batch(values)
+        self._slide(as_stream_batch(values))
+
+    def _slide(self, array: np.ndarray) -> None:
+        """:meth:`extend` by a batch :func:`as_stream_batch` validated."""
         if array.size == 0:
             return
         if array.size == 1:
             self.append(float(array[0]))
             return
-        self._prefix.extend(array)
+        self._prefix._slide(array)
         self._dirty = True
 
     def update(self) -> None:

@@ -22,22 +22,29 @@ import numpy as np
 __all__ = ["PrefixSums", "SlidingPrefixSums", "as_stream_batch"]
 
 
-def _as_float_array(values) -> np.ndarray:
-    if not isinstance(values, (np.ndarray, list, tuple)):
-        values = list(values)  # materialize generators / iterators
-    array = np.asarray(values, dtype=np.float64)
-    if array.ndim != 1:
-        raise ValueError(f"expected a 1-D sequence, got shape {array.shape}")
-    # count_nonzero is the cheapest full reduction here: ndarray.all()
-    # pays a Python-level dispatch that costs more than a small batch.
-    if np.count_nonzero(np.isfinite(array)) != array.size:
-        raise ValueError("values must be finite (no NaN or inf)")
-    return array
+#: Below this many points a Python pass over them costs less than
+#: numpy's per-call overhead.
+_SMALL_BATCH = 16
 
 
 def as_stream_batch(values) -> np.ndarray:
-    """Coerce any iterable of stream points to a validated 1-D float array."""
-    return _as_float_array(values)
+    """Coerce any iterable of stream points to a validated 1-D float array
+    (no NaN or infinities)."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64):
+        if not isinstance(values, (np.ndarray, list, tuple)):
+            values = list(values)  # materialize generators / iterators
+        values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 1:
+        raise ValueError(f"expected a 1-D sequence, got shape {values.shape}")
+    if values.size < _SMALL_BATCH:
+        scanned = all(map(math.isfinite, values.tolist()))
+    else:
+        # count_nonzero is the cheapest full reduction here: ndarray.all()
+        # pays a Python-level dispatch that costs more than a small batch.
+        scanned = np.count_nonzero(np.isfinite(values)) == values.size
+    if not scanned:
+        raise ValueError("values must be finite (no NaN or inf)")
+    return values
 
 
 class PrefixSums:
@@ -48,7 +55,7 @@ class PrefixSums:
     """
 
     def __init__(self, values) -> None:
-        array = _as_float_array(values)
+        array = as_stream_batch(values)
         self._n = array.size
         self._sum = np.concatenate(([0.0], np.cumsum(array)))
         self._sqsum = np.concatenate(([0.0], np.cumsum(array * array)))
@@ -177,28 +184,13 @@ class SlidingPrefixSums:
         or none (callers attribute a failed batch to exactly the
         un-ingested points).
         """
-        unchecked = (
-            isinstance(values, np.ndarray)
-            and values.dtype == np.float64
-            and values.ndim == 1
-        )
-        array = values if unchecked else _as_float_array(values)
-        # Below this size numpy's per-call cost exceeds the arithmetic, so
-        # the running sums are kept as Python floats instead.
-        small = array.size < 16
+        self._slide(as_stream_batch(values))
+
+    def _slide(self, array: np.ndarray) -> None:
+        """:meth:`extend` by a batch :func:`as_stream_batch` validated."""
+        # Small batches keep the running sums as Python floats.
+        small = array.size < _SMALL_BATCH
         points = array.tolist() if small else array
-        if unchecked:
-            if small:
-                finite = all(map(math.isfinite, points))
-            else:
-                # One reduction instead of an elementwise isfinite pass: any
-                # NaN or +/-inf in the batch makes the sum non-finite.  +inf
-                # and -inf together yield NaN inside the reduction, which
-                # numpy would warn about even though rejection is the point.
-                with np.errstate(invalid="ignore"):
-                    finite = math.isfinite(float(np.sum(array)))
-            if not finite:
-                raise ValueError("values must be finite (no NaN or inf)")
         capacity = self._capacity
         start = 0
         while start < len(points):
@@ -265,7 +257,7 @@ class SlidingPrefixSums:
         dropped history never needs replaying because only the retained
         window affects any query.
         """
-        values = _as_float_array(window)
+        values = as_stream_batch(window)
         if values.size > capacity:
             raise ValueError("window longer than capacity")
         if total_seen < values.size:

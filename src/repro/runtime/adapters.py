@@ -105,7 +105,7 @@ class FixedWindowMaintainer(Maintainer):
         self._builder.append(value)
 
     def _ingest_batch(self, batch: np.ndarray) -> None:
-        self._builder.extend(batch)
+        self._builder._slide(batch)  # ``extend`` validated it
 
     def _maintain(self) -> None:
         self._builder.update()

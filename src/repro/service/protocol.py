@@ -20,22 +20,41 @@ a tier's transport:
   (which accounts shed mass) before the tier delivers what is left;
   ``update`` / ``update_many`` encode turnstile updates onto that path,
   and ``retry_dead_letters`` charges a retry all or nothing;
+* the checkpoint scheduler: a *unit* (a router's shard, a threaded
+  service's stream with a ``checkpoint_every``) falls due once its
+  cadence of points has been delivered to it.  The producer that trips
+  it only marks it due; the tier's one checkpointer thread runs the
+  owed checkpoints, oldest first, and a producer waits
+  (``repro_checkpoint_wait_seconds``) only while its unit owes one
+  behind a running one.  A unit's checkpoints, automatic or public, run
+  one at a time (``repro_checkpoint_seconds``, from when each fell
+  due); a dropped unit's owed ones count as run, and ``close()`` lets a
+  running one finish and drops the owed ones.  A router without a
+  ``snapshot_dir`` checkpoints into a private temporary directory,
+  which ``checkpoint()`` and ``restore()`` refuse and ``close()``
+  removes;
 * reporting: ``qos()``, the QoS part of every health report, the
   counting of failed automatic checkpoints, and metric export.
 
 Each tier supplies only its transport, through the abstract methods
 below: how a stream is hosted, how an admitted batch is delivered (a
-worker submit or a frame send), and when an automatic checkpoint is
-due.  Code written against this class runs unchanged on either tier;
-it deliberately excludes ``view()`` / ``synopsis()``, which hand out
-live in-process objects that cannot cross a process boundary.
+worker submit or a frame send), which unit hosts a stream, and what
+one unit's checkpoint is (a stream's capture and write, or a shard
+barrier).  Code written against
+this class runs unchanged on either tier; it deliberately excludes
+``view()`` / ``synopsis()``, which hand out live in-process objects that
+cannot cross a process boundary.
 """
 
 from __future__ import annotations
 
 import logging
+import shutil
+import tempfile
+import threading
 import time
 from abc import ABC, abstractmethod
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,16 +77,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Automatic checkpoint cadence, in points, of a stream without its own
-#: ``checkpoint_every`` on a tier that checkpoints into a private store
-#: (a :class:`~repro.shard.ShardRouter` without a ``snapshot_dir``).
-#: The producer no longer pays for a barrier: the router runs it on its
-#: checkpointer thread.  The shard pays about 35-70 ms per barrier on a
-#: 7-9 stream GK shard, mostly waiting -- for its data thread to reach
-#: the barrier and for the interpreter -- rather than writing.  The
-#: constant sets the recovery-log bound, ``(snapshot_keep + 1) x (2^18 +
-#: one batch)`` points per shard: 787,968 with the default keep of 2 and
-#: 512-point batches, against 2,098,176 at the earlier 2^20 cadence.
+#: Automatic checkpoint cadence, in points framed to a shard, of a
+#: :class:`~repro.shard.ShardRouter` checkpointing into its private store
+#: (unless a stream on the shard sets its own ``checkpoint_every``).  It
+#: sets the router's frame-log bound per shard, ``(snapshot_keep + 1) x
+#: (2^18 + one batch)`` points: 787,968 with the default keep and
+#: 512-point batches.
 DEFAULT_CHECKPOINT_EVERY = 1 << 18
 
 #: Accuracy keys an older version persisted; a restored spec drops them.
@@ -191,23 +206,60 @@ class StreamSpec:
         )
 
 
+class _Schedule:
+    """One checkpoint unit's schedule (see the module notes)."""
+
+    def __init__(self, key, lock, registry: MetricsRegistry, labels: dict) -> None:
+        self.key = key
+        self.seconds = registry.histogram("repro_checkpoint_seconds", **labels)
+        self.wait_seconds = registry.histogram(
+            "repro_checkpoint_wait_seconds", **labels
+        )
+        self.cadence: int | None = None
+        self.points = 0  # delivered since the unit last fell due
+        # When it fell due, oldest first: the first is running (or next).
+        self.due: deque[float] = deque()
+        self.done = 0  # owed checkpoints run (or failed) so far
+        self.changed = threading.Condition(lock)
+        self.running = threading.Lock()  # one checkpoint at a time
+
+
 class ServiceProtocol(ABC):
     """Base class of a multi-stream synopsis service tier.
 
     ``qos`` attaches multi-tenant admission control and the graceful-
     degradation ladder (a :class:`~repro.service.qos.QoSConfig`, or a
     pre-built :class:`~repro.service.qos.QoSController`, which then
-    records into this tier's registry).
+    records into this tier's registry).  ``snapshot_dir`` is the
+    caller's store directory; without one, ``private_store`` (the
+    router's, whose frame log needs a store) gets the private store.
     """
 
-    def __init__(self, qos: QoSConfig | QoSController | None) -> None:
+    def __init__(
+        self,
+        qos: QoSConfig | QoSController | None,
+        snapshot_dir=None,
+        *,
+        private_store: bool = False,
+    ) -> None:
         self.registry = MetricsRegistry()
         self._qos = tier_controller(
             qos, self.registry, self._qos_signals, self._qos_drained
         )
         self._specs: dict[str, StreamSpec] = {}
-        self._checkpoint_errors: dict[str, int] = {}
+        self._checkpoint_errors: Counter[str] = Counter()
         self._closed = False
+        # The store's directory: the caller's, a private one when the
+        # tier must bound its logs without one, or None (no checkpoints).
+        self._private_dir = None
+        if private_store and not snapshot_dir:
+            self._private_dir = Path(tempfile.mkdtemp(prefix="repro-"))
+        self._snapshot_base = Path(snapshot_dir) if snapshot_dir else self._private_dir
+        self._schedules: dict = {}
+        # Guards the schedule map; wakes the checkpointer when a unit
+        # falls due (and at close).
+        self._checkpointer_cond = threading.Condition()
+        self._checkpointer_thread: threading.Thread | None = None
 
     # -- stream lifecycle ----------------------------------------------
 
@@ -257,12 +309,14 @@ class ServiceProtocol(ABC):
         self._specs[name] = spec
         if self._qos is not None:
             self._qos.register_stream(name, spec.tenant, spec.priority)
+        self._reschedule()
 
     def _unregister(self, name: str) -> None:
         del self._specs[name]
         self._checkpoint_errors.pop(name, None)
         if self._qos is not None:
             self._qos.forget_stream(name)
+        self._reschedule()
 
     def streams(self) -> list[str]:
         """Hosted stream names, sorted."""
@@ -457,36 +511,198 @@ class ServiceProtocol(ABC):
     def certify(self, name: str, **kwargs) -> dict:
         """Differential certification report; ``report['passed']``."""
 
-    @abstractmethod
     def checkpoint(self, name: str | None = None) -> list[str]:
-        """Write durable snapshots; returns the written paths."""
+        """Write durable snapshots of the unit hosting ``name`` (of every
+        unit without one); returns the written paths.  Each waits for an
+        automatic checkpoint of its unit still running.  Refused without
+        the caller's ``snapshot_dir``."""
+        if self._snapshot_base is None or self._private_dir is not None:
+            raise RuntimeError(
+                f"{type(self).__name__} was created without a snapshot_dir"
+            )
+        paths: list[str] = []
+        for key in self._units(name):
+            schedule = self._schedules.get(key)  # None: never due
+            paths.extend(
+                self._checkpoint_unit(key) if schedule is None
+                else self._checkpoint_now(schedule)
+            )
+        return paths
 
-    def _auto_checkpoint(self, checkpoint, streams) -> None:
-        """Run an automatic checkpoint without ever failing the producer.
+    def _remove_private_dir(self) -> None:
+        if self._private_dir is not None:
+            shutil.rmtree(self._private_dir, ignore_errors=True)
 
-        A failure counts against every stream the checkpoint covered
-        (``repro_checkpoint_errors_total{stream}`` and
-        ``health(name)["checkpoint_errors"]``); the tier's next cadence,
-        or an explicit ``checkpoint()``, tries again.
-        """
+    # -- the checkpoint scheduler ---------------------------------------
+
+    @abstractmethod
+    def _checkpoint_unit(self, key) -> list[str]:
+        """One checkpoint of a unit (its turn held); returns the paths."""
+
+    @abstractmethod
+    def _unit_of(self, name: str):
+        """The unit hosting a registered stream (its checkpoint covers it)."""
+
+    def _units(self, name: str | None = None) -> list:
+        """The unit hosting ``name``, or every unit hosting a stream."""
+        if name is not None:
+            self.spec(name)  # raises UnknownStreamError
+            return [self._unit_of(name)]
+        return sorted({self._unit_of(stream) for stream in list(self._specs)})
+
+    def _unit_streams(self, key) -> list[str]:
+        """The streams a unit hosts, sorted."""
+        return sorted(n for n in list(self._specs) if self._unit_of(n) == key)
+
+    def _add_schedule(self, key, lock=None, **labels) -> _Schedule:
+        """Schedule a unit; its counts are guarded by ``lock`` (and so is
+        what the tier's delivery does under it)."""
+        schedule = _Schedule(key, lock or threading.Lock(), self.registry, labels)
+        with self._checkpointer_cond:
+            self._schedules[key] = schedule
+        self._reschedule()
+        return schedule
+
+    def _drop_schedule(self, key) -> None:
+        """Forget a unit once a checkpoint of it running now has ended;
+        the ones it still owes count as run."""
+        with self._checkpointer_cond:
+            schedule = self._schedules.pop(key, None)
+        if schedule is None:
+            return
+        with schedule.running, schedule.changed:
+            schedule.done += len(schedule.due)
+            schedule.due.clear()
+            schedule.changed.notify_all()
+
+    def _reschedule(self) -> None:
+        """Every unit's cadence (on each registration change): the smallest
+        ``checkpoint_every`` of its streams, where, with a private store,
+        a stream without one takes :data:`DEFAULT_CHECKPOINT_EVERY`."""
+        default = None if self._private_dir is None else DEFAULT_CHECKPOINT_EVERY
+        cadences: dict = {}
+        for name, spec in list(self._specs.items()):
+            every = spec.checkpoint_every or default
+            cadences.setdefault(self._unit_of(name), []).append(every)
+        for key, schedule in list(self._schedules.items()):
+            schedule.cadence = min(filter(None, cadences.get(key, ())), default=None)
+
+    def _scheduled(self, schedule: _Schedule, deliver) -> int:
+        """Run ``deliver()`` (a batch's hand-off; it returns the points)
+        under the unit's lock: first wait while the unit owes a checkpoint
+        behind a running one, then count the points, and mark the unit due
+        when they reach its cadence."""
+        with schedule.changed:
+            if len(schedule.due) > 1:
+                started = time.perf_counter()
+                schedule.changed.wait_for(
+                    lambda: len(schedule.due) < 2 or self._closed
+                )
+                schedule.wait_seconds.observe(time.perf_counter() - started)
+            points = deliver()
+            schedule.points += points
+            due = schedule.cadence is not None and schedule.points >= schedule.cadence
+            if due:
+                schedule.points = 0
+                schedule.due.append(time.perf_counter())
+        if due:
+            with self._checkpointer_cond:
+                if self._checkpointer_thread is None and not self._closed:
+                    self._checkpointer_thread = threading.Thread(
+                        target=self._checkpointer, name="repro-checkpointer",
+                        daemon=True,
+                    )
+                    self._checkpointer_thread.start()
+                self._checkpointer_cond.notify()
+        return points
+
+    def _checkpointer(self) -> None:
+        """Run the owed checkpoints, oldest first, one at a time."""
+        while True:
+            with self._checkpointer_cond:
+                owing = []
+                while not self._closed and not owing:
+                    owing = [s for s in self._schedules.values() if s.due]
+                    if not owing:
+                        self._checkpointer_cond.wait()
+                if self._closed:
+                    return
+            self._run_due(min(owing, key=lambda s: s.due[0]))
+
+    def _run_due(self, schedule: _Schedule) -> None:
+        """Run a unit's oldest owed checkpoint without failing a producer:
+        a failure counts against every stream of the unit
+        (``repro_checkpoint_errors_total{stream}``, ``health(name)
+        ["checkpoint_errors"]``), and the next one tries again."""
         try:
-            checkpoint()
+            self._checkpoint_now(schedule, schedule.due[0])
         except Exception:
+            streams = self._unit_streams(schedule.key)
             logger.warning(
                 "automatic checkpoint of %s failed", ", ".join(streams),
                 exc_info=True,
             )
-            for name in streams:
-                self._checkpoint_errors[name] = (
-                    self._checkpoint_errors.get(name, 0) + 1
-                )
-                self.registry.counter(
-                    "repro_checkpoint_errors_total", stream=name
-                ).inc()
+            with self._checkpointer_cond:  # not for a stream dropped since
+                if self._schedules.get(schedule.key) is schedule:
+                    for name in streams:
+                        self._checkpoint_errors[name] += 1
+                        self.registry.counter(
+                            "repro_checkpoint_errors_total", stream=name
+                        ).inc()
+        finally:
+            with schedule.changed:
+                if schedule.due:  # not when a drop has counted it
+                    schedule.due.popleft()
+                    schedule.done += 1
+                schedule.changed.notify_all()
+
+    def _checkpoint_now(self, schedule: _Schedule, since=None) -> list[str]:
+        """A unit's checkpoint, once one of it running now has ended,
+        timed from ``since`` (when it fell due; the call by default)."""
+        since = since or time.perf_counter()
+        with schedule.running:
+            if self._schedules.get(schedule.key) is not schedule:
+                return []  # dropped meanwhile
+            paths = self._checkpoint_unit(schedule.key)
+        schedule.seconds.observe(time.perf_counter() - since)
+        return paths
+
+    def _await_checkpoints(self, keys, timeout: float | None = None) -> bool:
+        """Wait until the checkpoints these units owe now have run (or
+        ``close()`` dropped them); False if one did not in ``timeout``."""
+        finished = True
+        for schedule in filter(None, map(self._schedules.get, keys)):
+            with schedule.changed:
+                owed = schedule.done + len(schedule.due)
+                finished = schedule.changed.wait_for(
+                    lambda s=schedule, n=owed: s.done >= n or self._closed,
+                    timeout=timeout,
+                ) and finished
+        return finished
+
+    def close(self, checkpoint: bool | None = None) -> None:
+        """Drain and stop (idempotent): a running checkpoint finishes and
+        the owed ones are dropped first.  ``checkpoint`` asks for a final
+        one into the caller's ``snapshot_dir`` (``None``: the tier's
+        default); a private store takes none and is removed."""
+        if self._closed:
+            return
+        self._closed = True
+        with self._checkpointer_cond:
+            self._checkpointer_cond.notify_all()
+        if self._checkpointer_thread is not None:
+            self._checkpointer_thread.join()
+        for schedule in list(self._schedules.values()):
+            with schedule.changed:  # the producers waiting on it go on
+                schedule.changed.notify_all()
+        try:
+            self._shutdown(False if self._private_dir is not None else checkpoint)
+        finally:
+            self._remove_private_dir()
 
     @abstractmethod
-    def close(self, checkpoint: bool | None = None) -> None:
-        """Drain and stop (idempotent)."""
+    def _shutdown(self, checkpoint: bool | None) -> None:
+        """Stop the tier's transport, with a final checkpoint or not."""
 
     def __enter__(self):
         return self

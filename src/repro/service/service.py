@@ -89,12 +89,13 @@ class StreamService(ServiceProtocol):
     stream (>= 2 keeps a fallback behind the newest); ``qos`` is as in
     :class:`~repro.service.protocol.ServiceProtocol`.
     ``snapshot_base_every`` is accepted and ignored: each checkpoint
-    chooses its own shape (see :meth:`checkpoint`).
+    chooses its own shape (full or delta, by size).
 
-    Without ``snapshot_dir`` the service takes no checkpoints, so a
-    supervised service's replay logs grow with its streams (a
-    :class:`~repro.shard.ShardRouter` checkpoints into a private store
-    instead).
+    A stream with a ``checkpoint_every`` is one unit of the checkpoint
+    scheduler (:mod:`repro.service.protocol`).  Without ``snapshot_dir``
+    the service takes no checkpoints, so a supervised service's replay
+    logs grow with its streams (a :class:`~repro.shard.ShardRouter`
+    checkpoints into a private store instead).
     """
 
     def __init__(
@@ -112,7 +113,7 @@ class StreamService(ServiceProtocol):
             raise ValueError("restart_policy requires supervise=True")
         if snapshot_keep < 1:
             raise ValueError("snapshot_keep must be >= 1")
-        super().__init__(qos)
+        super().__init__(qos, snapshot_dir)
         self.tracer = Tracer(self.registry)
         self._store = (
             SnapshotStore(
@@ -218,11 +219,14 @@ class StreamService(ServiceProtocol):
         self._checkpoint_marks[name] = arrivals
         self._chain_bytes[name] = chain_bytes
         worker.start()
+        if self._store is not None and spec.checkpoint_every:
+            self._add_schedule(name, stream=name)
         return worker
 
     def drop_stream(self, name: str, drain: bool = True) -> None:
         """Stop and forget a stream (its snapshots stay until a fresh create)."""
         worker = self._worker(name)
+        self._drop_schedule(name)
         worker.stop(drain=drain)
         del self._workers[name]
         del self._checkpoint_marks[name]
@@ -242,30 +246,36 @@ class StreamService(ServiceProtocol):
     # ------------------------------------------------------------------
 
     def _deliver(self, name: str, batch) -> int:
-        """Submit to the stream's worker, then take a due checkpoint.
+        """Submit to the stream's worker, through its checkpoint schedule
+        when it has one (its points then count toward the next automatic
+        checkpoint, which the checkpointer thread takes).
 
-        On a supervised service a submit that hits a dead worker waits
-        for the restarted replacement and retries.  With
-        ``checkpoint_every`` set, a checkpoint is due once that many
-        points have been *applied* since the stream's last one.
+        On a supervised service it rides across worker restarts.
         """
+        schedule = self._schedules.get(name)
+        if schedule is None:
+            return self._submit(name, batch)
+        return self._scheduled(schedule, lambda: self._submit(name, batch))
+
+    def _submit(self, name: str, batch) -> int:
+        return self._on_live_worker(name, lambda worker: worker.submit(batch))
+
+    def _on_live_worker(self, name: str, act):
+        """``act(worker)``; on a supervised service, a call that meets a
+        dead worker waits for its restarted replacement and retries."""
         while True:
             worker = self._worker(name)
             try:
-                accepted = worker.submit(batch)
-                break
+                return act(worker)
             except WorkerFailedError:
                 if self._supervisor is None:
                     raise
                 self._supervisor.wait_recovered(name, worker)
-        every = self._specs[name].checkpoint_every
-        if every is not None and self._store is not None:
-            if worker.arrivals - self._checkpoint_marks[name] >= every:
-                self._auto_checkpoint(lambda: self.checkpoint(name), [name])
-        return accepted
 
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
-        """Wait until queued points are ingested (one stream or all).
+        """Wait until queued points are ingested (one stream or all), and
+        until the automatic checkpoints that fell due before the call
+        are written.
 
         On a supervised service this rides across worker restarts: a
         flush that observes a dead worker waits for its replacement and
@@ -273,18 +283,11 @@ class StreamService(ServiceProtocol):
         fully drained too.
         """
         names = [name] if name else self.streams()
-        drained = True
-        for stream_name in names:
-            while True:
-                worker = self._worker(stream_name)
-                try:
-                    drained = worker.flush(timeout=timeout) and drained
-                    break
-                except WorkerFailedError:
-                    if self._supervisor is None:
-                        raise
-                    self._supervisor.wait_recovered(stream_name, worker)
-        return drained
+        drained = [
+            self._on_live_worker(n, lambda worker: worker.flush(timeout=timeout))
+            for n in names
+        ]
+        return self._await_checkpoints(names, timeout) and all(drained)
 
     # ------------------------------------------------------------------
     # Dead-letter quarantine
@@ -537,12 +540,14 @@ class StreamService(ServiceProtocol):
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint(self, name: str | None = None) -> list[str]:
-        """Write durable snapshots (one stream or all); returns paths.
+    def _unit_of(self, name: str) -> str:
+        return name
 
-        Each snapshot captures the maintainer state at a batch boundary
-        plus the buffered tail, so a restore replays exactly the points
-        the crashed service had accepted but not yet applied.
+    def _checkpoint_unit(self, key: str) -> list[str]:
+        """One stream's checkpoint: a durable snapshot of its maintainer
+        state at a batch boundary plus the buffered tail, so a restore
+        replays exactly the points the crashed service had accepted but
+        not yet applied.
 
         Each checkpoint chooses its own shape by size: a binary delta
         (the replay-log slice since the last checkpoint plus the current
@@ -555,26 +560,20 @@ class StreamService(ServiceProtocol):
         the worker's replay log is trimmed by the retention rule beside
         ``_checkpoint_marks``: to this checkpoint without a supervisor,
         to the oldest retained full generation with one.  A failed
-        write trims nothing.
+        write trims nothing (a failed first full stops the log its
+        capture started).
         """
-        if self._store is None:
-            raise RuntimeError("service was created without a snapshot_dir")
-        names = [name] if name is not None else self.streams()
-        paths = []
-        for stream_name in names:
-            with self.tracer.span("checkpoint", stream_name):
-                captured = self._capture_checkpoint(stream_name)
-                paths.append(self._write_checkpoint(captured))
-        return paths
+        with self.tracer.span("checkpoint", key):
+            return [self._write_checkpoint(self._capture_checkpoint(key))]
 
     def _capture_checkpoint(self, name: str, cut: int | None = None) -> tuple:
         """Capture one stream's next checkpoint without writing it.
 
         A delta, already encoded, when the shape rule allows one (see
-        :meth:`checkpoint`); otherwise the full state.  A delta holds 8
-        bytes per point since the last checkpoint, so a stream whose
-        points since then already outweigh its budget skips the slice
-        capture.  The capture is the cut :meth:`_write_checkpoint`
+        :meth:`_checkpoint_unit`); otherwise the full state.  A delta
+        holds 8 bytes per point since the last checkpoint, so a stream
+        whose points since then already outweigh its budget skips the
+        slice capture.  The capture is the cut :meth:`_write_checkpoint`
         persists, however much the stream ingests in between (the shard
         host relies on this).  ``cut`` is the caller's name for that
         point (the shard host's frame watermark); the snapshot records
@@ -594,6 +593,10 @@ class StreamService(ServiceProtocol):
                 if encoded is not None and len(encoded[1]) < full - spent:
                     capture = {"arrivals": delta["arrivals"], "delta": encoded}
         if capture is None:
+            if not full and self._supervisor is None:
+                # A first full: log from here on, so that the next delta
+                # tiles from its mark (the write sets the log's limit).
+                worker.trim_replay(worker.arrivals, math.inf)
             capture = worker.checkpoint_capture()
             if cut is not None:
                 capture["cut"] = cut
@@ -610,9 +613,15 @@ class StreamService(ServiceProtocol):
             full, spent = self._chain_bytes[name]
             spent += len(capture["delta"][1])
         else:
-            path = self._store.write(
-                name, {"spec": self._specs[name].to_dict(), **capture}
-            )
+            try:
+                path = self._store.write(
+                    name, {"spec": self._specs[name].to_dict(), **capture}
+                )
+            except BaseException:
+                if not self._chain_bytes[name][0] and self._supervisor is None:
+                    # The capture started the log for this first full.
+                    worker.trim_replay(math.inf, 0)
+                raise
             tail = sum(int(batch.size) for batch in capture["tail"])
             full, spent = path.stat().st_size - 8 * tail, 0
             self._generation_arrivals.setdefault(
@@ -625,23 +634,6 @@ class StreamService(ServiceProtocol):
         elif generations := self._generation_arrivals.get(name):
             worker.trim_replay(generations[0])
         return str(path)
-
-    def restore_stream(self, name: str) -> StreamWorker:
-        """Recreate one stream from its latest verifiable snapshot."""
-        if self._store is None:
-            raise RuntimeError("service was created without a snapshot_dir")
-        payload = self._store.load_latest(name)
-        self._restored_cuts[name] = payload.get("cut")
-        worker = self._add_stream(
-            name,
-            StreamSpec.from_dict(payload["spec"]),
-            state=payload["state"],
-            arrivals=int(payload["arrivals"]),
-            chain_bytes=tuple(payload["chain_bytes"]),
-        )
-        for batch in payload["tail"]:
-            worker.submit(batch)
-        return worker
 
     @classmethod
     def restore(cls, snapshot_dir, **kwargs) -> "StreamService":
@@ -659,25 +651,29 @@ class StreamService(ServiceProtocol):
             raise RuntimeError("StreamService.restore needs a snapshot_dir")
         service = cls(snapshot_dir=snapshot_dir, **kwargs)
         for name in service._store.streams():
-            service.restore_stream(name)
+            payload = service._store.load_latest(name)
+            service._restored_cuts[name] = payload.get("cut")
+            worker = service._add_stream(
+                name,
+                StreamSpec.from_dict(payload["spec"]),
+                state=payload["state"],
+                arrivals=int(payload["arrivals"]),
+                chain_bytes=tuple(payload["chain_bytes"]),
+            )
+            for batch in payload["tail"]:
+                worker.submit(batch)
         return service
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def close(self, checkpoint: bool | None = None) -> None:
-        """Drain and stop every worker (idempotent).
-
-        The supervisor (if any) is stopped first so no restart races the
-        shutdown.  With a snapshot store attached, a final checkpoint of
-        every *live* stream is taken by default once the queues are
-        drained (pass ``checkpoint=False`` to skip it); failed streams
-        are skipped rather than erroring the shutdown.
+    def _shutdown(self, checkpoint: bool | None) -> None:
+        """Stop the supervisor (so no restart races the shutdown), then
+        drain and stop every worker; with the caller's snapshot store a
+        final checkpoint of every *live* stream follows by default
+        (failed streams are skipped rather than erroring the shutdown).
         """
-        if self._closed:
-            return
-        self._closed = True
         if self._supervisor is not None:
             self._supervisor.stop()
         for worker in self._workers.values():

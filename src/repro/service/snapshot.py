@@ -48,6 +48,7 @@ import logging
 import os
 import re
 import struct
+import threading
 import time
 from pathlib import Path
 
@@ -277,6 +278,7 @@ class SnapshotStore:
     every delta hanging off them and can never strand a delta.  An
     optional :class:`~repro.service.faults.FaultInjector` is consulted
     before every write so chaos suites can fail snapshots on schedule.
+    Threads may share a store: its manifest has one writer at a time.
     """
 
     def __init__(
@@ -290,6 +292,9 @@ class SnapshotStore:
         self._injector = fault_injector
         self._registry = registry
         self._manifest_path = self.directory / MANIFEST_NAME
+        # Held across each read-modify-write of the manifest (one stream's
+        # entry; the manifest file and its temp file are shared).
+        self._manifest_lock = threading.RLock()
         self.counters = {
             "writes": 0,
             "write_failures": 0,
@@ -397,16 +402,17 @@ class SnapshotStore:
         failures (including injected ones) are counted and re-raised;
         the previous generation and the manifest are left untouched.
         """
-        manifest = self._manifest_or_rebuild()
-        seq = int(manifest["streams"].get(name, {}).get("seq", 0)) + 1
-        created_at = time.time()
-        data, checksum = self._encode_full(name, seq, created_at, payload)
-        path = self._commit(name, seq, SUFFIX_FULL, data, {
-            "kind": "full",
-            "arrivals": int(payload.get("arrivals", 0)),
-            "created_at": created_at,
-            CHECKSUM_FIELD: checksum,
-        }, manifest)
+        with self._manifest_lock:
+            manifest = self._manifest_or_rebuild()
+            seq = int(manifest["streams"].get(name, {}).get("seq", 0)) + 1
+            created_at = time.time()
+            data, checksum = self._encode_full(name, seq, created_at, payload)
+            path = self._commit(name, seq, SUFFIX_FULL, data, {
+                "kind": "full",
+                "arrivals": int(payload.get("arrivals", 0)),
+                "created_at": created_at,
+                CHECKSUM_FIELD: checksum,
+            }, manifest)
         self._prune(name)
         return path
 
@@ -505,10 +511,11 @@ class SnapshotStore:
             if self._injector is not None:
                 self._injector.on_snapshot_write(name, seq)
             _atomic_write(path, data, self._injector)
-            if manifest is None:
-                manifest = self._manifest_or_rebuild()
-            manifest["streams"][name] = {"file": filename, "seq": seq, **entry}
-            _atomic_write_json(self._manifest_path, manifest, self._injector)
+            with self._manifest_lock:
+                if manifest is None:
+                    manifest = self._manifest_or_rebuild()
+                manifest["streams"][name] = {"file": filename, "seq": seq, **entry}
+                _atomic_write_json(self._manifest_path, manifest, self._injector)
         except OSError:
             self._count("write_failures", name)
             raise
@@ -520,9 +527,10 @@ class SnapshotStore:
         unlink raises, manifest entry intact), then its manifest entry."""
         for path in self.generations(name):
             path.unlink()
-        manifest = self._manifest_or_rebuild()
-        if manifest["streams"].pop(name, None) is not None:
-            _atomic_write_json(self._manifest_path, manifest, self._injector)
+        with self._manifest_lock:
+            manifest = self._manifest_or_rebuild()
+            if manifest["streams"].pop(name, None) is not None:
+                _atomic_write_json(self._manifest_path, manifest, self._injector)
 
     def _encode_full(
         self, name: str, seq: int, created_at: float, payload: dict

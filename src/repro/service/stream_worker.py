@@ -838,15 +838,9 @@ class StreamWorker:
             return list(self._replay)
 
     def trim_replay(self, min_arrival: int, limit: float | None = None) -> None:
-        """Drop replay batches that start before ``min_arrival``.
-
-        The service calls this after each successful checkpoint with
-        the oldest arrival a reader may still ask for: the checkpoint
-        itself when the stream is unsupervised (the next delta only
-        needs the batches since it), the oldest retained full generation
-        when a supervisor may recover from it.  ``limit`` replaces the
-        log's byte limit.
-        """
+        """Drop replay batches that start before ``min_arrival`` (the
+        oldest arrival a reader may still ask for, by the service's
+        retention rule); ``limit`` replaces the log's byte limit."""
         with self._state_lock:
             if limit is not None:
                 self._replay_limit = limit

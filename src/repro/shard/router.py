@@ -37,28 +37,13 @@ never crashed, whichever generation the restore reached.  A shard that
 exhausts its restart budget is ``failed``; producers get
 :class:`~repro.service.supervisor.StreamFailedError`.
 
-**Barriers.**  An automatic barrier falls due once a shard's cadence of
-points has been framed to it: every stream's ``checkpoint_every``
-(the smallest counts), or, without a ``snapshot_dir``,
-:data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY`.  The producer
-that trips it only marks the shard due; one router-owned checkpointer
-thread runs the barrier, and the next cadence counts from the trip.
-Producers wait only when the shard falls due again while its previous
-barrier is still in flight (``repro_router_checkpoint_wait_seconds``),
-which bounds each shard's frame log at ``(snapshot_keep + 1) x
-(cadence + one batch)`` points when every barrier writes fulls (each
-stream's shape is its own, see
-:meth:`~repro.service.service.StreamService.checkpoint`; at the default
-cadence a GK stream's delta would outweigh its full many times over).
-``repro_router_checkpoint_seconds`` times each barrier from when it
-falls due to when it is recorded.
-Without a ``snapshot_dir`` the shards' stores live in a private
-temporary directory; ``close()`` lets an in-flight barrier finish,
-then removes the directory without a final checkpoint, and the public
-``checkpoint()`` and ``restore()`` refuse without the caller's
-directory.  A caller's ``snapshot_dir`` keeps the caller's cadence:
-without ``checkpoint_every`` its log grows until the caller
-checkpoints.
+**Barriers.**  Each shard is one unit of the front door's checkpoint
+scheduler (:class:`~repro.service.protocol.ServiceProtocol`); its
+checkpoint is a barrier, due every ``checkpoint_every`` (its streams'
+smallest) or, into the private store,
+:data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY` points framed
+to it.  That bounds its frame log at ``(snapshot_keep + 1) x (cadence +
+one batch)`` points while barriers write fulls, as GK streams do.
 
 Two deliberate semantic differences from the threaded tier:
 
@@ -77,9 +62,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import shutil
 import socket
-import tempfile
 import threading
 import time
 from collections import deque
@@ -88,12 +71,7 @@ from pathlib import Path
 
 from ..obs.tracing import SpanRecord
 from ..service.faults import FaultInjector
-from ..service.protocol import (
-    DEFAULT_CHECKPOINT_EVERY,
-    ServiceProtocol,
-    StreamSpec,
-    UnknownStreamError,
-)
+from ..service.protocol import ServiceProtocol, StreamSpec, UnknownStreamError
 from ..service.qos import QoSConfig, QoSController
 from ..service.queries import UnsupportedQueryError
 from ..service.supervisor import RestartPolicy, StreamFailedError
@@ -216,13 +194,10 @@ class _ShardHandle:
         self.data_sock = None
         self.ctrl_sock = None
         # send_lock orders data frames and guards the replay buffer and
-        # the barrier bookkeeping; ctrl_lock serializes request/reply
-        # pairs on the control channel; barrier_lock lets one barrier
-        # (automatic or public) run on the shard at a time.
+        # the shard's checkpoint schedule; ctrl_lock serializes
+        # request/reply pairs on the control channel.
         self.send_lock = threading.Lock()
-        self.barrier_done = threading.Condition(self.send_lock)
         self.ctrl_lock = threading.Lock()
-        self.barrier_lock = threading.Lock()
         self.next_seq = 1
         self.ctrl_seq = 0
         # Each stream's frames since the oldest full of it the shard
@@ -237,19 +212,11 @@ class _ShardHandle:
         # its store keeps: a restore lands at or after the oldest, so
         # the stream's frames up to it can go.
         self.full_cuts: dict[str, deque[int]] = {}
-        self.points_since_checkpoint = 0
-        self.checkpoint_cadence: int | None = None
-        # Automatic barriers owed, as the times they fell due: the first
-        # is in flight (or next for the checkpointer); while a second
-        # one waits behind it, producers wait too.
-        self.barriers_due: deque[float] = deque()
         self.state = "down"  # up / dead / recovering / failed / closed
         self.restarts = 0
         self.last_error: str | None = None
         self.lossy = False
         self.breaker: CircuitBreaker | None = None  # set by the router
-        self.checkpoint_latency = None  # set by the router
-        self.checkpoint_wait = None  # set by the router
 
 
 class ShardRouter(ServiceProtocol):
@@ -264,16 +231,8 @@ class ShardRouter(ServiceProtocol):
         ``shard-<id>/`` SnapshotStore underneath, the router writes a
         ``router.json`` manifest (specs + ring geometry) beside them.
         Without it the stores live in a private temporary directory
-        that only bounds the replay log: the router takes automatic
-        barriers into it every
-        :data:`~repro.service.protocol.DEFAULT_CHECKPOINT_EVERY` points
-        framed to a shard, on its checkpointer thread, so producers do
-        not wait for them, and each shard's frame log stays within
-        ``(snapshot_keep + 1) x (cadence + one batch)`` points (a
-        producer waits, timed in
-        ``repro_router_checkpoint_wait_seconds``, only when a shard
-        falls due again while its barrier is in flight).
-        ``checkpoint()`` and ``restore()`` are unavailable, and
+        that only bounds the replay log (see *Barriers* in the module
+        notes): ``checkpoint()`` and ``restore()`` are unavailable, and
         ``close()`` removes the directory.
     virtual_nodes:
         Ring points per shard (placement granularity).
@@ -332,32 +291,25 @@ class ShardRouter(ServiceProtocol):
         self._breaker_threshold = int(breaker_threshold)
         self._breaker_reset = float(breaker_reset)
         self._injector = fault_injector
-        super().__init__(qos)
         # Without the caller's directory the shards' stores live in a
         # private one, so the frame log always has a full to trim to.
-        self._private_dir = (
-            None if snapshot_dir else Path(tempfile.mkdtemp(prefix="repro-"))
-        )
-        self._snapshot_base = (
-            Path(snapshot_dir) if snapshot_dir else self._private_dir
-        )
+        super().__init__(qos, snapshot_dir, private_store=True)
         self._send_latency = self.registry.histogram(
             "repro_router_send_seconds"
         )
         self._cond = threading.Condition()
         self._stop_event = threading.Event()
-        # Wakes the checkpointer when a shard falls due (and at close).
-        self._barrier_cond = threading.Condition()
 
         restoring = bool(_restore)
         if restoring:
             manifest = self._read_manifest()
             num_shards = int(manifest["num_shards"])
             virtual_nodes = int(manifest["virtual_nodes"])
-            for name, spec in manifest["specs"].items():
-                self._register(name, StreamSpec.from_dict(spec))
         self.num_shards = int(num_shards)
         self._ring = HashRing(range(self.num_shards), virtual_nodes)
+        if restoring:
+            for name, spec in manifest["specs"].items():
+                self._register(name, StreamSpec.from_dict(spec))
         # Hot-path routing cache: stream -> (handle, points counter).
         self._route: dict[str, tuple[_ShardHandle, object]] = {}
 
@@ -372,12 +324,8 @@ class ShardRouter(ServiceProtocol):
                 reset_timeout=self._breaker_reset,
                 registry=self.registry,
             )
-            handle.checkpoint_latency = self.registry.histogram(
-                "repro_router_checkpoint_seconds", shard=str(handle.shard_id)
-            )
-            handle.checkpoint_wait = self.registry.histogram(
-                "repro_router_checkpoint_wait_seconds",
-                shard=str(handle.shard_id),
+            self._add_schedule(
+                handle.shard_id, handle.send_lock, shard=str(handle.shard_id)
             )
             try:
                 self._spawn(handle, restore=restoring)
@@ -398,13 +346,6 @@ class ShardRouter(ServiceProtocol):
             target=self._monitor, name="shard-router-monitor", daemon=True
         )
         self._monitor_thread.start()
-        # Not the monitor: a barrier that meets a dead shard waits for
-        # the monitor to recover it.
-        self._checkpointer_thread = threading.Thread(
-            target=self._checkpointer, name="shard-router-checkpointer",
-            daemon=True,
-        )
-        self._checkpointer_thread.start()
 
     # ------------------------------------------------------------------
     # Process lifecycle
@@ -638,16 +579,10 @@ class ShardRouter(ServiceProtocol):
                 return result
 
     def _owner_handle(self, name: str) -> _ShardHandle:
-        self.spec(name)  # raises UnknownStreamError
-        return self._shards[self._ring.owner(name)]
+        return self._involved(name)[0]
 
-    def _owned(self, shard_id: int) -> list[str]:
-        """The hosted streams the ring places on one shard, sorted."""
-        return sorted(
-            name
-            for name in list(self._specs)
-            if self._ring.owner(name) == shard_id
-        )
+    def _unit_of(self, name: str) -> int:
+        return self._ring.owner(name)
 
     # ------------------------------------------------------------------
     # Stream lifecycle
@@ -672,21 +607,6 @@ class ShardRouter(ServiceProtocol):
         )
         self._route[name] = (handle, counter)
 
-    def _shard_cadence(self, handle: _ShardHandle) -> int | None:
-        """Points framed to the shard between automatic barriers: the
-        smallest cadence of its streams, where a stream without its own
-        ``checkpoint_every`` takes the private store's default."""
-        default = (
-            DEFAULT_CHECKPOINT_EVERY if self._private_dir is not None else None
-        )
-        cadences = [
-            every
-            for name in self._owned(handle.shard_id)
-            if (every := self._specs[name].checkpoint_every or default)
-            is not None
-        ]
-        return min(cadences, default=None)
-
     def _host_stream(self, name: str, spec: StreamSpec) -> None:
         """Create a registered stream on its owner shard (placement is hashed)."""
         handle = self._shards[self._ring.owner(name)]
@@ -706,7 +626,6 @@ class ShardRouter(ServiceProtocol):
             # stream from the spec map, so registration stands.
             self._note_dead(handle)
         self._cache_route(name)
-        handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
 
     def drop_stream(self, name: str, drain: bool = True) -> None:
@@ -724,7 +643,6 @@ class ShardRouter(ServiceProtocol):
             )
             handle.trimmed_upto.pop(name, None)
             handle.full_cuts.pop(name, None)
-        handle.checkpoint_cadence = self._shard_cadence(handle)
         self._write_manifest()
 
     def placement(self) -> dict[str, int]:
@@ -744,11 +662,9 @@ class ShardRouter(ServiceProtocol):
         accepted while the shard is crashing is not lost: it sits in
         the replay buffer and recovery re-delivers it.  A wedged shard
         whose breaker is open raises :class:`ShardUnavailableError`
-        instead of blocking on its socket.  The automatic checkpoint
-        cadence counts points framed to the shard since its last barrier
-        fell due; the frame that trips it marks the whole shard due for
-        the checkpointer and starts the next count.  A producer waits
-        only while the shard owes a second barrier behind one in flight.
+        instead of blocking on its socket.  The frame goes through the
+        shard's checkpoint schedule, so its points count toward the
+        shard's next barrier.
         """
         handle, counter = self._route[name]
         points = int(batch.size)
@@ -761,26 +677,13 @@ class ShardRouter(ServiceProtocol):
                 f"ingest for {name!r} rejected, retry after "
                 f"{handle.breaker.reset_timeout:.1f}s"
             )
-        send_failed = False
-        with handle.send_lock:
-            if len(handle.barriers_due) > 1:
-                started = time.perf_counter()
-                handle.barrier_done.wait_for(
-                    lambda: len(handle.barriers_due) < 2 or self._closed
-                )
-                handle.checkpoint_wait.observe(time.perf_counter() - started)
+        send_failed = []
+
+        def frame() -> int:  # under send_lock
             seq = handle.next_seq
             handle.next_seq = seq + 1
             handle.replay.append((seq, name, payload))
             handle.replay_points += points
-            handle.points_since_checkpoint += points
-            checkpoint_due = (
-                handle.checkpoint_cadence is not None
-                and handle.points_since_checkpoint >= handle.checkpoint_cadence
-            )
-            if checkpoint_due:
-                handle.points_since_checkpoint = 0
-                handle.barriers_due.append(time.perf_counter())
             # A dropped frame stays in the replay buffer: the fault
             # models a send lost to a dying shard, recoverable only by
             # crash + replay.
@@ -792,50 +695,16 @@ class ShardRouter(ServiceProtocol):
                 try:
                     send_frame(handle.data_sock, KIND_DATA, seq, name, payload)
                 except OSError:
-                    send_failed = True
+                    send_failed.append(seq)
                 else:
                     self._send_latency.observe(time.perf_counter() - started)
+            return points
+
+        self._scheduled(self._schedules[handle.shard_id], frame)
         counter.inc(points)
-        if checkpoint_due:
-            with self._barrier_cond:
-                self._barrier_cond.notify()
         if send_failed:
             self._note_dead(handle)
         return points
-
-    def _checkpointer(self) -> None:
-        """Run the automatic barriers shards fall due for, oldest first,
-        one at a time, until ``close()``; a barrier in flight at close
-        finishes (or fails) first, and the ones still owed are dropped."""
-        shards = list(self._shards.values())
-        while True:
-            with self._barrier_cond:
-                self._barrier_cond.wait_for(
-                    lambda: self._closed or any(h.barriers_due for h in shards)
-                )
-                if self._closed:
-                    return
-                due = min(
-                    (h for h in shards if h.barriers_due),
-                    key=lambda h: h.barriers_due[0],
-                )
-            self._run_barrier(due)
-
-    def _run_barrier(self, handle: _ShardHandle) -> None:
-        """One automatic barrier; a failure counts against the shard's
-        streams, and either way the producers waiting on it go on."""
-        try:
-            with handle.barrier_lock:
-                self._auto_checkpoint(
-                    lambda: self._checkpoint_shard(
-                        handle, handle.barriers_due[0]
-                    ),
-                    self._owned(handle.shard_id),
-                )
-        finally:
-            with handle.send_lock:
-                handle.barriers_due.popleft()
-                handle.barrier_done.notify_all()
 
     def flush(self, name: str | None = None, timeout: float | None = None) -> bool:
         """Barrier + drain: every frame sent so far is fully ingested."""
@@ -851,10 +720,7 @@ class ShardRouter(ServiceProtocol):
         return drained
 
     def _involved(self, name: str | None) -> list[_ShardHandle]:
-        if name is not None:
-            return [self._owner_handle(name)]
-        shard_ids = sorted({self._ring.owner(n) for n in self._specs})
-        return [self._shards[shard_id] for shard_id in shard_ids]
+        return [self._shards[shard_id] for shard_id in self._units(name)]
 
     # ------------------------------------------------------------------
     # Queries
@@ -952,7 +818,7 @@ class ShardRouter(ServiceProtocol):
                         shard_reports = None
                 else:
                     shard_reports = None
-                for stream in self._owned(handle.shard_id):
+                for stream in self._unit_streams(handle.shard_id):
                     if shard_reports is not None and stream in shard_reports:
                         reports[stream] = self._annotate_health(
                             shard_reports[stream], handle
@@ -1006,7 +872,7 @@ class ShardRouter(ServiceProtocol):
                 "last_error": handle.last_error,
                 "breaker": handle.breaker.state_name(),
                 "pid": handle.process.pid if handle.process else None,
-                "streams": self._owned(handle.shard_id),
+                "streams": self._unit_streams(handle.shard_id),
                 "replay_points": handle.replay_points,
             }
             for handle in self._shards.values()
@@ -1138,7 +1004,7 @@ class ShardRouter(ServiceProtocol):
             )
             misplaced.extend(
                 stream
-                for stream in self._owned(handle.shard_id)
+                for stream in self._unit_streams(handle.shard_id)
                 if stream not in hosted
             )
         return {
@@ -1153,39 +1019,17 @@ class ShardRouter(ServiceProtocol):
     # Checkpoint / restore
     # ------------------------------------------------------------------
 
-    def checkpoint(self, name: str | None = None) -> list[str]:
-        """Durable snapshots at a router sequence barrier; returns paths.
-
-        Shard-granular: naming a stream checkpoints every stream of its
-        owning shard (the barrier's cut advances per shard).  After each
-        shard acknowledges, the router trims each of its streams' frames
-        up to the oldest full of it the shard keeps.  Synchronous: it waits for an
-        automatic barrier in flight on the same shard, never overlapping
-        one.  Refused without the caller's ``snapshot_dir``.
-        """
-        if self._private_dir is not None:
-            raise RuntimeError("router was created without a snapshot_dir")
-        paths: list[str] = []
-        for handle in self._involved(name):
-            scheduled = time.perf_counter()
-            with handle.barrier_lock:
-                paths.extend(self._checkpoint_shard(handle, scheduled))
-        return paths
-
-    def _checkpoint_shard(
-        self, handle: _ShardHandle, scheduled: float
-    ) -> list[str]:
-        """One barrier (the caller holds ``barrier_lock``): the shard
-        snapshots every stream it hosts, each in the shape it chooses,
-        and the router trims each stream's frames up to the oldest full
-        of it the shard keeps.
+    def _checkpoint_unit(self, key: int) -> list[str]:
+        """One barrier: the shard snapshots every stream it hosts, each
+        in the shape it chooses, and the router trims each stream's
+        frames up to the oldest full of it the shard keeps.
 
         The shard captures every frame up to the barrier, plus any later
         frames other producers got in first, and each snapshot records
         that cut (its watermark at capture); the router records the cut
-        the shard reports, not the one it asked for.  A completed
-        barrier is timed from ``scheduled`` (when it fell due).
+        the shard reports, not the one it asked for.
         """
+        handle = self._shards[key]
         while True:
             if handle.state != "up":
                 self._await_up(handle)
@@ -1209,7 +1053,6 @@ class ShardRouter(ServiceProtocol):
                             stream, deque(maxlen=self._snapshot_keep)
                         ).append(cut)
                 self._trim_frames(handle)
-            handle.checkpoint_latency.observe(time.perf_counter() - scheduled)
             return list(reply["paths"])
 
     @staticmethod
@@ -1266,7 +1109,7 @@ class ShardRouter(ServiceProtocol):
         holds).
         """
         report = self._request_raw(handle, "restore_report", {})
-        owned = self._owned(handle.shard_id)
+        owned = self._unit_streams(handle.shard_id)
         for stream in sorted(set(report["streams"]) - set(owned)):
             self._request_raw(
                 handle, "drop_stream", {"name": stream, "drain": False}
@@ -1288,10 +1131,9 @@ class ShardRouter(ServiceProtocol):
         """
         for handle in self._shards.values():
             cuts = self._reconcile(handle)
-            handle.checkpoint_cadence = self._shard_cadence(handle)
             handle.trimmed_upto = {
                 stream: cuts[stream]
-                for stream in self._owned(handle.shard_id)
+                for stream in self._unit_streams(handle.shard_id)
                 if cuts.get(stream)
             }
             top = max(cuts.values(), default=0)
@@ -1317,25 +1159,11 @@ class ShardRouter(ServiceProtocol):
     # Lifecycle
     # ------------------------------------------------------------------
 
-    def close(self, checkpoint: bool | None = None) -> None:
-        """Barrier, optionally checkpoint, and stop every shard
-        (idempotent).  An automatic barrier in flight finishes (or
-        fails) first; owed ones are dropped.  ``checkpoint=None`` means
-        each shard takes its default final checkpoint into the caller's
-        ``snapshot_dir``; a private store gets none and is removed."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._private_dir is not None:
-            checkpoint = False
-        # A barrier in flight finishes (the monitor can still recover
-        # its shard) before any shard is stopped; owed ones are dropped.
-        with self._barrier_cond:
-            self._barrier_cond.notify_all()
-        self._checkpointer_thread.join()
-        for handle in self._shards.values():
-            with handle.send_lock:
-                handle.barrier_done.notify_all()
+    def _shutdown(self, checkpoint: bool | None) -> None:
+        """Barrier, optionally checkpoint, and stop every shard, after any
+        barrier in flight (the monitor can still recover its shard);
+        ``checkpoint=None`` means each shard takes its default final
+        checkpoint into the caller's ``snapshot_dir``."""
         self._stop_event.set()
         if self._monitor_thread.is_alive():
             self._monitor_thread.join(timeout=5.0)
@@ -1372,8 +1200,3 @@ class ShardRouter(ServiceProtocol):
             with self._cond:
                 handle.state = "closed"
                 self._cond.notify_all()
-        self._remove_private_dir()
-
-    def _remove_private_dir(self) -> None:
-        if self._private_dir is not None:
-            shutil.rmtree(self._private_dir, ignore_errors=True)

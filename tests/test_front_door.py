@@ -10,7 +10,11 @@ refusals and dead-letter retry admission are covered the same way in
 
 from __future__ import annotations
 
+import shutil
+import sys
 import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from repro.service import (
     QoSConfig,
     QoSController,
     QuotaExceededError,
+    StreamService,
     StreamSpec,
     TenantQuota,
     UnknownStreamError,
@@ -365,3 +370,185 @@ class TestSnapshotDirRequired:
                 type(service).restore(snapshot_dir)
         # Refused up front: no restored service, no temporary directory.
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCheckpointScheduler:
+    """One scheduler for both tiers: a unit (the threaded service's
+    stream, the 1-shard router's shard) falls due on its cadence, and
+    the tier's checkpointer thread, not the producer, takes the
+    checkpoint.  Each test slows every checkpoint of the unit by
+    wrapping the tier's ``_checkpoint_unit``."""
+
+    @staticmethod
+    def slow(service, monkeypatch, seconds: float) -> list[bool]:
+        """Make each checkpoint of the tier take ``seconds`` longer;
+        returns a list that records, per checkpoint, whether another of
+        the same tier was running beside it."""
+        running = threading.Lock()
+        overlapped: list[bool] = []
+        checkpoint_unit = service._checkpoint_unit
+
+        def slowed(key):
+            alone = running.acquire(blocking=False)
+            overlapped.append(not alone)
+            try:
+                time.sleep(seconds)
+                return checkpoint_unit(key)
+            finally:
+                if alone:
+                    running.release()
+
+        monkeypatch.setattr(service, "_checkpoint_unit", slowed)
+        return overlapped
+
+    @staticmethod
+    def histogram(service, family: str):
+        """The tier's one unit's series of a checkpoint histogram."""
+        (key,) = service._schedules
+        if isinstance(service, StreamService):
+            return service.registry.histogram(family, stream=key)
+        return service.registry.histogram(family, shard=str(key))
+
+    def wait_for_checkpoints(self, service, count: int, timeout=30.0) -> None:
+        deadline = time.monotonic() + timeout
+        series = self.histogram(service, "repro_checkpoint_seconds")
+        while series.count < count:
+            assert time.monotonic() < deadline, (series.count, count)
+            time.sleep(0.01)
+
+    def test_the_due_ingest_does_not_wait(
+        self, tier, tmp_path, monkeypatch
+    ):
+        with tier(snapshot_dir=tmp_path) as service:
+            self.slow(service, monkeypatch, 0.5)
+            service.create_stream(
+                "g", backend="gk_quantiles", params=GK, checkpoint_every=1024
+            )
+            data = _stream(1024, seed=61)
+            service.ingest("g", data[:512])
+            started = time.perf_counter()
+            service.ingest("g", data[512:])  # the unit falls due
+            assert time.perf_counter() - started < 0.1
+            assert self.histogram(service, "repro_checkpoint_seconds").count == 0
+            self.wait_for_checkpoints(service, 1)
+            # Timed from when the unit fell due; no producer waited.
+            took = self.histogram(service, "repro_checkpoint_seconds")
+            assert took.sum >= 0.5
+            waited = self.histogram(service, "repro_checkpoint_wait_seconds")
+            assert waited.count == 0
+
+    def test_a_second_due_makes_producers_wait(
+        self, tier, tmp_path, monkeypatch
+    ):
+        """The producer waits only while its unit owes a checkpoint
+        behind a running one, and the wait is timed."""
+        with tier(snapshot_dir=tmp_path) as service:
+            self.slow(service, monkeypatch, 0.4)
+            service.create_stream(
+                "g", backend="gk_quantiles", params=GK, checkpoint_every=512
+            )
+            data = _stream(3 * 512, seed=67)
+            service.ingest("g", data[:512])  # due, running
+            service.ingest("g", data[512:1024])  # due again: owed
+            waited = self.histogram(service, "repro_checkpoint_wait_seconds")
+            assert waited.count == 0
+            started = time.perf_counter()
+            service.ingest("g", data[1024:])  # waits for the first
+            assert time.perf_counter() - started >= 0.2
+            assert waited.count == 1
+            assert waited.sum >= 0.2
+            self.wait_for_checkpoints(service, 3)
+            assert service.flush() is True
+            assert service.stats("g")["arrivals"] == data.size
+
+    def test_checkpoint_waits_for_a_running_one(
+        self, tier, tmp_path, monkeypatch
+    ):
+        with tier(snapshot_dir=tmp_path / "snap") as service:
+            overlapped = self.slow(service, monkeypatch, 0.3)
+            service.create_stream(
+                "g", backend="gk_quantiles", params=GK, checkpoint_every=512
+            )
+            service.ingest("g", _stream(512, seed=79))  # falls due
+            time.sleep(0.05)  # the automatic checkpoint is running
+            assert service.checkpoint()
+            self.wait_for_checkpoints(service, 2)
+            assert overlapped == [False, False]
+
+    def test_producers_lose_no_count(self, tier, tmp_path):
+        """Four producers (more than the cores) and a short switch
+        interval: every delivered point counts, so 64-point batches at a
+        512-point cadence fall due exactly once per 512 points."""
+        producers, batches, chunk, every = 4, 64, 64, 512
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with tier(snapshot_dir=tmp_path) as service:
+                service.create_stream(
+                    "g", backend="gk_quantiles", params=GK,
+                    checkpoint_every=every,
+                )
+
+                def produce(seed: int) -> None:
+                    data = _stream(batches * chunk, seed)
+                    for start in range(0, data.size, chunk):
+                        service.ingest("g", data[start : start + chunk])
+
+                threads = [
+                    threading.Thread(target=produce, args=(seed,))
+                    for seed in range(producers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60.0)
+                assert not any(thread.is_alive() for thread in threads)
+                points = producers * batches * chunk
+                self.wait_for_checkpoints(service, points // every)
+                assert service.flush() is True
+                assert service.stats("g")["arrivals"] == points
+                took = self.histogram(service, "repro_checkpoint_seconds")
+                assert took.count == points // every
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_close_mid_checkpoint_leaves_nothing(
+        self, tier, monkeypatch
+    ):
+        """close() lets the running checkpoint finish; no thread of the
+        tier outlives it, and the router's private store is removed and
+        stays gone.  The CI store-less smoke runs this under a fresh
+        TMPDIR and fails if close() left it unclean (so it takes no
+        ``tmp_path``; the threaded tier's snapshot_dir is removed here)."""
+        before = set(threading.enumerate())
+        # The router checkpoints into its private store without one; the
+        # threaded tier checkpoints only into the caller's directory.
+        directory = tempfile.mkdtemp() if tier is StreamService else None
+        service = tier(snapshot_dir=directory)
+        private = service._private_dir
+        assert (private is None) == (directory is not None)
+        self.slow(service, monkeypatch, 0.5)
+        try:
+            service.create_stream(
+                "s", backend="gk_quantiles", params=GK, checkpoint_every=512
+            )
+            service.ingest("s", _stream(512, seed=5))  # falls due
+            time.sleep(0.1)  # the checkpoint is running
+            assert self.histogram(service, "repro_checkpoint_seconds").count == 0
+        finally:
+            service.close(checkpoint=False)
+            if directory is not None:
+                shutil.rmtree(directory)
+        assert self.histogram(service, "repro_checkpoint_seconds").count == 1
+        assert private is None or not private.exists()
+        assert not service._checkpointer_thread.is_alive()
+        # No thread of the tier (checkpointer, router monitor, supervisor,
+        # workers) outlives close().
+        tier_threads = ("repro-checkpointer", "shard-router-", "stream-")
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith(tier_threads)
+        ]
+        time.sleep(0.6)
+        assert private is None or not private.exists()

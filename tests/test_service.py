@@ -1013,6 +1013,170 @@ class TestCheckpointShape:
         assert all(held == 0 for held, _ in logs)
         self.check_invariants(rows, logs)
 
+    def test_first_full_keeps_the_log_from_its_capture(self, tmp_path):
+        """Batches applied between a first full's capture and its write
+        are logged, so the next checkpoint can still be a delta (on the
+        checkpointer thread a capture and its write are apart while
+        ingest goes on)."""
+        stream = integer_stream(self.WINDOW + 2 * self.EVERY, seed=9)
+        service = StreamService(tmp_path)
+        service.create_stream("s", backend="exact", params=dict(window_size=self.WINDOW))
+        service.ingest("s", stream[: self.WINDOW])
+        service.flush("s")
+        captured = service._capture_checkpoint("s")
+        service.ingest("s", stream[self.WINDOW : self.WINDOW + self.EVERY])
+        service.flush("s")
+        assert service._write_checkpoint(captured).endswith(".snap")
+        service.ingest("s", stream[self.WINDOW + self.EVERY :])
+        service.flush("s")
+        [path] = service.checkpoint("s")
+        assert path.endswith(".delta")
+        service.close(checkpoint=False)
+        restored = StreamService.restore(tmp_path)
+        restored.flush("s")
+        assert restored.stats("s")["arrivals"] == stream.size
+        restored.close(checkpoint=False)
+
+    def test_failed_first_full_stops_the_log_it_started(self, tmp_path):
+        """A first full whose write fails leaves the log as it was before
+        the capture: empty, and logging nothing."""
+        injector = FaultInjector().fail_snapshot_write(stream="s")
+        service = StreamService(tmp_path, fault_injector=injector)
+        service.create_stream("s", backend="exact", params=dict(window_size=self.WINDOW))
+        service.ingest("s", integer_stream(self.WINDOW, seed=9))
+        service.flush("s")
+        with pytest.raises(OSError, match="injected"):
+            service.checkpoint("s")
+        service.ingest("s", integer_stream(self.EVERY, seed=10))
+        service.flush("s")
+        assert service.stats("s")["replay_points"] == 0
+        service.close(checkpoint=False)
+
+
+GK_PARAMS = dict(epsilon=0.05)
+
+
+class TestOneCheckpointerPerService:
+    """The scheduled streams of one service (those with a
+    ``checkpoint_every`` and a store) share its store and its
+    checkpointer thread."""
+
+    def test_two_streams_writing_at_once_keep_their_newest_entries(
+        self, tmp_path, monkeypatch
+    ):
+        """An automatic checkpoint of "a", slowed between its manifest
+        read and write, beside a public checkpoint of "b": both land,
+        and the manifest names each stream's newest generation."""
+        with StreamService(tmp_path) as service:
+            service.create_stream(
+                "a", backend="gk_quantiles", params=GK_PARAMS, checkpoint_every=512
+            )
+            service.create_stream("b", backend="gk_quantiles", params=GK_PARAMS)
+            service.ingest("b", integer_stream(512, seed=1))
+            service.flush("b")
+            service.checkpoint("b")
+            store = service._store
+            encode_full = store._encode_full
+            entered = threading.Event()
+
+            def slowed(name, *args):
+                if name == "a":
+                    entered.set()
+                    time.sleep(0.3)
+                return encode_full(name, *args)
+
+            monkeypatch.setattr(store, "_encode_full", slowed)
+            service.ingest("a", integer_stream(512, seed=2))  # falls due
+            assert entered.wait(10.0)
+            service.ingest("b", integer_stream(512, seed=3))
+            service.flush("b")
+            [path] = service.checkpoint("b")
+            assert service.flush() is True
+            assert service.health("a")["checkpoint_errors"] == 0
+            entries = store.manifest()["streams"]
+            assert entries["b"]["file"] == Path(path).name
+            for name in ("a", "b"):
+                assert entries[name]["file"] == store.generations(name)[-1].name
+                assert entries[name]["seq"] == (1 if name == "a" else 2)
+
+    def test_dropping_a_stream_that_owes_checkpoints_releases_flush(
+        self, tmp_path, monkeypatch
+    ):
+        """"x" owes two checkpoints behind a running one of "y" when it
+        is dropped: they count as run, so a flush waiting on them
+        returns."""
+        gate = threading.Event()
+        with StreamService(tmp_path) as service:
+            for name in ("x", "y"):
+                service.create_stream(
+                    name, backend="gk_quantiles", params=GK_PARAMS,
+                    checkpoint_every=512,
+                )
+            checkpoint_unit = service._checkpoint_unit
+
+            def gated(key):
+                if key == "y":
+                    gate.wait(30.0)
+                return checkpoint_unit(key)
+
+            monkeypatch.setattr(service, "_checkpoint_unit", gated)
+            try:
+                service.ingest("y", integer_stream(512, seed=1))  # runs, held
+                service.ingest("x", integer_stream(512, seed=2))  # owed
+                service.ingest("x", integer_stream(512, seed=3))  # owed
+                assert len(service._schedules["x"].due) == 2
+                flushed = []
+                flusher = threading.Thread(
+                    target=lambda: flushed.append(service.flush(timeout=10.0)),
+                    daemon=True,
+                )
+                flusher.start()
+                time.sleep(0.2)  # the flush waits on x's owed checkpoints
+                service.drop_stream("x")
+                gate.set()
+                flusher.join(timeout=20.0)
+                assert flushed == [True]
+            finally:
+                gate.set()
+
+
+    @pytest.mark.parametrize("supervise", [False, True])
+    def test_storeless_service_takes_no_checkpoints(self, supervise):
+        with StreamService(supervise=supervise) as service:
+            service.create_stream(
+                "g", backend="gk_quantiles", params=GK_PARAMS, checkpoint_every=64
+            )
+            service.ingest("g", integer_stream(512))
+            assert service.flush() is True
+            assert service._private_dir is None
+            assert service._schedules == {}
+            assert service._checkpointer_thread is None
+            held = service.stats("g")["replay_points"]
+            assert held == (512 if supervise else 0)
+
+    def test_flush_waits_for_the_checkpoints_due_before_it(
+        self, tmp_path, monkeypatch
+    ):
+        with StreamService(tmp_path) as service:
+            service.create_stream(
+                "g", backend="gk_quantiles", params=GK_PARAMS, checkpoint_every=512
+            )
+            checkpoint_unit = service._checkpoint_unit
+
+            def slowed(key):
+                time.sleep(0.3)
+                return checkpoint_unit(key)
+
+            monkeypatch.setattr(service, "_checkpoint_unit", slowed)
+            service.ingest("g", integer_stream(512))  # falls due
+            started = time.perf_counter()
+            assert service.flush() is True
+            assert time.perf_counter() - started >= 0.2
+            writes = service.registry.counter(
+                "repro_snapshot_writes_total", stream="g"
+            ).value
+            assert writes == 1
+
 
 class TestSnapshotStore:
     def test_manifest_tracks_latest_and_prunes(self, tmp_path):

@@ -295,8 +295,8 @@ class TestRouterLifecycle:
             # Each shard's barrier series: how long barriers took from
             # falling due, and how long producers waited for them.
             for series in (
-                "repro_router_checkpoint_seconds_count",
-                "repro_router_checkpoint_wait_seconds_count",
+                "repro_checkpoint_seconds_count",
+                "repro_checkpoint_wait_seconds_count",
             ):
                 shards = sorted(
                     s["labels"]["shard"]
@@ -344,7 +344,7 @@ def _wait_for_restart(router: ShardRouter, shard_id: int,
 
 def _barriers(router: ShardRouter, shard_id: int) -> int:
     return router.registry.histogram(
-        "repro_router_checkpoint_seconds", shard=str(shard_id)
+        "repro_checkpoint_seconds", shard=str(shard_id)
     ).count
 
 
@@ -782,31 +782,9 @@ class TestMidBarrierCrash:
 
 
 class TestBarrierScheduling:
-    """Automatic barriers run on the router's checkpointer thread."""
-
-    def test_the_ingest_that_makes_a_shard_due_does_not_wait(self):
-        injector = FaultInjector().slow_control_at("checkpoint", 0.5)
-        data = _domain_stream(1024, seed=61)
-        with ShardRouter(num_shards=1, fault_injector=injector) as router:
-            router.create_stream(
-                "g", backend="gk_quantiles", params={"epsilon": 0.05},
-                checkpoint_every=1024,
-            )
-            router.ingest("g", data[:512])
-            started = time.perf_counter()
-            router.ingest("g", data[512:])  # the shard falls due
-            assert time.perf_counter() - started < 0.1
-            assert _barriers(router, 0) == 0
-            _wait_for_barriers(router, 0, 1)
-            # Timed from when the shard fell due; no producer waited.
-            barrier = router.registry.histogram(
-                "repro_router_checkpoint_seconds", shard="0"
-            )
-            assert barrier.sum >= 0.5
-            waited = router.registry.histogram(
-                "repro_router_checkpoint_wait_seconds", shard="0"
-            )
-            assert waited.count == 0
+    """Automatic barriers run on the front door's checkpointer thread
+    (the scheduling cases both tiers share are in
+    ``tests/test_front_door.py::TestCheckpointScheduler``)."""
 
     def test_two_producers_stay_within_the_frame_log_bound(self):
         """Points other producers frame during a barrier count toward
@@ -845,42 +823,11 @@ class TestBarrierScheduling:
             points = 2 * batches * chunk
             _wait_for_barriers(router, 0, points // cadence - 1)
             waited = router.registry.histogram(
-                "repro_router_checkpoint_wait_seconds", shard="0"
+                "repro_checkpoint_wait_seconds", shard="0"
             )
             assert waited.count > 0
             assert router.flush() is True
             assert router.stats("g")["arrivals"] == points
-
-    def test_public_checkpoint_waits_for_an_automatic_barrier(
-        self, tmp_path, monkeypatch
-    ):
-        injector = FaultInjector().slow_control_at("checkpoint", 0.3, times=2)
-        with ShardRouter(
-            num_shards=1, snapshot_dir=tmp_path / "snap",
-            fault_injector=injector,
-        ) as router:
-            router.create_stream(
-                "g", backend="gk_quantiles", params={"epsilon": 0.05},
-                checkpoint_every=512,
-            )
-            running = threading.Lock()
-            overlapped: list[bool] = []
-            checkpoint_shard = router._checkpoint_shard
-
-            def exclusive(*args):
-                alone = running.acquire(blocking=False)
-                overlapped.append(not alone)
-                try:
-                    return checkpoint_shard(*args)
-                finally:
-                    if alone:
-                        running.release()
-
-            monkeypatch.setattr(router, "_checkpoint_shard", exclusive)
-            router.ingest("g", _domain_stream(512, seed=79))  # falls due
-            assert router.checkpoint()
-            _wait_for_barriers(router, 0, 2)
-            assert overlapped == [False, False]
 
 
 class TestStorelessRouter:
@@ -920,40 +867,12 @@ class TestStorelessRouter:
                 if sample["labels"].get("shard") == "0"
             }
             assert exported["repro_router_replay_points"] <= bound
-            assert exported["repro_router_checkpoint_seconds_count"] >= 3
+            assert exported["repro_checkpoint_seconds_count"] >= 3
             with pytest.raises(RuntimeError, match="snapshot_dir"):
                 router.checkpoint()
             assert router.flush() is True
             assert reference.flush() is True
             assert router.histogram("g") == reference.histogram("g")
-
-    def test_close_with_a_barrier_in_flight_leaves_nothing_behind(self):
-        """close() lets the in-flight barrier finish, then removes the
-        private store; no router thread outlives it, and no snapshot
-        appears afterwards.  The CI shard job runs this under a fresh
-        TMPDIR too, and fails if close() left it unclean."""
-        injector = FaultInjector().slow_control_at("checkpoint", 0.5)
-        router = ShardRouter(num_shards=1, fault_injector=injector)
-        private = router._private_dir
-        try:
-            router.create_stream(
-                "s", backend="gk_quantiles", params={"epsilon": 0.1},
-                checkpoint_every=512,
-            )
-            router.ingest("s", _domain_stream(512, seed=5))  # falls due
-            time.sleep(0.1)  # the shard holds the barrier
-            assert _barriers(router, 0) == 0
-        finally:
-            router.close()
-        assert _barriers(router, 0) == 1
-        assert not private.exists()
-        assert not [
-            thread.name
-            for thread in threading.enumerate()
-            if thread.name.startswith("shard-router-")
-        ]
-        time.sleep(0.6)
-        assert not private.exists()
 
     def test_close_removes_the_private_store_without_a_final_checkpoint(
         self, tmp_path, monkeypatch

@@ -234,13 +234,14 @@ class TestInjectedBugsAreCaught:
     def test_dropped_points_fail_chunking_equivalence(self):
         """A maintainer that silently drops one point of every split batch
         diverges from its whole-batch twin."""
-        original = FixedWindowHistogramBuilder.extend
+        # The maintainer hands each validated batch to the builder's slide.
+        original = FixedWindowHistogramBuilder._slide
 
         def lossy(self, values):
             values = np.asarray(values, dtype=np.float64)
             original(self, values[:-1] if values.size > 3 else values)
 
-        with mock.patch.object(FixedWindowHistogramBuilder, "extend", lossy):
+        with mock.patch.object(FixedWindowHistogramBuilder, "_slide", lossy):
             result = DifferentialChecker(
                 "fixed_window",
                 BACKEND_PARAMS["fixed_window"],
