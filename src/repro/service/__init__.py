@@ -4,12 +4,13 @@ The serving layer over :mod:`repro.runtime`: a :class:`StreamService`
 hosts many named streams, each a registry-built maintainer behind a
 bounded ingest queue drained by a worker thread, with snapshot-isolated
 queries (``range_sum`` / ``quantile`` / ``histogram`` / ``stats``) and
-durable checkpoint/restore via checksummed binary snapshots plus a
-manifest.  The fault-tolerance subsystem -- worker supervision with
-bounded-backoff restarts (:class:`StreamSupervisor`), poison-record
-quarantine (:class:`DeadLetterBuffer`), snapshot generation fallback,
-per-stream health states, and the deterministic :class:`FaultInjector`
-chaos harness -- keeps hosted synopses exact across crashes.  The QoS
+durable checkpoint/restore via checksummed binary snapshots in a
+directory that is their only record.  The fault-tolerance subsystem --
+worker supervision with bounded-backoff restarts
+(:class:`StreamSupervisor`), poison-record quarantine
+(:class:`DeadLetterBuffer`), snapshot generation fallback, per-stream
+health states, and the deterministic :class:`FaultInjector` chaos
+harness -- keeps hosted synopses exact across crashes.  The QoS
 layer (:class:`QoSConfig` / :class:`QoSController`) adds multi-tenant
 admission control and a graceful-degradation ladder so overload sheds
 low-priority load deterministically instead of failing everyone.  See

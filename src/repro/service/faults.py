@@ -148,11 +148,12 @@ class FaultInjector:
     def drop_dir_fsync(self, *, times: int = 1) -> "FaultInjector":
         """Skip the parent-directory fsync after the next ``times`` writes.
 
-        Simulates the classic torn-rename failure: the snapshot or
-        manifest file itself is durable, but the directory entry that
-        makes it reachable is not, so a crash right after ``os.replace``
-        rolls the directory back.  The chaos suite schedules this to
-        prove the store's dir-fsync actually closes that window.
+        Simulates the classic torn-rename failure: the snapshot (or the
+        router's ``router.json``) file itself is durable, but the
+        directory entry that makes it reachable is not, so a crash right
+        after ``os.replace`` rolls the directory back.  The chaos suite
+        schedules this to prove the store's dir-fsync actually closes
+        that window.
         """
         self._faults.append(_ScheduledFault("dir_fsync", None, remaining=times))
         return self

@@ -31,7 +31,7 @@ Typical lifetime::
     service.ingest("cpu", samples)          # any thread, backpressured
     service.range_sum("cpu", 100, 499)       # reads the materialized view
     service.health("cpu")                    # healthy / degraded / failed
-    service.checkpoint()                     # binary snapshot + manifest
+    service.checkpoint()                     # one binary snapshot file each
     ...                                      # crash / restart ...
     service = StreamService.restore("snapshots/")   # same state + tail
 """
@@ -639,13 +639,14 @@ class StreamService(ServiceProtocol):
     def restore(cls, snapshot_dir, **kwargs) -> "StreamService":
         """Bring a whole service back from a snapshot directory.
 
-        Every stream named in the manifest is rebuilt from its latest
-        verifiable snapshot (corrupt newest generations fall back to the
-        previous good one) and its buffered tail is re-enqueued, so the
-        recovered service converges to the state the crashed one would
-        have reached after draining its queues.  Keyword arguments
-        (``supervise``, ``restart_policy``, ``fault_injector``,
-        ``snapshot_keep``, ``qos``) are forwarded to the constructor.
+        Every stream with a generation in the directory is rebuilt from
+        its latest verifiable snapshot (corrupt newest generations fall
+        back to the previous good one) and its buffered tail is
+        re-enqueued, so the recovered service converges to the state the
+        crashed one would have reached after draining its queues.
+        Keyword arguments (``supervise``, ``restart_policy``,
+        ``fault_injector``, ``snapshot_keep``, ``qos``) are forwarded to
+        the constructor.
         """
         if not snapshot_dir:
             raise RuntimeError("StreamService.restore needs a snapshot_dir")

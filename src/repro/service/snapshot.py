@@ -1,10 +1,11 @@
-"""Durable checkpoint storage: binary full + delta snapshots, a manifest.
+"""Durable checkpoint storage: binary full + delta snapshots in one directory.
 
 One directory holds everything a service needs to come back from a
-crash.  The store is the only code that knows how state is laid out on
-disk: callers hand :meth:`SnapshotStore.write` a maintainer's
-``state_dict()`` and get the same dict back from
-:meth:`SnapshotStore.load_latest`, whatever file kind it came from.
+crash, and it is its own record: a stream's generations are its files.
+The store is the only code that knows how state is laid out on disk:
+callers hand :meth:`SnapshotStore.write` a maintainer's ``state_dict()``
+and get the same dict back from :meth:`SnapshotStore.load_latest`,
+whatever file kind it came from.
 
 * ``{name}-{seq:08d}.snap`` -- a **format-3 full snapshot**, the only
   kind :meth:`~SnapshotStore.write` produces: an 8-byte magic, a
@@ -27,17 +28,19 @@ disk: callers hand :meth:`SnapshotStore.write` a maintainer's
 Stream names are percent-encoded into filenames (``_encode_name``), and
 ``generations()`` matches an exact name + 8-digit-seq pattern, so
 prefix-colliding names (``"a"`` vs ``"a-b"``) can never list, prune, or
-fall back onto each other's files.
+fall back onto each other's files.  One listing per write gives the
+next sequence number, the delta base (the head itself when it is a
+full, the base its verified header names when it is a delta) and the
+generations to prune.  A ``manifest.json`` left by an older store is
+neither read nor rewritten.
 
-All writes are atomic (temp file + ``fsync`` + ``os.replace`` +
-**parent-directory fsync**, so the rename itself survives a crash).
-:meth:`SnapshotStore.load_latest` verifies every byte it returns and
-falls back generation by generation -- a corrupt delta truncates its
-chain to the verified prefix, a corrupt base abandons the chain for the
-next older candidate.  Corruption is a typed
-:class:`SnapshotCorruptError`; an unreadable or structurally broken
-manifest takes the same typed path and is rebuilt from the files on
-disk instead of escaping as a raw ``OSError``.
+Every write is atomic (temp file + ``fsync`` + ``os.replace`` +
+**parent-directory fsync**, so the rename itself survives a crash), and
+a checkpoint is one such write.  :meth:`SnapshotStore.load_latest`
+verifies every byte it returns and falls back generation by generation
+-- a corrupt delta truncates its chain to the verified prefix, a corrupt
+base abandons the chain for the next older generation.  Corruption is a
+typed :class:`SnapshotCorruptError`.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ __all__ = ["SnapshotCorruptError", "SnapshotStore"]
 
 logger = logging.getLogger(__name__)
 
-MANIFEST_NAME = "manifest.json"
 SNAPSHOT_FORMAT = 3
 #: Formats this store can read; format 1 predates embedded checksums,
 #: format 2 is the read-only JSON layout, format 3 the binary one.
@@ -76,6 +78,12 @@ SUFFIX_DELTA = ".delta"
 SUFFIX_JSON = ".json"
 _SUFFIXES = (SUFFIX_JSON, SUFFIX_FULL, SUFFIX_DELTA)
 
+#: ``{encoded name}-{seq:08d}{suffix}``: a generation file.  Encoded
+#: names hold no ``-``, so the name is everything before the last one.
+_GENERATION_FILE = re.compile(
+    rf"^(.+)-(\d{{8}})({'|'.join(re.escape(s) for s in _SUFFIXES)})$"
+)
+
 _DTYPES = {"f8": np.dtype("<f8"), "i8": np.dtype("<i8")}
 
 #: Characters allowed verbatim in snapshot filenames; everything else is
@@ -85,7 +93,7 @@ _SAFE_NAME = re.compile(r"[A-Za-z0-9_.]")
 
 
 class SnapshotCorruptError(ValueError):
-    """A snapshot or manifest failed structural / checksum validation."""
+    """A snapshot-directory file failed structural / checksum validation."""
 
 
 def _encode_name(name: str) -> str:
@@ -150,14 +158,6 @@ def _atomic_write(path: Path, data: bytes, injector=None) -> None:
         os.fsync(handle.fileno())
     os.replace(tmp, path)
     _fsync_dir(path.parent, injector)
-
-
-def _atomic_write_json(path: Path, payload: dict, injector=None) -> None:
-    _atomic_write(
-        path,
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-        injector,
-    )
 
 
 def _as_batch_array(values) -> np.ndarray:
@@ -278,7 +278,7 @@ class SnapshotStore:
     every delta hanging off them and can never strand a delta.  An
     optional :class:`~repro.service.faults.FaultInjector` is consulted
     before every write so chaos suites can fail snapshots on schedule.
-    Threads may share a store: its manifest has one writer at a time.
+    Threads may share a store: no two streams share a file.
     """
 
     def __init__(
@@ -291,10 +291,9 @@ class SnapshotStore:
         self.keep = keep
         self._injector = fault_injector
         self._registry = registry
-        self._manifest_path = self.directory / MANIFEST_NAME
-        # Held across each read-modify-write of the manifest (one stream's
-        # entry; the manifest file and its temp file are shared).
-        self._manifest_lock = threading.RLock()
+        # Held across a full's listing, write and prune: it guards one
+        # stream's sequence numbers, so two writers never take the same.
+        self._lock = threading.Lock()
         self.counters = {
             "writes": 0,
             "write_failures": 0,
@@ -311,109 +310,29 @@ class SnapshotStore:
             self._registry.counter(f"repro_snapshot_{key}_total", **labels).inc()
 
     # ------------------------------------------------------------------
-    # Manifest
-    # ------------------------------------------------------------------
-
-    def manifest(self) -> dict:
-        """The current manifest (empty skeleton if none exists yet).
-
-        Raises :class:`SnapshotCorruptError` for *any* unreadable or
-        structurally invalid manifest -- invalid JSON, truncation to
-        emptiness, permission/IO failures, a non-object payload -- never
-        a raw ``OSError``.  Internal callers recover through
-        :meth:`_manifest_or_rebuild`.
-        """
-        if not self._manifest_path.exists():
-            return {"format": SNAPSHOT_FORMAT, "streams": {}}
-        try:
-            manifest = json.loads(self._manifest_path.read_text())
-        except json.JSONDecodeError as error:
-            raise SnapshotCorruptError(
-                f"manifest {self._manifest_path} is not valid JSON: {error}"
-            ) from error
-        except OSError as error:
-            raise SnapshotCorruptError(
-                f"manifest {self._manifest_path} is unreadable: {error}"
-            ) from error
-        if not isinstance(manifest, dict) or not isinstance(
-            manifest.get("streams"), dict
-        ):
-            raise SnapshotCorruptError(
-                f"manifest {self._manifest_path} is not a manifest object"
-            )
-        if manifest.get("format") not in SUPPORTED_FORMATS:
-            raise SnapshotCorruptError(
-                f"unsupported snapshot format {manifest.get('format')!r}"
-            )
-        return manifest
-
-    def _manifest_or_rebuild(self) -> dict:
-        """The manifest, rebuilt from the on-disk files when corrupt.
-
-        The rebuilt skeleton points every stream at its newest on-disk
-        generation; sequence numbers continue from the on-disk maximum
-        so replacement writes can never collide with surviving files.
-        A delta head takes ``base_seq`` from its own header; if that is
-        unreadable the entry has none, so the next checkpoint is a full.
-        """
-        try:
-            return self.manifest()
-        except SnapshotCorruptError as error:
-            self._count("corrupt_snapshots")
-            logger.warning("rebuilding manifest: %s", error)
-        streams: dict[str, dict] = {}
-        for path in self.directory.iterdir():
-            parsed = _parse_snapshot_name(path.name)
-            if parsed is None:
-                continue
-            name, seq, kind = parsed
-            entry = streams.get(name)
-            if entry is None or seq > entry["seq"]:
-                streams[name] = {"file": path.name, "seq": seq, "kind": kind}
-        for name, entry in streams.items():
-            if entry["kind"] == "delta":
-                try:
-                    path = self.directory / entry["file"]
-                    header, _ = self._load_binary(path, name)
-                    entry["base_seq"] = int(header["base_seq"])
-                except (KeyError, TypeError, ValueError) as error:
-                    logger.warning("delta head %s: %s", entry["file"], error)
-        return {"format": SNAPSHOT_FORMAT, "streams": streams}
-
-    def streams(self) -> list[str]:
-        """Stream names with at least one snapshot, sorted."""
-        return sorted(self._manifest_or_rebuild()["streams"])
-
-    # ------------------------------------------------------------------
     # Write
     # ------------------------------------------------------------------
 
     def write(self, name: str, payload: dict) -> Path:
-        """Persist one full stream snapshot and point the manifest at it.
+        """Persist one full stream snapshot as the stream's next generation.
 
         ``payload`` carries the maintainer's ``state`` (its
         ``state_dict()``), the buffered ``tail`` batches, the
         ``arrivals`` counter, and any further JSON-serializable metadata
         (the service stores its stream ``spec``).  The state is split by
         :func:`~repro.runtime.statecodec.flatten_state` and written as a
-        format-3 ``.snap``.  The snapshot file is written before the
-        manifest entry, so a crash between the two at worst leaves an
-        orphaned file, never a dangling manifest reference.  Write
+        format-3 ``.snap`` in one atomic write; the same listing that
+        numbered it then prunes the generations beyond ``keep``.  Write
         failures (including injected ones) are counted and re-raised;
-        the previous generation and the manifest are left untouched.
+        the previous generations are left untouched.
         """
-        with self._manifest_lock:
-            manifest = self._manifest_or_rebuild()
-            seq = int(manifest["streams"].get(name, {}).get("seq", 0)) + 1
-            created_at = time.time()
-            data, checksum = self._encode_full(name, seq, created_at, payload)
-            path = self._commit(name, seq, SUFFIX_FULL, data, {
-                "kind": "full",
-                "arrivals": int(payload.get("arrivals", 0)),
-                "created_at": created_at,
-                CHECKSUM_FIELD: checksum,
-            }, manifest)
-        self._prune(name)
+        with self._lock:
+            files = self.generations(name)
+            seq = path_seq(files[-1]) + 1 if files else 1
+            path = self._commit(
+                name, seq, SUFFIX_FULL, self._encode_full(name, seq, payload)
+            )
+            self._prune(name, [*files, path])
         return path
 
     def write_delta(
@@ -452,16 +371,27 @@ class SnapshotStore:
         written: ``(header, data)``, None without a head (or a known base)
         to chain onto.
 
-        ``batches`` are the ``(start_arrival, batch)`` pairs ingested
-        since the previous checkpoint (which ended at ``from_arrivals``);
-        ``tail`` is the currently buffered, not-yet-ingested suffix.
-        ``cut`` is the writer's own mark for this point (the shard
-        host's frame watermark), kept in the header; a full snapshot
-        keeps it with its other metadata.
+        The base is the head itself when it is a full, and the base the
+        head's verified header names when it is a delta; an unreadable
+        delta head leaves no base.  ``batches`` are the
+        ``(start_arrival, batch)`` pairs ingested since the previous
+        checkpoint (which ended at ``from_arrivals``); ``tail`` is the
+        currently buffered, not-yet-ingested suffix.  ``cut`` is the
+        writer's own mark for this point (the shard host's frame
+        watermark), kept in the header; a full snapshot keeps it with
+        its other metadata.
         """
-        entry = self._manifest_or_rebuild()["streams"].get(name)
-        if not _extendable(entry):
+        files = self.generations(name)
+        if not files:
             return None
+        head = files[-1]
+        head_seq = base_seq = path_seq(head)
+        if head.name.endswith(SUFFIX_DELTA):
+            try:
+                base_seq = int(self._load_binary(head, name)[0]["base_seq"])
+            except (KeyError, TypeError, ValueError) as error:
+                logger.warning("delta head %s: %s", head.name, error)
+                return None
         batch_arrays = [
             (int(start), _as_batch_array(batch)) for start, batch in batches
         ]
@@ -470,9 +400,9 @@ class SnapshotStore:
             "format": SNAPSHOT_FORMAT,
             "kind": "delta",
             "stream": name,
-            "seq": int(entry.get("seq", 0)) + 1,
-            "base_seq": int(entry.get("base_seq", entry.get("seq", 0))),
-            "prev_seq": int(entry.get("seq", 0)),
+            "seq": head_seq + 1,
+            "base_seq": base_seq,
+            "prev_seq": head_seq,
             "created_at": time.time(),
             "arrivals": int(arrivals),
             "from_arrivals": int(from_arrivals),
@@ -489,33 +419,18 @@ class SnapshotStore:
         return header, _encode_binary(header, sections)
 
     def commit_delta(self, delta: tuple[dict, bytes]) -> Path:
-        """Write an :meth:`encode_delta` result and point the manifest
-        at it, like :meth:`write`."""
+        """Write an :meth:`encode_delta` result as the stream's next
+        generation, one atomic write like :meth:`write`."""
         header, data = delta
-        return self._commit(header["stream"], header["seq"], SUFFIX_DELTA, data, {
-            "kind": "delta",
-            "base_seq": header["base_seq"],
-            "arrivals": header["arrivals"],
-            "created_at": header["created_at"],
-        })
+        return self._commit(header["stream"], header["seq"], SUFFIX_DELTA, data)
 
-    def _commit(
-        self, name: str, seq: int, suffix: str, data: bytes, entry: dict,
-        manifest: dict | None = None,
-    ) -> Path:
-        """Write generation ``seq`` of ``name``, then its manifest entry
-        (into ``manifest``, or the manifest as it is on disk now)."""
-        filename = f"{_encode_name(name)}-{seq:08d}{suffix}"
-        path = self.directory / filename
+    def _commit(self, name: str, seq: int, suffix: str, data: bytes) -> Path:
+        """Write generation ``seq`` of ``name``, counting the outcome."""
+        path = self.directory / f"{_encode_name(name)}-{seq:08d}{suffix}"
         try:
             if self._injector is not None:
                 self._injector.on_snapshot_write(name, seq)
             _atomic_write(path, data, self._injector)
-            with self._manifest_lock:
-                if manifest is None:
-                    manifest = self._manifest_or_rebuild()
-                manifest["streams"][name] = {"file": filename, "seq": seq, **entry}
-                _atomic_write_json(self._manifest_path, manifest, self._injector)
         except OSError:
             self._count("write_failures", name)
             raise
@@ -523,19 +438,12 @@ class SnapshotStore:
         return path
 
     def retire(self, name: str) -> None:
-        """Delete every generation of ``name``, files first (a failed
-        unlink raises, manifest entry intact), then its manifest entry."""
+        """Delete every generation of ``name`` (a failed unlink raises)."""
         for path in self.generations(name):
             path.unlink()
-        with self._manifest_lock:
-            manifest = self._manifest_or_rebuild()
-            if manifest["streams"].pop(name, None) is not None:
-                _atomic_write_json(self._manifest_path, manifest, self._injector)
 
-    def _encode_full(
-        self, name: str, seq: int, created_at: float, payload: dict
-    ) -> tuple[bytes, str]:
-        """Binary-encode a full snapshot payload; returns (bytes, checksum)."""
+    def _encode_full(self, name: str, seq: int, payload: dict) -> bytes:
+        """Binary-encode a full snapshot payload."""
         meta = dict(payload)
         skeleton, arrays = flatten_state(meta.pop("state"))
         tail_arrays = [_as_batch_array(b) for b in meta.pop("tail", [])]
@@ -545,7 +453,7 @@ class SnapshotStore:
             "kind": "full",
             "stream": name,
             "seq": seq,
-            "created_at": created_at,
+            "created_at": time.time(),
             "arrivals": int(meta.get("arrivals", 0)),
             "meta": meta,
             "state_skeleton": skeleton,
@@ -556,11 +464,7 @@ class SnapshotStore:
             ("state", state_blob),
             ("tail", b"".join(b.tobytes() for b in tail_arrays)),
         ]
-        data = _encode_binary(header, sections)
-        digest = hashlib.sha256(
-            data[len(BINARY_MAGIC) + 4 : len(BINARY_MAGIC) + 36]
-        ).hexdigest()
-        return data, f"sha256:{digest}"
+        return _encode_binary(header, sections)
 
     # ------------------------------------------------------------------
     # Read
@@ -573,23 +477,17 @@ class SnapshotStore:
         plus ``arrivals``, ``state``, ``tail`` (float64 batches) and
         ``chain_bytes`` (see :meth:`_resolve`).
 
-        Tries the manifest's newest generation first, then falls back to
-        older on-disk generations (newest first) whenever a file is
-        corrupt, truncated, missing, or fails a checksum.  A delta head
-        resolves its whole chain: the base is loaded, the verified delta
-        prefix is folded into the returned payload's ``tail`` (so the
-        restored worker replays exactly the points the deltas recorded),
-        and a corrupt link truncates the chain at the last good delta.
-        Raises ``KeyError`` when the stream has no snapshot at all and
+        Tries the on-disk generations newest first, falling back to the
+        next older one whenever a file is corrupt, truncated, unreadable,
+        or fails a checksum.  A delta head resolves its whole chain: the
+        base is loaded, the verified delta prefix is folded into the
+        returned payload's ``tail`` (so the restored worker replays
+        exactly the points the deltas recorded), and a corrupt link
+        truncates the chain at the last good delta.  Raises ``KeyError``
+        when the stream has no snapshot at all and
         :class:`SnapshotCorruptError` when every generation is bad.
         """
-        candidates: list[Path] = []
-        entry = self._manifest_or_rebuild()["streams"].get(name)
-        if entry is not None:
-            candidates.append(self.directory / entry["file"])
-        for path in reversed(self.generations(name)):
-            if path not in candidates:
-                candidates.append(path)
+        candidates = self.generations(name)[::-1]
         if not candidates:
             raise KeyError(f"no snapshot recorded for stream {name!r}")
         failures: list[str] = []
@@ -613,6 +511,15 @@ class SnapshotStore:
             + "; ".join(failures)
         )
 
+    def streams(self) -> list[str]:
+        """Stream names with at least one generation on disk, sorted."""
+        names = set()
+        for filename in os.listdir(self.directory):
+            match = _GENERATION_FILE.match(filename)
+            if match is not None:
+                names.add(_decode_name(match.group(1)))
+        return sorted(names)
+
     def generations(self, name: str) -> list[Path]:
         """On-disk snapshot files of exactly ``name``, oldest first.
 
@@ -620,16 +527,15 @@ class SnapshotStore:
         pattern, so stream ``"a"`` never sees ``"a-b"``'s files (the
         old ``{name}-*.json`` glob did).
         """
-        token = re.escape(_encode_name(name))
-        pattern = re.compile(
-            rf"^{token}-(\d{{8}})({'|'.join(re.escape(s) for s in _SUFFIXES)})$"
-        )
+        token = _encode_name(name)
         matches = []
-        for path in self.directory.iterdir():
-            match = pattern.match(path.name)
-            if match is not None:
-                matches.append((int(match.group(1)), path))
-        return [path for _, path in sorted(matches)]
+        for filename in os.listdir(self.directory):
+            if not filename.startswith(token):
+                continue  # another stream's file: skip the regex
+            match = _GENERATION_FILE.match(filename)
+            if match is not None and match.group(1) == token:
+                matches.append((int(match.group(2)), filename))
+        return [self.directory / filename for _, filename in sorted(matches)]
 
     def _resolve(self, path: Path, name: str) -> dict:
         """Verified payload of one head candidate (chain-resolved), with
@@ -814,15 +720,15 @@ class SnapshotStore:
     # Retention
     # ------------------------------------------------------------------
 
-    def _prune(self, name: str) -> None:
-        """Drop generations beyond ``keep``, counting (not hiding) errors.
+    def _prune(self, name: str, files: list[Path]) -> None:
+        """Drop ``name``'s generations (``files``, oldest first) beyond
+        ``keep``, counting (not hiding) errors.
 
         ``keep`` counts full snapshots; everything older than the oldest
         retained full is deleted.  Deltas between retained fulls (or
         after the newest) survive with their base, so the cut can never
         strand a delta whose base is gone.
         """
-        files = self.generations(name)
         full_seqs = [
             path_seq(path)
             for path in files
@@ -843,32 +749,9 @@ class SnapshotStore:
                 )
 
 
-def _extendable(entry: dict | None) -> bool:
-    """Whether a manifest entry is a generation a delta can chain onto:
-    a full, or a delta that knows its base."""
-    return entry is not None and (
-        entry.get("kind") != "delta" or "base_seq" in entry
-    )
-
-
-def _parse_snapshot_name(filename: str) -> tuple[str, int, str] | None:
-    """(decoded stream name, seq, kind) of a snapshot filename, or None."""
-    match = re.match(
-        rf"^(.+)-(\d{{8}})({'|'.join(re.escape(s) for s in _SUFFIXES)})$",
-        filename,
-    )
-    if match is None:
-        return None
-    kind = "delta" if match.group(3) == SUFFIX_DELTA else "full"
-    return _decode_name(match.group(1)), int(match.group(2)), kind
-
-
 def path_seq(path: Path) -> int:
-    """Sequence number embedded in a snapshot filename."""
-    parsed = _parse_snapshot_name(path.name)
-    if parsed is None:
-        raise ValueError(f"{path.name} is not a snapshot filename")
-    return parsed[1]
+    """Sequence number embedded in a generation's filename."""
+    return int(_GENERATION_FILE.match(path.name).group(2))
 
 
 def _split_tail(lengths, section) -> list[np.ndarray]:

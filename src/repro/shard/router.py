@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import os
 import socket
 import threading
 import time
@@ -74,6 +73,7 @@ from ..service.faults import FaultInjector
 from ..service.protocol import ServiceProtocol, StreamSpec, UnknownStreamError
 from ..service.qos import QoSConfig, QoSController
 from ..service.queries import UnsupportedQueryError
+from ..service.snapshot import SnapshotCorruptError, _atomic_write
 from ..service.supervisor import RestartPolicy, StreamFailedError
 from .breaker import CircuitBreaker
 from .framing import (
@@ -1086,18 +1086,25 @@ class ShardRouter(ServiceProtocol):
                 name: spec.to_dict() for name, spec in self._specs.items()
             },
         }
-        target = self._manifest_path()
-        scratch = target.with_suffix(".tmp")
-        scratch.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        os.replace(scratch, target)
+        _atomic_write(
+            self._manifest_path(),
+            json.dumps(payload, indent=2, sort_keys=True).encode("utf-8"),
+            self._injector,
+        )
 
     def _read_manifest(self) -> dict:
-        manifest = self._manifest_path()
-        if not manifest.exists():
+        path = self._manifest_path()
+        if not path.exists():
             raise FileNotFoundError(
-                f"no router manifest at {manifest}; nothing to restore"
+                f"no router manifest at {path}; nothing to restore"
             )
-        return json.loads(manifest.read_text())
+        try:
+            manifest = json.loads(path.read_bytes())
+        except ValueError as error:
+            raise SnapshotCorruptError(f"{path} is not valid JSON: {error}") from error
+        if not isinstance(manifest, dict):
+            raise SnapshotCorruptError(f"{path} is not a JSON object")
+        return manifest
 
     def _reconcile(self, handle: _ShardHandle) -> dict[str, int]:
         """Align a freshly spawned shard's streams with the spec map.

@@ -3,7 +3,7 @@
 Pins down the serving-layer contract: threaded ingestion is equivalent
 to a direct single-threaded pipeline run, queries are snapshot-isolated,
 backpressure policies behave as configured, and a crashed service
-restored from its snapshot manifest converges to the uninterrupted run.
+restored from its snapshot directory converges to the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from repro.runtime import StreamPipeline, make_maintainer
 from repro.service import (
     BackpressureError,
     FaultInjector,
+    SnapshotCorruptError,
     SnapshotStore,
     StreamService,
     StreamSpec,
@@ -29,6 +30,7 @@ from repro.service import (
     UnsupportedQueryError,
 )
 from repro.service.queries import view_histogram
+from repro.service.snapshot import _encode_binary
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
 
@@ -667,6 +669,9 @@ class TestCheckpointRestore:
         # weigh less than the head itself.
         [path] = restored.checkpoint("legacy")
         assert path.endswith("legacy-00000003.delta")
+        # The older store's manifest is left as it was.
+        manifest = (directory / "manifest.json").read_bytes()
+        assert manifest == (LEGACY_SNAPSHOTS / "manifest.json").read_bytes()
         restored.ingest("legacy", stream[200:])
         restored.flush("legacy")
         served = restored.synopsis("legacy")
@@ -1064,9 +1069,9 @@ class TestOneCheckpointerPerService:
     def test_two_streams_writing_at_once_keep_their_newest_entries(
         self, tmp_path, monkeypatch
     ):
-        """An automatic checkpoint of "a", slowed between its manifest
-        read and write, beside a public checkpoint of "b": both land,
-        and the manifest names each stream's newest generation."""
+        """An automatic checkpoint of "a", slowed between its listing
+        and its write, beside a public checkpoint of "b": both land, and
+        each stream's newest file is its newest generation."""
         with StreamService(tmp_path) as service:
             service.create_stream(
                 "a", backend="gk_quantiles", params=GK_PARAMS, checkpoint_every=512
@@ -1093,11 +1098,10 @@ class TestOneCheckpointerPerService:
             [path] = service.checkpoint("b")
             assert service.flush() is True
             assert service.health("a")["checkpoint_errors"] == 0
-            entries = store.manifest()["streams"]
-            assert entries["b"]["file"] == Path(path).name
-            for name in ("a", "b"):
-                assert entries[name]["file"] == store.generations(name)[-1].name
-                assert entries[name]["seq"] == (1 if name == "a" else 2)
+            assert store.generations("b")[-1] == Path(path)
+            for name, seq in (("a", 1), ("b", 2)):
+                assert store.generations(name)[-1].name == f"{name}-{seq:08d}.snap"
+                assert store.load_latest(name)["seq"] == seq
 
     def test_dropping_a_stream_that_owes_checkpoints_releases_flush(
         self, tmp_path, monkeypatch
@@ -1180,30 +1184,29 @@ class TestOneCheckpointerPerService:
 
 class TestSnapshotStore:
     def test_manifest_tracks_latest_and_prunes(self, tmp_path):
-        # keep=2 by default: the newest generation plus one fallback.
+        # The files are the record; keep=2 by default: the newest
+        # generation plus one fallback.
         store = SnapshotStore(tmp_path)
         store.write("s", {"arrivals": 1, "state": {}, "tail": []})
         store.write("s", {"arrivals": 2, "state": {}, "tail": []})
-        entry = store.manifest()["streams"]["s"]
-        assert entry["seq"] == 2
+        names = [p.name for p in store.generations("s")]
+        assert names == ["s-00000001.snap", "s-00000002.snap"]
         assert store.load_latest("s")["arrivals"] == 2
-        remaining = sorted(p.name for p in tmp_path.glob("s-*.snap"))
-        assert remaining == ["s-00000001.snap", "s-00000002.snap"]
         store.write("s", {"arrivals": 3, "state": {}, "tail": []})
-        remaining = sorted(p.name for p in tmp_path.glob("s-*.snap"))
-        assert remaining == ["s-00000002.snap", "s-00000003.snap"]
+        names = [p.name for p in store.generations("s")]
+        assert names == ["s-00000002.snap", "s-00000003.snap"]
+        assert store.load_latest("s")["arrivals"] == 3
 
     def test_unknown_stream_raises(self, tmp_path):
         with pytest.raises(KeyError, match="nope"):
             SnapshotStore(tmp_path).load_latest("nope")
 
     def test_wrong_format_rejected(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        (tmp_path / "manifest.json").write_text(
-            json.dumps({"format": 99, "streams": {}})
-        )
-        with pytest.raises(ValueError, match="format"):
-            store.manifest()
+        # A generation whose (intact) header names format 99 is corrupt.
+        header = {"format": 99, "kind": "full", "stream": "s", "seq": 1}
+        (tmp_path / "s-00000001.snap").write_bytes(_encode_binary(header, []))
+        with pytest.raises(SnapshotCorruptError, match="format 99"):
+            SnapshotStore(tmp_path).load_latest("s")
 
 
 class TestServiceLifecycle:

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.obs import parse_prometheus_text
-from repro.service import FaultInjector, StreamService
+from repro.service import FaultInjector, SnapshotCorruptError, StreamService
 from repro.service.config import ServiceConfig, build_service, load_config
 from repro.service.protocol import DEFAULT_CHECKPOINT_EVERY, ServiceProtocol
 from repro.service.queries import UnsupportedQueryError
@@ -958,6 +958,25 @@ class TestRouterRestore:
             _wait_for_restart(restored, 0)
             assert restored.flush("rec") is True
             _assert_recovered(restored, expected, "gk_quantiles")
+
+    def test_router_json_write_fsyncs_its_directory(self, tmp_path):
+        injector = FaultInjector().drop_dir_fsync(times=1)
+        with ShardRouter(
+            num_shards=1, snapshot_dir=tmp_path, fault_injector=injector
+        ) as router:
+            router.create_stream(
+                "r", backend="gk_quantiles", params={"epsilon": 0.05}
+            )
+            assert injector.events == [{"kind": "dir_fsync", "path": str(tmp_path)}]
+
+    @pytest.mark.parametrize(
+        "content", [b'{"num_shards": 1, "virt', b"[1, 2]"],
+        ids=["torn", "not_an_object"],
+    )
+    def test_unreadable_router_json_is_a_typed_error(self, tmp_path, content):
+        (tmp_path / "router.json").write_bytes(content)
+        with pytest.raises(SnapshotCorruptError, match="router.json"):
+            ShardRouter.restore(tmp_path)
 
 
 class TestServiceConfig:

@@ -5,12 +5,14 @@ three on-disk kinds (format-3 binary fulls, format-3 deltas, and the
 legacy format-1/2 JSON files the store still reads but no longer
 writes): every file is checksummed and verified on load; loads fall
 back generation by generation when the newest file is corrupt,
-truncated, missing, or mislabeled; a corrupt delta link truncates its
-chain to the verified prefix; corruption surfaces as the typed
-:class:`SnapshotCorruptError` (including unreadable manifests);
-filenames isolate prefix-colliding stream names; and pruning never
-strands a delta without its base.  Legacy files are written by hand
-here, exactly as older stores laid them out.
+truncated, or mislabeled (a missing one leaves the previous generation
+as the newest); a corrupt delta link truncates its chain to the
+verified prefix; corruption surfaces as the typed
+:class:`SnapshotCorruptError`; the files are the only record (a
+``manifest.json`` an older store left is ignored), and a checkpoint is
+one atomic write; filenames isolate prefix-colliding stream names; and
+pruning never strands a delta without its base.  Legacy files are
+written by hand here, exactly as older stores laid them out.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import math
 import numpy as np
 import pytest
 
-from repro.service import SnapshotCorruptError, SnapshotStore
+from repro.service import SnapshotCorruptError, SnapshotStore, snapshot
 from repro.service.faults import FaultInjector
 from repro.service.snapshot import (
     BINARY_MAGIC,
+    _decode_binary,
     _encode_name,
     _payload_checksum,
 )
@@ -266,13 +269,15 @@ class TestGenerationFallback:
         newest.write_bytes(newest.read_bytes()[:40])
         assert store.load_latest("s")["state"] == {"marker": "gen1"}
 
-    def test_missing_manifest_file_falls_back(self, tmp_path):
+    def test_missing_newest_file_falls_back(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
         store.write("s", payload(100, "gen1"))
         newest = store.write("s", payload(200, "gen2"))
-        newest.unlink()  # manifest now dangles
+        newest.unlink()
         assert store.load_latest("s")["state"] == {"marker": "gen1"}
-        assert store.counters["fallback_loads"] == 1
+        # The files are the only record: nothing says a newer one
+        # existed, so generation 1 is the newest, not a fallback.
+        assert store.counters["fallback_loads"] == 0
 
     def test_wrong_stream_snapshot_rejected(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=2)
@@ -346,64 +351,79 @@ class TestNameIsolation:
 
 
 class TestManifestHardening:
-    def test_truncated_to_empty_manifest_is_typed_and_rebuilt(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.write("s", payload(10, "a"))
-        (tmp_path / "manifest.json").write_text("")
-        with pytest.raises(SnapshotCorruptError):
-            store.manifest()
-        # Internal paths rebuild from the files on disk instead.
-        assert store.load_latest("s")["state"] == {"marker": "a"}
-        assert store.streams() == ["s"]
-        assert store.counters["corrupt_snapshots"] >= 1
+    """The directory is the only record: a ``manifest.json`` an older
+    store left is neither read nor rewritten, and a reopened store
+    numbers and chains its generations from the files alone."""
 
-    def test_unreadable_manifest_is_typed_not_oserror(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        store.write("s", payload(10, "a"))
+    @staticmethod
+    def _check_leftover_is_ignored(tmp_path, content):
+        """Run a store beside a leftover ``manifest.json`` (``None``: a
+        directory of that name) and check it is neither read nor
+        rewritten."""
         manifest = tmp_path / "manifest.json"
-        manifest.unlink()
-        manifest.mkdir()  # read_text now raises IsADirectoryError
-        with pytest.raises(SnapshotCorruptError, match="unreadable"):
-            store.manifest()
-        assert store.load_latest("s")["state"] == {"marker": "a"}
-
-    def test_structurally_invalid_manifest_is_typed(self, tmp_path):
+        if content is None:
+            manifest.mkdir()
+        else:
+            manifest.write_bytes(content)
         store = SnapshotStore(tmp_path)
-        (tmp_path / "manifest.json").write_text(json.dumps(["not", "a", "dict"]))
-        with pytest.raises(SnapshotCorruptError, match="manifest"):
-            store.manifest()
+        store.write("s", state_payload(4, [1.0]))
+        store.write_delta(
+            "s", arrivals=6, from_arrivals=4,
+            batches=[(4, np.array([5.0, 6.0]))], tail=[],
+        )
+        assert store.streams() == ["s"]
+        loaded = store.load_latest("s")
+        assert loaded["arrivals"] == 4
+        assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0]]
+        store.retire("s")
+        assert store.streams() == []
+        if content is None:
+            assert manifest.is_dir() and not any(manifest.iterdir())
+        else:
+            assert manifest.read_bytes() == content
+        assert store.counters["corrupt_snapshots"] == 0
 
-    def test_rebuilt_manifest_continues_sequence_numbers(self, tmp_path):
+    def test_empty_manifest_is_ignored(self, tmp_path):
+        self._check_leftover_is_ignored(tmp_path, b"")
+
+    def test_torn_manifest_is_ignored(self, tmp_path):
+        self._check_leftover_is_ignored(tmp_path, b"{torn")
+
+    def test_non_object_manifest_is_ignored(self, tmp_path):
+        self._check_leftover_is_ignored(
+            tmp_path, json.dumps(["not", "a", "dict"]).encode()
+        )
+
+    def test_directory_manifest_is_ignored(self, tmp_path):
+        self._check_leftover_is_ignored(tmp_path, None)
+
+    def test_reopened_store_continues_sequence_numbers(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", payload(10, "a"))
         store.write("s", payload(20, "b"))
-        (tmp_path / "manifest.json").write_text("{broken")
-        path = store.write("s", payload(30, "c"))
-        # The replacement write scanned the disk: no collision with the
-        # surviving generation files.
+        path = SnapshotStore(tmp_path).write("s", payload(30, "c"))
+        # The new store numbered its write from the surviving files.
         assert path.name == "s-00000003.snap"
-        assert store.load_latest("s")["state"] == {"marker": "c"}
+        assert SnapshotStore(tmp_path).load_latest("s")["state"] == {"marker": "c"}
 
-    def test_delta_after_manifest_rebuild_chains_onto_the_real_base(
-        self, tmp_path
-    ):
+    def test_reopened_store_delta_names_the_head_deltas_base(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0]))  # seq 1: the base
         store.write_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[],
         )  # seq 2
-        (tmp_path / "manifest.json").write_text("{torn")
-        store.write_delta(
+        head = SnapshotStore(tmp_path).write_delta(
             "s", arrivals=8, from_arrivals=6,
             batches=[(6, np.array([7.0, 8.0]))], tail=[],
-        )  # seq 3: must still name seq 1 as its base
+        )  # seq 3: its base is the one seq 2's header names
+        header, _ = _decode_binary(head.read_bytes(), head.name)
+        assert (header["seq"], header["base_seq"], header["prev_seq"]) == (3, 1, 2)
         recovered = SnapshotStore(tmp_path)
         loaded = recovered.load_latest("s")
         assert loaded["arrivals"] == 4
         assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0], [7.0, 8.0]]
         assert recovered.counters["fallback_loads"] == 0
-        assert recovered.manifest()["streams"]["s"]["base_seq"] == 1
 
     def test_unreadable_delta_head_at_rebuild_forces_a_full(self, tmp_path):
         store = SnapshotStore(tmp_path)
@@ -413,7 +433,6 @@ class TestManifestHardening:
             batches=[(4, np.array([5.0, 6.0]))], tail=[],
         )
         head.write_bytes(b"garbage")
-        (tmp_path / "manifest.json").write_text("{torn")
         # No trustworthy base to chain from: the caller writes a full.
         with pytest.raises(ValueError, match="no base"):
             store.write_delta(
@@ -435,19 +454,40 @@ class TestDirFsync:
 
     def test_torn_rename_after_dropped_fsync_is_survivable(self, tmp_path):
         # Simulate the failure window the dir fsync closes: the rename
-        # of generation 2 (and the manifest pointing at it) happened,
-        # but the directory update was lost on crash.  Recovery must
-        # fall back to generation 1 instead of erroring.
-        injector = FaultInjector().drop_dir_fsync(times=4)
+        # of generation 2 happened, but the directory update was lost on
+        # crash.  Recovery must fall back to generation 1 instead of
+        # erroring.
+        injector = FaultInjector().drop_dir_fsync(times=2)
         store = SnapshotStore(tmp_path, fault_injector=injector)
         store.write("s", payload(100, "gen1"))
-        manifest_before = (tmp_path / "manifest.json").read_bytes()
         newest = store.write("s", payload(200, "gen2"))
         # the crash rolls the un-fsynced directory back:
         newest.unlink()
-        (tmp_path / "manifest.json").write_bytes(manifest_before)
         recovered = SnapshotStore(tmp_path)
         assert recovered.load_latest("s")["state"] == {"marker": "gen1"}
+
+    def test_each_checkpoint_is_one_atomic_write(self, tmp_path, monkeypatch):
+        calls = []
+        for function in ("_atomic_write", "_fsync_dir"):
+            original = getattr(snapshot, function)
+
+            def counted(*args, _name=function, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(snapshot, function, counted)
+        store = SnapshotStore(tmp_path)
+        store.write("s", state_payload(4, [1.0]))
+        assert sorted(calls) == ["_atomic_write", "_fsync_dir"]
+        calls.clear()
+        delta = store.encode_delta(
+            "s", arrivals=6, from_arrivals=4,
+            batches=[(4, np.array([5.0, 6.0]))], tail=[],
+        )
+        store.commit_delta(delta)
+        assert sorted(calls) == ["_atomic_write", "_fsync_dir"]
+        assert store.counters["writes"] == 2
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestRetentionAndHygiene:
