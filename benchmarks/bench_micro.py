@@ -2,7 +2,8 @@
 
 Not tied to a paper figure; these watch for regressions in the building
 blocks the experiments rest on: the optimal DP, one fixed-window rebuild,
-agglomerative per-point cost, the Haar transform, and GK insertion.
+agglomerative per-point cost, the Haar transform, and GK insertion (per
+point, and in the serving tiers' 512-point batches).
 """
 
 from __future__ import annotations
@@ -73,6 +74,21 @@ def test_gk_insert_eps001(benchmark):
         cursor["position"] += 1
 
     benchmark(insert_once)
+
+
+def test_gk_extend_512_eps005(benchmark):
+    """The kernel both serving tiers run: 512-point batches into a warm
+    summary at the GK fleets' epsilon."""
+    summary = GKQuantileSummary(0.05)
+    summary.extend(STREAM[:3000])
+    batches = [STREAM[start : start + 512] for start in range(0, 5632, 512)]
+    cursor = {"batch": 0}
+
+    def extend_once():
+        summary.extend(batches[cursor["batch"] % len(batches)])
+        cursor["batch"] += 1
+
+    benchmark(extend_once)
 
 
 def test_histogram_range_query_b32(benchmark):

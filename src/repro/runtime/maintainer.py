@@ -121,7 +121,10 @@ class Maintainer(ABC):
         arrays included, before the backend sees it: a rejected call
         leaves the maintainer untouched.
         """
-        batch = as_stream_batch(values)
+        self._extend(as_stream_batch(values))
+
+    def _extend(self, batch: np.ndarray) -> None:
+        """:meth:`extend` by a batch :func:`as_stream_batch` validated."""
         if batch.size == 0:
             return
         started = time.perf_counter()

@@ -206,7 +206,11 @@ class StreamPipeline:
 
     def extend(self, values) -> None:
         """Consume a batch; events fire exactly as in a per-point loop."""
-        array = as_stream_batch(values)
+        self._extend(as_stream_batch(values))
+
+    def _extend(self, array: np.ndarray) -> None:
+        """:meth:`extend` by a batch :func:`as_stream_batch` validated;
+        the maintainers get its chunks unscanned."""
         every = self.maintain_every
         # Cut at maintenance boundaries only where a cut can be observed.
         cut_maintain = every is not None and (
@@ -233,7 +237,7 @@ class StreamPipeline:
                     if take == 1:
                         maintainer.append(float(chunk[0]))
                     else:
-                        maintainer.extend(chunk)
+                        maintainer._extend(chunk)
                     elapsed = time.perf_counter() - started
                     report.maintenance_seconds += elapsed
                     ingest_seconds += elapsed
@@ -282,7 +286,7 @@ class StreamPipeline:
         if isinstance(stream, np.ndarray) or hasattr(stream, "__len__"):
             array = as_stream_batch(stream)
             for start in range(0, array.size, self.batch_size):
-                self.extend(array[start : start + self.batch_size])
+                self._extend(array[start : start + self.batch_size])
         else:
             iterator = iter(stream)
             while True:

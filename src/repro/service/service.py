@@ -258,7 +258,8 @@ class StreamService(ServiceProtocol):
         return self._scheduled(schedule, lambda: self._submit(name, batch))
 
     def _submit(self, name: str, batch) -> int:
-        return self._on_live_worker(name, lambda worker: worker.submit(batch))
+        # `ingest` validated the batch: the worker does not scan it again.
+        return self._on_live_worker(name, lambda worker: worker._enqueue(batch))
 
     def _on_live_worker(self, name: str, act):
         """``act(worker)``; on a supervised service, a call that meets a

@@ -446,9 +446,13 @@ class StreamWorker:
         a copy of the batch: a producer may refill its buffer as soon as
         this returns.
         """
-        batch = as_stream_batch(values).copy()
+        return self._enqueue(as_stream_batch(values))
+
+    def _enqueue(self, batch: np.ndarray) -> int:
+        """:meth:`submit` by a batch :func:`as_stream_batch` validated."""
         if batch.size == 0:
             return 0
+        batch = batch.copy()
         started = time.perf_counter()
         with self._cv:
             self._raise_if_failed()
@@ -628,7 +632,8 @@ class StreamWorker:
         if self._injector is not None:
             self._injector.on_ingest(self.name, start, int(batch.size))
         try:
-            self._pipeline.extend(batch)
+            # Every queued batch was validated on its way in.
+            self._pipeline._extend(batch)
         except Exception as error:
             # The pipeline rolls its arrival counter back when the feed
             # failed before the maintainer ingested anything, so the gap

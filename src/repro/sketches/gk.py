@@ -20,20 +20,26 @@ rendering, rank bracket and quantile answer is unchanged.
 
 This summary sits on the hottest path of the serving layer (it is the
 default benchmark backend), so :meth:`GKQuantileSummary.extend` is written
-for the interpreter.  It inserts one compress period at a time, so the
-``count % period`` test runs once per period instead of once per point;
-the list ``insert`` methods and the summary length live in locals; and a
-float64 array is converted with one ``tolist()``.  ``_compress`` carries
-the right neighbour's gap and delta in locals and deletes from the three
-lists in one statement.  :meth:`insert` is the per-point reference:
-``extend`` over any split of a stream leaves the summary bit for bit
-where per-point ``insert`` leaves it
+for the interpreter.  An interior point's delta depends only on the count
+it brings the summary to, so ``extend`` computes the whole batch's delta
+schedule in one numpy expression: ``2 * epsilon`` times an int64
+``arange`` of the counts, truncated by ``astype``, which is the IEEE
+product and the truncation of ``insert``'s ``int()``.  The schedule is
+zipped with the points, and each compress period is one ``islice`` of
+that iterator, so the per-point loop does only the ``bisect_right``, the
+three list inserts and the edge test that gives a new minimum or maximum
+delta 0; a period that fills calls :meth:`_compress`.  :meth:`insert` is
+the per-point reference: ``extend`` over any split of a stream leaves the
+summary bit for bit where per-point ``insert`` leaves it
 (``tests/test_gk_golden.py``).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import islice
+
+import numpy as np
 
 __all__ = ["GKQuantileSummary"]
 
@@ -89,32 +95,44 @@ class GKQuantileSummary:
             points = values.tolist()
         else:
             points = [float(value) for value in values]
+        remaining = len(points)
+        count = self._count
+        # The delta `insert` gives an interior point at every count the
+        # batch reaches: the same IEEE product and truncation as its
+        # `int(2.0 * epsilon * count)`.  One expression, so no array
+        # outlives the list.
+        schedule = np.maximum(
+            (
+                2.0
+                * self.epsilon
+                * np.arange(count + 1, count + remaining + 1, dtype=np.int64)
+            ).astype(np.int64)
+            - 1,
+            0,
+        ).tolist()
+        pending = zip(points, schedule)
         stored = self._values
         insert_value = stored.insert
         insert_gap = self._gaps.insert
         insert_delta = self._deltas.insert
         size = len(stored)
-        count = self._count
-        two_eps = 2.0 * self.epsilon
         period = self._compress_period
-        start = 0
-        while start < len(points):
+        while remaining:
             # One compress period at a time: `count` reaches a multiple of
             # the period only at the end of a full run.
-            stop = start + period - count % period
-            for value in points[start:stop]:
-                count += 1
+            run = min(period - count % period, remaining)
+            for value, delta in islice(pending, run):
                 position = bisect_right(stored, value)
                 insert_value(position, value)
                 insert_gap(position, 1)
-                if position == 0 or position == size:
+                if position and position != size:
+                    insert_delta(position, delta)
+                else:
                     # New minimum or maximum: exact rank, delta = 0.
                     insert_delta(position, 0)
-                else:
-                    delta = int(two_eps * count) - 1
-                    insert_delta(position, delta if delta > 0 else 0)
                 size += 1
-            start = stop
+            count += run
+            remaining -= run
             if count % period == 0:
                 self._count = count
                 self._compress()

@@ -9,7 +9,8 @@ order shows up here as an exact mismatch.
 
 The property test checks batching itself: ``extend`` over any split of a
 stream must leave the same summary as per-point ``insert`` (the reference
-path) after every batch.
+path) after every batch, from an empty summary and from restored ones at
+counts past 10**9.
 
 Regenerate (only when a change is *meant* to move the summaries)::
 
@@ -115,20 +116,42 @@ _values = st.lists(
 )
 
 
+#: Counts the summaries start from: empty, and two where ``2 * epsilon *
+#: count`` is large, so the batched delta schedule is compared with
+#: per-point ``insert`` far beyond the golden streams' 2,048 points.
+START_COUNTS = (0, 10**9 + 7, 2**40 - 3)
+
+
+def _restored(epsilon: float, count: int) -> GKQuantileSummary:
+    """A summary at ``count`` through ``from_dict``: empty at 0, else two
+    sentinels far outside ``_values`` carry the rank mass, so every test
+    value lands between them and takes the scheduled delta."""
+    tuples = [[-1e7, count - 1, 0], [1e7, 1, 0]] if count else []
+    return GKQuantileSummary.from_dict(
+        {"epsilon": epsilon, "count": count, "tuples": tuples}
+    )
+
+
 @given(
     st.sampled_from(EPSILONS),
     _values,
     st.lists(st.integers(1, 120), min_size=1, max_size=20),
+    st.sampled_from(START_COUNTS),
 )
 # Every batch a single point.
-@example(0.05, [float(v % 7) for v in range(60)], [1])
+@example(0.05, [float(v % 7) for v in range(60)], [1], 0)
 # One batch spanning forty compress periods, then one spanning 200.
-@example(0.05, [float(v * 7919 % 101) for v in range(400)], [400])
-@example(0.45, [float(v * 31 % 17) for v in range(200)], [200])
+@example(0.05, [float(v * 7919 % 101) for v in range(400)], [400], 0)
+@example(0.45, [float(v * 31 % 17) for v in range(200)], [200], 0)
+# Batches crossing counts where int(2 * epsilon * count) steps: at almost
+# every count for epsilon 0.45 (period 1), and at count 2**40 + 224 for
+# epsilon 0.001 (period 500); small and large batches both.
+@example(0.45, [float(v * 31 % 17) for v in range(200)], [3, 120], 10**9 + 7)
+@example(0.001, [float(v * 7919 % 101) for v in range(400)], [5, 300], 2**40 - 3)
 @settings(max_examples=150, deadline=None)
-def test_batched_extend_matches_per_point_insert(epsilon, values, sizes):
-    reference = GKQuantileSummary(epsilon)
-    batched = GKQuantileSummary(epsilon)
+def test_batched_extend_matches_per_point_insert(epsilon, values, sizes, count):
+    reference = _restored(epsilon, count)
+    batched = _restored(epsilon, count)
     start = batch = 0
     while start < len(values):
         chunk = values[start : start + sizes[batch % len(sizes)]]

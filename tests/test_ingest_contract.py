@@ -20,8 +20,11 @@ property: either the whole batch is accepted, or the failed extend left
 import numpy as np
 import pytest
 
+from repro.runtime import maintainer as maintainer_module
 from repro.runtime import make_maintainer
+from repro.runtime import pipeline as pipeline_module
 from repro.runtime.pipeline import StreamPipeline
+from repro.service import StreamService, protocol, stream_worker
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
 
@@ -158,3 +161,51 @@ def test_every_backend_rejects_non_finite_points(all_backends, probe):
         NON_FINITE[probe](maintainer)
     assert maintainer.stats().points == len(CLEAN)
     assert _synopsis_state(maintainer) == before
+
+
+class TestOneFinitenessScan:
+    """A service batch meets the finiteness scan once, at ``ingest``;
+    every public verb below it still scans what a direct caller passes."""
+
+    #: The modules a threaded batch passes through, each with its own
+    #: ``as_stream_batch`` import.
+    MODULES = (protocol, stream_worker, pipeline_module, maintainer_module)
+
+    def test_service_batch_is_scanned_once(self, monkeypatch):
+        calls = []
+        for module in self.MODULES:
+
+            def counted(values, _scan=module.as_stream_batch, _module=module):
+                calls.append(_module.__name__)
+                return _scan(values)
+
+            monkeypatch.setattr(module, "as_stream_batch", counted)
+        with StreamService() as service:
+            service.create_stream(
+                "s", backend="gk_quantiles", params=BACKEND_KWARGS["gk_quantiles"]
+            )
+            service.ingest("s", np.arange(512, dtype=np.float64))
+            service.flush()
+            assert service.stats("s")["arrivals"] == 512
+        assert calls == [protocol.__name__]
+
+    @pytest.mark.parametrize("size", [3, 512])
+    def test_every_verb_still_refuses_non_finite_points(self, size):
+        poisoned = np.arange(size, dtype=np.float64)
+        poisoned[-1] = np.nan
+        params = BACKEND_KWARGS["gk_quantiles"]
+        with StreamService() as service:
+            service.create_stream("s", backend="gk_quantiles", params=params)
+            with pytest.raises(ValueError, match="finite"):
+                service.ingest("s", poisoned)
+            with pytest.raises(ValueError, match="finite"):
+                service._worker("s").submit(poisoned)
+            service.flush()
+            assert service.stats("s")["arrivals"] == 0
+        maintainer = make_maintainer("gk_quantiles", **params)
+        pipeline = StreamPipeline([maintainer])
+        with pytest.raises(ValueError, match="finite"):
+            pipeline.extend(poisoned)
+        with pytest.raises(ValueError, match="finite"):
+            maintainer.extend(poisoned)
+        assert pipeline.arrivals == maintainer.stats().points == 0
