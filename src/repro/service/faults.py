@@ -38,7 +38,7 @@ class InjectedFault(RuntimeError):
 
 @dataclass
 class _ScheduledFault:
-    kind: str  # crash | slow | snapshot | slow_control | drop_frame | dir_fsync
+    kind: str  # crash | slow | snapshot | slow_control | dir_fsync
     stream: str | None  # None matches every stream (or verb, slow_control)
     at_arrival: int | None = None
     at_seq: int | None = None
@@ -128,23 +128,6 @@ class FaultInjector:
         )
         return self
 
-    def drop_frame_at(
-        self, at_seq: int | None = None, *, stream: str | None = None,
-        times: int = 1,
-    ) -> "FaultInjector":
-        """Drop a data frame router-side *after* it enters the replay log.
-
-        The frame is never written to the socket, simulating a send
-        that was lost to a dying shard: the watermark advances past the
-        hole on later frames, and only a crash + replay recovery
-        re-delivers the dropped batch.  With ``at_seq=None`` the next
-        matching frame is dropped.
-        """
-        self._faults.append(
-            _ScheduledFault("drop_frame", stream, at_seq=at_seq, remaining=times)
-        )
-        return self
-
     def drop_dir_fsync(self, *, times: int = 1) -> "FaultInjector":
         """Skip the parent-directory fsync after the next ``times`` writes.
 
@@ -230,23 +213,6 @@ class FaultInjector:
                 due.append(fault)
         for fault in due:
             time.sleep(fault.seconds)
-
-    def on_frame(self, stream: str, seq: int) -> bool:
-        """Should this data frame be dropped? (called router-side)."""
-        with self._lock:
-            for fault in self._faults:
-                if fault.remaining <= 0 or fault.kind != "drop_frame":
-                    continue
-                if not fault.matches(stream):
-                    continue
-                if fault.at_seq is not None and seq != fault.at_seq:
-                    continue
-                fault.remaining -= 1
-                self.events.append(
-                    {"kind": "drop_frame", "stream": stream, "seq": seq}
-                )
-                return True
-        return False
 
     def on_snapshot_write(self, stream: str, seq: int) -> None:
         """Fire due snapshot-write faults; raises ``OSError`` when one is due."""

@@ -29,10 +29,10 @@ a tier's transport:
   behind a running one.  A unit's checkpoints, automatic or public, run
   one at a time (``repro_checkpoint_seconds``, from when each fell
   due); a dropped unit's owed ones count as run, and ``close()`` lets a
-  running one finish and drops the owed ones.  A router without a
-  ``snapshot_dir`` checkpoints into a private temporary directory,
-  which ``checkpoint()`` and ``restore()`` refuse and ``close()``
-  removes;
+  running one finish and drops the owed ones.  A router or a supervised
+  service without a ``snapshot_dir`` checkpoints into a private
+  temporary directory, which ``checkpoint()`` and ``restore()`` refuse
+  and ``close()`` removes;
 * reporting: ``qos()``, the QoS part of every health report, the
   counting of failed automatic checkpoints, and metric export.
 
@@ -77,12 +77,12 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-#: Automatic checkpoint cadence, in points framed to a shard, of a
-#: :class:`~repro.shard.ShardRouter` checkpointing into its private store
-#: (unless a stream on the shard sets its own ``checkpoint_every``).  It
-#: sets the router's frame-log bound per shard, ``(snapshot_keep + 1) x
-#: (2^18 + one batch)`` points: 787,968 with the default keep and
-#: 512-point batches.
+#: Automatic checkpoint cadence of a unit checkpointing into a private
+#: store (unless one of its streams sets its own ``checkpoint_every``):
+#: points framed to a :class:`~repro.shard.ShardRouter`'s shard, or
+#: delivered to a supervised threaded service's stream.  It sets the
+#: unit's log bound, ``(snapshot_keep + 1) x (2^18 + one batch)``
+#: points: 787,968 with the default keep and 512-point batches.
 DEFAULT_CHECKPOINT_EVERY = 1 << 18
 
 #: Accuracy keys an older version persisted; a restored spec drops them.
@@ -231,8 +231,9 @@ class ServiceProtocol(ABC):
     degradation ladder (a :class:`~repro.service.qos.QoSConfig`, or a
     pre-built :class:`~repro.service.qos.QoSController`, which then
     records into this tier's registry).  ``snapshot_dir`` is the
-    caller's store directory; without one, ``private_store`` (the
-    router's, whose frame log needs a store) gets the private store.
+    caller's store directory; without one, ``private_store`` (a tier
+    whose logs need a store to trim to: a router, a supervised service)
+    gets the private store.
     """
 
     def __init__(

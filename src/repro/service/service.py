@@ -93,9 +93,10 @@ class StreamService(ServiceProtocol):
 
     A stream with a ``checkpoint_every`` is one unit of the checkpoint
     scheduler (:mod:`repro.service.protocol`).  Without ``snapshot_dir``
-    the service takes no checkpoints, so a supervised service's replay
-    logs grow with its streams (a :class:`~repro.shard.ShardRouter`
-    checkpoints into a private store instead).
+    an unsupervised service takes no checkpoints, and a supervised one
+    checkpoints every stream into a private store, as a
+    :class:`~repro.shard.ShardRouter` does, so its replay logs stay
+    bounded.
     """
 
     def __init__(
@@ -113,16 +114,18 @@ class StreamService(ServiceProtocol):
             raise ValueError("restart_policy requires supervise=True")
         if snapshot_keep < 1:
             raise ValueError("snapshot_keep must be >= 1")
-        super().__init__(qos, snapshot_dir)
+        # A supervisor restores from a store, so without the caller's
+        # directory it gets a private one.
+        super().__init__(qos, snapshot_dir, private_store=supervise)
         self.tracer = Tracer(self.registry)
         self._store = (
             SnapshotStore(
-                snapshot_dir,
+                self._snapshot_base,
                 keep=snapshot_keep,
                 fault_injector=fault_injector,
                 registry=self.registry,
             )
-            if snapshot_dir
+            if self._snapshot_base
             else None
         )
         self._injector = fault_injector
@@ -219,7 +222,7 @@ class StreamService(ServiceProtocol):
         self._checkpoint_marks[name] = arrivals
         self._chain_bytes[name] = chain_bytes
         worker.start()
-        if self._store is not None and spec.checkpoint_every:
+        if self._store is not None and (spec.checkpoint_every or self._private_dir):
             self._add_schedule(name, stream=name)
         return worker
 

@@ -20,10 +20,11 @@ whatever file kind it came from.
   same header+sections layout.  A chain of deltas hangs off its full
   *base* generation (``base_seq`` in every link); restore loads the base
   and rolls the chain forward.
-* ``{name}-{seq:08d}.json`` -- a **legacy format-1/2 JSON snapshot**
-  written by older stores.  Read-only: it still restores in place (its
-  ``pending``/``tail`` normalized to the format-3 shape) and can serve
-  as the base of a new delta chain, but nothing writes one any more.
+* ``{name}-{seq:08d}.json`` -- a format-1/2 JSON snapshot of an older
+  store.  Those formats are retired: such a generation is listed like
+  any other but refused on load with a :class:`SnapshotCorruptError`
+  that names the format, so a directory of them never restores as
+  empty.
 
 Stream names are percent-encoded into filenames (``_encode_name``), and
 ``generations()`` matches an exact name + 8-digit-seq pattern, so
@@ -63,11 +64,9 @@ __all__ = ["SnapshotCorruptError", "SnapshotStore"]
 
 logger = logging.getLogger(__name__)
 
+#: The one format this store writes and reads (formats 1 and 2, the JSON
+#: layouts of older stores, are retired).
 SNAPSHOT_FORMAT = 3
-#: Formats this store can read; format 1 predates embedded checksums,
-#: format 2 is the read-only JSON layout, format 3 the binary one.
-SUPPORTED_FORMATS = (1, 2, 3)
-CHECKSUM_FIELD = "checksum"
 
 #: Binary snapshot magic: identifies both the family and the layout rev.
 BINARY_MAGIC = b"RPSNAP03"
@@ -120,15 +119,6 @@ def _decode_name(token: str) -> str:
         out.extend(token[i].encode("utf-8"))
         i += 1
     return out.decode("utf-8", errors="replace")
-
-
-def _payload_checksum(payload: dict) -> str:
-    """sha256 over the canonical JSON body (checksum field excluded)."""
-    body = {key: value for key, value in payload.items() if key != CHECKSUM_FIELD}
-    digest = hashlib.sha256(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-    return f"sha256:{digest}"
 
 
 def _fsync_dir(directory: Path, injector=None) -> None:
@@ -221,7 +211,7 @@ def _decode_binary(raw: bytes, path_name: str) -> tuple[dict, dict[str, memoryvi
         raise SnapshotCorruptError(
             f"{path_name}: header is not valid JSON: {error}"
         ) from error
-    if header.get("format") not in SUPPORTED_FORMATS:
+    if header.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotCorruptError(
             f"unsupported snapshot format {header.get('format')!r}"
         )
@@ -334,28 +324,6 @@ class SnapshotStore:
             )
             self._prune(name, [*files, path])
         return path
-
-    def write_delta(
-        self,
-        name: str,
-        *,
-        arrivals: int,
-        from_arrivals: int,
-        batches,
-        tail,
-        cut: int | None = None,
-    ) -> Path:
-        """Persist a delta checkpoint chained onto the newest generation:
-        :meth:`encode_delta` then :meth:`commit_delta`.  Raises
-        ``ValueError`` when the stream has no generation (or no known
-        base) to chain from -- the caller writes a full instead."""
-        delta = self.encode_delta(
-            name, arrivals=arrivals, from_arrivals=from_arrivals,
-            batches=batches, tail=tail, cut=cut,
-        )
-        if delta is None:
-            raise ValueError(f"stream {name!r} has no base snapshot to extend")
-        return self.commit_delta(delta)
 
     def encode_delta(
         self,
@@ -542,12 +510,14 @@ class SnapshotStore:
         ``chain_bytes``: ``[full, deltas]``, the bytes of the full it rests
         on less its tail, and of the delta links it rolled forward."""
         if path.name.endswith(SUFFIX_JSON):
-            payload = self._load_legacy_json(path, name)
-        else:
-            header, sections = self._load_binary(path, name)
-            if header.get("kind") == "delta":
-                return self._resolve_chain(header, name)
-            payload = self._full_payload(header, sections)
+            raise SnapshotCorruptError(
+                "a format-1/2 JSON snapshot; those formats are retired, "
+                f"this store reads format {SNAPSHOT_FORMAT} only"
+            )
+        header, sections = self._load_binary(path, name)
+        if header.get("kind") == "delta":
+            return self._resolve_chain(header, name)
+        payload = self._full_payload(header, sections)
         tail = sum(int(batch.size) for batch in payload["tail"])
         payload["chain_bytes"] = [path.stat().st_size - 8 * tail, 0]
         return payload
@@ -604,7 +574,7 @@ class SnapshotStore:
                 f"delta chain of stream {name!r} has no base generation "
                 f"{base_seq:08d}"
             )
-        payload = self._resolve(base_path, name)  # full .snap or legacy .json
+        payload = self._resolve(base_path, name)
         position = int(payload.get("arrivals", 0))
         accepted: list[np.ndarray] = []
         tail, cut = payload["tail"], payload.get("cut")
@@ -664,57 +634,9 @@ class SnapshotStore:
         self, name: str, seq: int, *, delta: bool = False
     ) -> Path | None:
         """The on-disk file of generation ``seq``, if any."""
-        stem = f"{_encode_name(name)}-{seq:08d}"
-        suffixes = (SUFFIX_DELTA,) if delta else (SUFFIX_FULL, SUFFIX_JSON)
-        for suffix in suffixes:
-            path = self.directory / (stem + suffix)
-            if path.exists():
-                return path
-        return None
-
-    def _load_legacy_json(self, path: Path, name: str) -> dict:
-        """Verified payload of a format-1/2 ``.json`` file, in format-3 shape.
-
-        Format 1 named the tail ``pending``; both stored it as lists.
-        """
-        try:
-            text = path.read_text()
-        except OSError as error:
-            raise SnapshotCorruptError(
-                f"unreadable snapshot {path.name}: {error}"
-            ) from error
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SnapshotCorruptError(
-                f"snapshot {path.name} is not valid JSON: {error}"
-            ) from error
-        if not isinstance(payload, dict):
-            raise SnapshotCorruptError(
-                f"snapshot {path.name} is not a JSON object"
-            )
-        if payload.get("format") not in SUPPORTED_FORMATS:
-            raise SnapshotCorruptError(
-                f"unsupported snapshot format {payload.get('format')!r}"
-            )
-        if payload.get("stream") != name:
-            raise SnapshotCorruptError(
-                f"snapshot {path.name} belongs to stream "
-                f"{payload.get('stream')!r}, not {name!r}"
-            )
-        if not isinstance(payload.get("state"), dict):
-            raise SnapshotCorruptError(f"snapshot {path.name} carries no state")
-        if payload.get("format", 0) >= 2:
-            stored = payload.get(CHECKSUM_FIELD)
-            expected = _payload_checksum(payload)
-            if stored != expected:
-                raise SnapshotCorruptError(
-                    f"checksum mismatch in {path.name}: "
-                    f"stored {stored!r}, computed {expected!r}"
-                )
-        tail = payload.pop("pending", [])
-        payload["tail"] = [_as_batch_array(b) for b in payload.get("tail", tail)]
-        return payload
+        suffix = SUFFIX_DELTA if delta else SUFFIX_FULL
+        path = self.directory / f"{_encode_name(name)}-{seq:08d}{suffix}"
+        return path if path.exists() else None
 
     # ------------------------------------------------------------------
     # Retention

@@ -8,8 +8,10 @@ supervisor rebuilds the stream:
 1. the dead worker's pending queue and replay log are captured;
 2. after a bounded exponential backoff (``RestartPolicy``), a fresh
    maintainer is restored from the newest *verifiable* snapshot
-   generation -- :class:`~repro.service.snapshot.SnapshotStore` falls
-   back to the previous generation when the newest is corrupt;
+   generation in the service's store (the caller's, or the private one
+   a supervised service without a ``snapshot_dir`` checkpoints into) --
+   :class:`~repro.service.snapshot.SnapshotStore` falls back to the
+   previous generation when the newest is corrupt;
 3. the replay suffix (every batch ingested since that snapshot) and the
    pending queue are staged ahead of live traffic, the dead worker's
    last view is adopted (marked stale) so queries keep answering, and
@@ -210,14 +212,10 @@ class StreamSupervisor:
         # full backoff of a crash-looping stream.
         if self._stop_event.wait(self.policy.delay(count)):
             return
-        tracer = getattr(service, "tracer", None)
-        if tracer is None:
+        # The span lands even when the rebuild raises (status carries the
+        # exception type), so failed recoveries are visible too.
+        with service.tracer.span("recover", name, restart=count + 1):
             self._rebuild(name, dead, count)
-        else:
-            # The span lands even when the rebuild raises (status carries
-            # the exception type), so failed recoveries are visible too.
-            with tracer.span("recover", name, restart=count + 1):
-                self._rebuild(name, dead, count)
 
     def _rebuild(self, name: str, dead, count: int) -> None:
         """Build, seed and start the replacement worker for ``name``."""
@@ -226,18 +224,17 @@ class StreamSupervisor:
         pending = dead.drain_pending()
         replay = dead.replay_batches()
         state, arrivals = None, 0
-        if service._store is not None:
-            try:
-                payload = service._store.load_latest(name)
-                state = payload["state"]
-                arrivals = int(payload["arrivals"])
-            except KeyError:
-                pass  # no snapshot yet: rebuild from scratch + replay
-            except SnapshotCorruptError:
-                logger.exception(
-                    "no verifiable snapshot of stream %r; rebuilding from replay",
-                    name,
-                )
+        try:
+            payload = service._store.load_latest(name)
+            state = payload["state"]
+            arrivals = int(payload["arrivals"])
+        except KeyError:
+            pass  # no snapshot yet: rebuild from scratch + replay
+        except SnapshotCorruptError:
+            logger.exception(
+                "no verifiable snapshot of stream %r; rebuilding from replay",
+                name,
+            )
         replay_suffix = [batch for start, batch in replay if start >= arrivals]
         covered_from = min((start for start, _ in replay), default=arrivals)
         lossy = covered_from > arrivals
@@ -265,11 +262,9 @@ class StreamSupervisor:
             worker.start()
             self._states[name] = "degraded"
             self._cond.notify_all()
-        registry = getattr(service, "registry", None)
-        if registry is not None:
-            registry.counter("repro_restarts_total", stream=name).inc()
-            if lossy:
-                registry.counter("repro_lossy_recoveries_total", stream=name).inc()
+        service.registry.counter("repro_restarts_total", stream=name).inc()
+        if lossy:
+            service.registry.counter("repro_lossy_recoveries_total", stream=name).inc()
         logger.warning(
             "stream %r restarted from arrival %d (replaying %d points, "
             "%d pending)",

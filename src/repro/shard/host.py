@@ -298,9 +298,8 @@ class ShardHost:
         of every live stream (unless the router declined one), which
         records its cut like a barrier's."""
         service = self.service
-        final = self._close_checkpoint is not False and service._store is not None
         service.close(checkpoint=False)
-        if final:
+        if self._close_checkpoint is not False:
             self._checkpoint(
                 [n for n in service.streams() if not service.stats(n)["failed"]]
             )

@@ -684,20 +684,13 @@ class ShardRouter(ServiceProtocol):
             handle.next_seq = seq + 1
             handle.replay.append((seq, name, payload))
             handle.replay_points += points
-            # A dropped frame stays in the replay buffer: the fault
-            # models a send lost to a dying shard, recoverable only by
-            # crash + replay.
-            dropped = self._injector is not None and self._injector.on_frame(
-                name, seq
-            )
-            if not dropped:
-                started = time.perf_counter()
-                try:
-                    send_frame(handle.data_sock, KIND_DATA, seq, name, payload)
-                except OSError:
-                    send_failed.append(seq)
-                else:
-                    self._send_latency.observe(time.perf_counter() - started)
+            started = time.perf_counter()
+            try:
+                send_frame(handle.data_sock, KIND_DATA, seq, name, payload)
+            except OSError:
+                send_failed.append(seq)
+            else:
+                self._send_latency.observe(time.perf_counter() - started)
             return points
 
         self._scheduled(self._schedules[handle.shard_id], frame)

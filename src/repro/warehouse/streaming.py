@@ -57,18 +57,17 @@ class StreamingEquiDepthSummary:
     def extend(self, values) -> None:
         """Insert a whole batch of rows.
 
-        Non-negativity is validated once per batch on the numpy array (the
-        GK insertions themselves are inherently sequential); the running
-        domain maximum is also updated once.
+        Non-negativity is validated once per batch on the numpy array, the
+        GK summary takes the batch through its batch kernel (the same
+        summary as per-row inserts), and the running domain maximum is
+        updated once.
         """
         array = as_stream_batch(values)
         if array.size == 0:
             return
         if float(array.min()) < 0:
             raise ValueError("attribute values must be non-negative")
-        summary_insert = self._summary.insert
-        for value in array.tolist():
-            summary_insert(value)
+        self._summary.extend(array)
         self._max_value = max(self._max_value, int(round(float(array.max()))))
 
     def to_dict(self) -> dict:

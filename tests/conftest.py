@@ -94,6 +94,12 @@ def _one_shard_router(snapshot_dir=None, **options):
     return ShardRouter(1, snapshot_dir, **options)
 
 
+def _supervised_service(snapshot_dir=None, **options):
+    from repro.service import StreamService
+
+    return StreamService(snapshot_dir, supervise=True, **options)
+
+
 @pytest.fixture(
     params=[
         pytest.param("StreamService"),
@@ -106,10 +112,13 @@ def tier(request):
     ``tier(**options)`` builds a threaded ``StreamService`` or a 1-shard
     ``ShardRouter`` with the given options (``snapshot_dir``, ``qos``,
     ``fault_injector``, ...); ``type(instance).restore`` brings either
-    back from its snapshot directory.
+    back from its snapshot directory.  A test that parametrizes ``tier``
+    indirectly may also ask for ``"SupervisedStreamService"``.
     """
     if request.param == "ShardRouter":
         return _one_shard_router
+    if request.param == "SupervisedStreamService":
+        return _supervised_service
     from repro.service import StreamService
 
     return StreamService

@@ -512,17 +512,28 @@ class TestCheckpointScheduler:
         finally:
             sys.setswitchinterval(interval)
 
+    @pytest.mark.parametrize(
+        "tier",
+        [
+            "StreamService",
+            pytest.param("ShardRouter", marks=pytest.mark.shard),
+            "SupervisedStreamService",
+        ],
+        indirect=True,
+    )
     def test_close_mid_checkpoint_leaves_nothing(
         self, tier, monkeypatch
     ):
         """close() lets the running checkpoint finish; no thread of the
-        tier outlives it, and the router's private store is removed and
-        stays gone.  The CI store-less smoke runs this under a fresh
-        TMPDIR and fails if close() left it unclean (so it takes no
-        ``tmp_path``; the threaded tier's snapshot_dir is removed here)."""
+        tier outlives it, and a private store (the router's, a supervised
+        service's) is removed and stays gone.  The CI store-less smoke
+        runs this under a fresh TMPDIR and fails if close() left it
+        unclean (so it takes no ``tmp_path``; the unsupervised service's
+        snapshot_dir is removed here)."""
         before = set(threading.enumerate())
-        # The router checkpoints into its private store without one; the
-        # threaded tier checkpoints only into the caller's directory.
+        # The router and a supervised service checkpoint into a private
+        # store without one; an unsupervised service checkpoints only
+        # into the caller's directory.
         directory = tempfile.mkdtemp() if tier is StreamService else None
         service = tier(snapshot_dir=directory)
         private = service._private_dir

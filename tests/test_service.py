@@ -21,6 +21,7 @@ from repro.runtime import StreamPipeline, make_maintainer
 from repro.service import (
     BackpressureError,
     FaultInjector,
+    RestartPolicy,
     SnapshotCorruptError,
     SnapshotStore,
     StreamService,
@@ -29,14 +30,17 @@ from repro.service import (
     UnknownStreamError,
     UnsupportedQueryError,
 )
+from repro.service.protocol import DEFAULT_CHECKPOINT_EVERY
 from repro.service.queries import view_histogram
 from repro.service.snapshot import _encode_binary
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
 
-#: Snapshot directory written by the store before it stopped writing
-#: JSON: one stream as format-2 ``.json`` generations, one as a ``.snap``
-#: base with a ``.delta`` chain.  Tests restore a copy, never the original.
+#: Snapshot directory written by an older store: one stream as a
+#: ``.snap`` base with a ``.delta`` chain, beside the ``manifest.json``
+#: that store kept (its entry for a retired JSON stream names files no
+#: longer here; nothing reads it).  Tests restore a copy, never the
+#: original.
 LEGACY_SNAPSHOTS = Path(__file__).parent / "data" / "snapshot_legacy"
 
 
@@ -647,48 +651,6 @@ class TestCheckpointRestore:
             with pytest.raises(RuntimeError, match="snapshot_dir"):
                 service.checkpoint()
 
-    def test_preexisting_format2_json_directory_restores(self, tmp_path):
-        """A directory of format-2 JSON generations restores in place.
-
-        ``legacy`` in the committed fixture is gk_quantiles(0.1) over
-        ``integer_stream(300, seed=17)``, maintain_every=16: JSON
-        generations at 60 and at 120 arrivals, the newest with
-        ``stream[120:150]`` as its buffered tail.
-        """
-        directory = tmp_path / "snapshots"
-        shutil.copytree(LEGACY_SNAPSHOTS, directory)
-        stream = integer_stream(300, seed=17)
-        params = dict(epsilon=0.1)
-        restored = StreamService.restore(directory)
-        restored.flush("legacy")
-        assert restored.stats("legacy")["arrivals"] == 150
-        restored.ingest("legacy", stream[150:200])
-        restored.flush("legacy")
-        # The first checkpoint of the restored service chains a delta
-        # onto the legacy JSON head: the 80 points since that head
-        # weigh less than the head itself.
-        [path] = restored.checkpoint("legacy")
-        assert path.endswith("legacy-00000003.delta")
-        # The older store's manifest is left as it was.
-        manifest = (directory / "manifest.json").read_bytes()
-        assert manifest == (LEGACY_SNAPSHOTS / "manifest.json").read_bytes()
-        restored.ingest("legacy", stream[200:])
-        restored.flush("legacy")
-        served = restored.synopsis("legacy")
-        restored.close(checkpoint=False)
-        direct = make_maintainer("gk_quantiles", **params)
-        StreamPipeline([direct], maintain_every=16).run(stream)
-        assert_same_synopsis(served, reference_synopsis(direct))
-        # The JSON base + binary delta chain restores to the same answer.
-        again = StreamService.restore(directory)
-        again.flush("legacy")
-        assert again.stats("legacy")["arrivals"] == 200
-        again.ingest("legacy", stream[200:])
-        again.flush("legacy")
-        assert again.stats("legacy")["arrivals"] == 300
-        assert_same_synopsis(again.synopsis("legacy"), served)
-        again.close(checkpoint=False)
-
     def test_committed_snap_delta_chain_restores(self, tmp_path):
         """The fixture's format-3 stream restores as it always has.
 
@@ -704,6 +666,7 @@ class TestCheckpointRestore:
         params = dict(window_size=32, num_buckets=4, epsilon=0.25)
         stream = integer_stream(300, seed=23)
         restored = StreamService.restore(directory)
+        assert restored.streams() == ["chain"]
         restored.flush("chain")
         assert restored.stats("chain")["arrivals"] == 160
         served = restored.synopsis("chain")
@@ -1063,8 +1026,8 @@ GK_PARAMS = dict(epsilon=0.05)
 
 class TestOneCheckpointerPerService:
     """The scheduled streams of one service (those with a
-    ``checkpoint_every`` and a store) share its store and its
-    checkpointer thread."""
+    ``checkpoint_every`` and a store, and every stream of a private
+    store) share its store and its checkpointer thread."""
 
     def test_two_streams_writing_at_once_keep_their_newest_entries(
         self, tmp_path, monkeypatch
@@ -1146,17 +1109,38 @@ class TestOneCheckpointerPerService:
 
     @pytest.mark.parametrize("supervise", [False, True])
     def test_storeless_service_takes_no_checkpoints(self, supervise):
+        """No checkpoint of a store-less service reaches a directory the
+        caller sees, and the public ``checkpoint()`` is refused.
+        Unsupervised, it keeps no store, schedule or log.  Supervised,
+        its supervisor restores from a store, so it gets a private one:
+        the stream is scheduled at its own ``checkpoint_every``, the log
+        reaches back only to the older of the two kept fulls, and
+        ``close()`` removes the store."""
+        stream = integer_stream(512)
         with StreamService(supervise=supervise) as service:
             service.create_stream(
                 "g", backend="gk_quantiles", params=GK_PARAMS, checkpoint_every=64
             )
-            service.ingest("g", integer_stream(512))
+            for start in range(0, stream.size, 64):
+                service.ingest("g", stream[start : start + 64])
             assert service.flush() is True
-            assert service._private_dir is None
-            assert service._schedules == {}
-            assert service._checkpointer_thread is None
+            with pytest.raises(RuntimeError, match="snapshot_dir"):
+                service.checkpoint()
+            private = service._private_dir
             held = service.stats("g")["replay_points"]
-            assert held == (512 if supervise else 0)
+            if not supervise:
+                assert private is None
+                assert service._schedules == {}
+                assert service._checkpointer_thread is None
+                assert held == 0
+                return
+            assert service._store.directory == private
+            latest = service._store.load_latest("g")  # tail: the deltas
+            assert latest["arrivals"] + sum(b.size for b in latest["tail"]) == 512
+            oldest = service._generation_arrivals["g"][0]
+            assert 0 < oldest < stream.size
+            assert held == stream.size - oldest
+        assert not private.exists()
 
     def test_flush_waits_for_the_checkpoints_due_before_it(
         self, tmp_path, monkeypatch
@@ -1180,6 +1164,65 @@ class TestOneCheckpointerPerService:
                 "repro_snapshot_writes_total", stream="g"
             ).value
             assert writes == 1
+
+
+class TestPrivateStore:
+    """A supervised service without a ``snapshot_dir`` checkpoints each
+    stream into a private temporary directory every
+    ``DEFAULT_CHECKPOINT_EVERY`` of its points, which bounds its replay
+    logs as the router's private store bounds its frame log."""
+
+    def test_replay_log_stays_bounded(self):
+        """Four cadences of one GK stream in 512-point batches: after
+        every flush the replay log holds at most ``snapshot_keep + 1``
+        cadences (one batch each), every cadence took a checkpoint, a
+        crash after the third recovers from the private store (the log
+        no longer reaches arrival 0) to the answers of an unsupervised
+        run, the public ``checkpoint()`` is refused, and ``close()``
+        removes the directory.  The CI shard job runs this test under a
+        fresh TMPDIR and fails if close() left it unclean (so it takes
+        no ``tmp_path``)."""
+        chunk, keep, cadences = 512, 2, 4
+        bound = (keep + 1) * (DEFAULT_CHECKPOINT_EVERY + chunk)
+        data = integer_stream(cadences * DEFAULT_CHECKPOINT_EVERY, seed=53)
+        injector = FaultInjector().crash_at(
+            3 * DEFAULT_CHECKPOINT_EVERY + 1000, stream="g"
+        )
+        service = StreamService(
+            supervise=True, snapshot_keep=keep, fault_injector=injector,
+            restart_policy=RestartPolicy(backoff_initial=0.01),
+        )
+        private = service._private_dir
+        with service, StreamService() as reference:
+            for tier in (reference, service):
+                tier.create_stream(
+                    "g", backend="gk_quantiles", params=GK_PARAMS,
+                    maintain_every=64,
+                )
+            peak = 0
+            for start in range(0, data.size, chunk):
+                batch = data[start : start + chunk]
+                reference.ingest("g", batch)
+                service.ingest("g", batch)
+                assert service.flush() is True
+                held = service.stats("g")["replay_points"]
+                assert held <= bound
+                peak = max(peak, held)
+            assert peak >= DEFAULT_CHECKPOINT_EVERY
+            took = service.registry.histogram(
+                "repro_checkpoint_seconds", stream="g"
+            )
+            assert took.count == cadences
+            assert private.is_dir()
+            with pytest.raises(RuntimeError, match="snapshot_dir"):
+                service.checkpoint()
+            health = service.health("g")
+            assert health["restarts"] == 1
+            assert health["lossy_recovery"] is False
+            assert health["state"] == "healthy"
+            assert reference.flush() is True
+            assert service.histogram("g") == reference.histogram("g")
+        assert not private.exists()
 
 
 class TestSnapshotStore:

@@ -1,18 +1,17 @@
 """Snapshot integrity: checksums, generation fallback, typed corruption.
 
-Pins the durability half of the fault-tolerance contract across all
-three on-disk kinds (format-3 binary fulls, format-3 deltas, and the
-legacy format-1/2 JSON files the store still reads but no longer
-writes): every file is checksummed and verified on load; loads fall
-back generation by generation when the newest file is corrupt,
-truncated, or mislabeled (a missing one leaves the previous generation
-as the newest); a corrupt delta link truncates its chain to the
-verified prefix; corruption surfaces as the typed
-:class:`SnapshotCorruptError`; the files are the only record (a
-``manifest.json`` an older store left is ignored), and a checkpoint is
-one atomic write; filenames isolate prefix-colliding stream names; and
-pruning never strands a delta without its base.  Legacy files are
-written by hand here, exactly as older stores laid them out.
+Pins the durability half of the fault-tolerance contract across both
+on-disk kinds (format-3 binary fulls and format-3 deltas): every file is
+checksummed and verified on load; loads fall back generation by
+generation when the newest file is corrupt, truncated, or mislabeled (a
+missing one leaves the previous generation as the newest); a corrupt
+delta link truncates its chain to the verified prefix; corruption
+surfaces as the typed :class:`SnapshotCorruptError`, and so does a
+format-1/2 JSON generation an older store left (those formats are
+retired); the files are the only record (a ``manifest.json`` an older
+store left is ignored), and a checkpoint is one atomic write; filenames
+isolate prefix-colliding stream names; and pruning never strands a
+delta without its base.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from repro.service.faults import FaultInjector
 from repro.service.snapshot import (
     BINARY_MAGIC,
     _decode_binary,
+    _encode_binary,
     _encode_name,
-    _payload_checksum,
 )
 
 
@@ -47,20 +46,6 @@ def state_payload(arrivals, values, tail=()):
     }
 
 
-def write_legacy_json(directory, body, *, checksum=True):
-    """Lay out a format-1/2 ``.json`` snapshot and manifest as old stores did."""
-    body = {"stream": "s", "seq": 1, "created_at": 0.0, **body}
-    if checksum:
-        body["checksum"] = _payload_checksum(body)
-    path = directory / f"{body['stream']}-{body['seq']:08d}.json"
-    path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n")
-    entry = {"file": path.name, "seq": body["seq"]}
-    (directory / "manifest.json").write_text(
-        json.dumps({"format": 2, "streams": {body["stream"]: entry}})
-    )
-    return path
-
-
 class TestChecksums:
     def test_bitflip_fails_checksum(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
@@ -72,37 +57,21 @@ class TestChecksums:
         with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
             store.load_latest("s")
 
-    def test_legacy_format1_snapshot_loads_without_checksum(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        write_legacy_json(
-            tmp_path,
-            {"format": 1, "arrivals": 5, "state": {"marker": "old"},
-             "pending": [[1.0, 2.0]]},
-            checksum=False,
-        )
-        loaded = store.load_latest("s")
-        assert loaded["state"] == {"marker": "old"}
-        # Format 1's "pending" comes back as the format-3 "tail".
-        assert "pending" not in loaded
-        assert [t.tolist() for t in loaded["tail"]] == [[1.0, 2.0]]
-        assert all(t.dtype == np.float64 for t in loaded["tail"])
-
-    def test_legacy_format2_checksum_mismatch_rejected(self, tmp_path):
-        store = SnapshotStore(tmp_path, keep=1)
-        path = write_legacy_json(
-            tmp_path, {"format": 2, **payload(10, "a")}
-        )
-        doctored = json.loads(path.read_text())
-        doctored["arrivals"] = 99  # valid JSON, tampered body
-        path.write_text(json.dumps(doctored))
-        with pytest.raises(SnapshotCorruptError, match="checksum mismatch"):
-            store.load_latest("s")
-
     def test_unknown_format_rejected(self, tmp_path):
+        """A format-1/2 ``.json`` generation an older store wrote is
+        listed but refused with the retired-format message, never
+        skipped, so its stream cannot restore as empty; a binary header
+        of another format is refused too."""
         store = SnapshotStore(tmp_path, keep=1)
-        write_legacy_json(tmp_path, {"format": 99, **payload(5, "x")})
-        with pytest.raises(SnapshotCorruptError, match="unsupported"):
+        body = {"format": 2, "stream": "s", "seq": 1, **payload(5, "old")}
+        (tmp_path / "s-00000001.json").write_text(json.dumps(body))
+        assert store.streams() == ["s"]
+        with pytest.raises(SnapshotCorruptError, match="format-1/2 JSON.*retired"):
             store.load_latest("s")
+        assert store.counters["corrupt_snapshots"] == 1
+        data = _encode_binary({"format": 4, "stream": "s"}, [])
+        with pytest.raises(SnapshotCorruptError, match="unsupported snapshot format 4"):
+            _decode_binary(data, "s-00000002.snap")
 
 
 class TestBinaryFormat:
@@ -161,47 +130,31 @@ class TestDeltaChains:
     def test_delta_chain_resolves_onto_base(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0], tail=[[9.0]]))
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[np.array([7.0])],
-        )
-        store.write_delta(
+        ))
+        store.commit_delta(store.encode_delta(
             "s", arrivals=7, from_arrivals=6,
             batches=[(6, np.array([7.0]))], tail=[],
-        )
+        ))
         loaded = store.load_latest("s")
         # Base state + arrivals, with every delta batch folded into the
         # tail so a restore replays the chain through normal ingestion.
         assert loaded["arrivals"] == 4
         assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0], [7.0]]
 
-    def test_delta_chains_onto_legacy_json_base(self, tmp_path):
-        store = SnapshotStore(tmp_path)
-        write_legacy_json(
-            tmp_path,
-            {"format": 2, "arrivals": 4, "state": {"marker": "v2"},
-             "tail": [[1.0]]},
-        )
-        store.write_delta(
-            "s", arrivals=6, from_arrivals=4,
-            batches=[(4, np.array([5.0, 6.0]))], tail=[],
-        )
-        loaded = store.load_latest("s")
-        assert loaded["state"] == {"marker": "v2"}
-        assert loaded["arrivals"] == 4
-        assert [t.tolist() for t in loaded["tail"]] == [[5.0, 6.0]]
-
     def test_corrupt_middle_delta_truncates_chain(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0], tail=[[0.5]]))
-        first = store.write_delta(
+        first = store.commit_delta(store.encode_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[np.array([7.0])],
-        )
-        store.write_delta(
+        ))
+        store.commit_delta(store.encode_delta(
             "s", arrivals=8, from_arrivals=6,
             batches=[(6, np.array([7.0, 8.0]))], tail=[],
-        )
+        ))
         first.write_bytes(b"garbage")
         loaded = store.load_latest("s")
         # The chain is cut at the corrupt link: base state + base tail.
@@ -213,34 +166,35 @@ class TestDeltaChains:
     def test_delta_with_arrival_gap_truncates_chain(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0]))
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=9, from_arrivals=7,
             batches=[(7, np.array([8.0, 9.0]))], tail=[],  # gap: 4 -> 7
-        )
+        ))
         loaded = store.load_latest("s")
         assert loaded["arrivals"] == 4
         assert loaded["tail"] == []
 
-    def test_delta_without_base_raises_value_error(self, tmp_path):
+    def test_delta_without_base_encodes_to_none(self, tmp_path):
         store = SnapshotStore(tmp_path)
-        with pytest.raises(ValueError, match="no base"):
-            store.write_delta(
-                "s", arrivals=2, from_arrivals=0,
-                batches=[(0, np.array([1.0, 2.0]))], tail=[],
-            )
+        delta = store.encode_delta(
+            "s", arrivals=2, from_arrivals=0,
+            batches=[(0, np.array([1.0, 2.0]))], tail=[],
+        )
+        assert delta is None  # the caller writes a full instead
+        assert store.generations("s") == []
 
     def test_prune_never_strands_a_delta(self, tmp_path):
         store = SnapshotStore(tmp_path, keep=1)
         store.write("s", state_payload(2, [1.0]))  # seq 1 (old base)
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=3, from_arrivals=2,
             batches=[(2, np.array([3.0]))], tail=[],
-        )  # seq 2
+        ))  # seq 2
         store.write("s", state_payload(4, [2.0]))  # seq 3 (new base)
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=5, from_arrivals=4,
             batches=[(4, np.array([5.0]))], tail=[],
-        )  # seq 4
+        ))  # seq 4
         names = [p.name for p in store.generations("s")]
         # keep=1 counts *full* generations: the old base and its delta
         # are gone, the live base and its trailing delta both survive.
@@ -367,10 +321,10 @@ class TestManifestHardening:
             manifest.write_bytes(content)
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0]))
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[],
-        )
+        ))
         assert store.streams() == ["s"]
         loaded = store.load_latest("s")
         assert loaded["arrivals"] == 4
@@ -409,14 +363,15 @@ class TestManifestHardening:
     def test_reopened_store_delta_names_the_head_deltas_base(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0]))  # seq 1: the base
-        store.write_delta(
+        store.commit_delta(store.encode_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[],
-        )  # seq 2
-        head = SnapshotStore(tmp_path).write_delta(
+        ))  # seq 2
+        reopened = SnapshotStore(tmp_path)
+        head = reopened.commit_delta(reopened.encode_delta(
             "s", arrivals=8, from_arrivals=6,
             batches=[(6, np.array([7.0, 8.0]))], tail=[],
-        )  # seq 3: its base is the one seq 2's header names
+        ))  # seq 3: its base is the one seq 2's header names
         header, _ = _decode_binary(head.read_bytes(), head.name)
         assert (header["seq"], header["base_seq"], header["prev_seq"]) == (3, 1, 2)
         recovered = SnapshotStore(tmp_path)
@@ -428,17 +383,17 @@ class TestManifestHardening:
     def test_unreadable_delta_head_at_rebuild_forces_a_full(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.write("s", state_payload(4, [1.0]))
-        head = store.write_delta(
+        head = store.commit_delta(store.encode_delta(
             "s", arrivals=6, from_arrivals=4,
             batches=[(4, np.array([5.0, 6.0]))], tail=[],
-        )
+        ))
         head.write_bytes(b"garbage")
         # No trustworthy base to chain from: the caller writes a full.
-        with pytest.raises(ValueError, match="no base"):
-            store.write_delta(
-                "s", arrivals=8, from_arrivals=6,
-                batches=[(6, np.array([7.0, 8.0]))], tail=[],
-            )
+        delta = store.encode_delta(
+            "s", arrivals=8, from_arrivals=6,
+            batches=[(6, np.array([7.0, 8.0]))], tail=[],
+        )
+        assert delta is None
         assert store.write("s", state_payload(8, [2.0])).suffix == ".snap"
         assert store.load_latest("s")["arrivals"] == 8
 
