@@ -82,19 +82,23 @@ _SPEC_KEYS = (
 
 #: Top-level keys an older version read; a config naming one still loads.
 #: ``snapshot_base_every`` went when checkpoints began choosing their own
-#: shape by size.
-_RETIRED_KEYS = ("snapshot_base_every",)
+#: shape by size, ``virtual_nodes`` when the router's ring geometry
+#: became fixed (a restored router still reads its own).
+_RETIRED_KEYS = ("snapshot_base_every", "virtual_nodes")
 
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """One parsed service configuration."""
+    """One parsed service configuration.
+
+    ``supervise`` applies to the threaded tier: a sharded service's
+    shards always supervise their workers.
+    """
 
     mode: str = "threaded"
     shards: int = 4
     snapshot_dir: str | None = None
     snapshot_keep: int = 2
-    virtual_nodes: int = 64
     supervise: bool = True
     qos: QoSConfig | None = None
     streams: tuple[tuple[str, StreamSpec], ...] = field(default_factory=tuple)
@@ -119,7 +123,6 @@ class ServiceConfig:
             "shards",
             "snapshot_dir",
             "snapshot_keep",
-            "virtual_nodes",
             "supervise",
             "qos",
             "streams",
@@ -153,7 +156,6 @@ class ServiceConfig:
             shards=int(payload.get("shards", 4)),
             snapshot_dir=payload.get("snapshot_dir"),
             snapshot_keep=int(payload.get("snapshot_keep", 2)),
-            virtual_nodes=int(payload.get("virtual_nodes", 64)),
             supervise=bool(payload.get("supervise", True)),
             qos=(
                 QoSConfig.from_dict(payload["qos"])
@@ -195,11 +197,7 @@ def _open_tier(config: ServiceConfig, *, restore: bool):
         from ..shard.router import ShardRouter
 
         tier = ShardRouter
-        options.update(
-            num_shards=config.shards,
-            virtual_nodes=config.virtual_nodes,
-            supervise_workers=config.supervise,
-        )
+        options.update(num_shards=config.shards)
     else:
         tier = StreamService
         options.update(supervise=config.supervise)

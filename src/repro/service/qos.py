@@ -547,32 +547,14 @@ class QoSController:
                 mask = self._keep_mask(name, record.shed_offset, size, fraction)
                 kept = batch[mask]
                 shed = size - int(kept.size)
-            cost = float(kept.size)
-            if cost and sheddable and level >= LEVEL_THROTTLE:
-                cost /= self.config.throttle_factor
-            if cost:
-                bucket = self._bucket(record.tenant)
-                if bucket is not None:
-                    retry_after = bucket.try_take(cost, self._clock())
-                    if retry_after > 0.0:
-                        self._count(
-                            THROTTLED_METRIC, record, int(kept.size)
-                        )
-                        raise QuotaExceededError(
-                            f"tenant {record.tenant!r} over quota on stream "
-                            f"{name!r}: {int(kept.size)} points refused; "
-                            f"retry in {retry_after:.3f}s",
-                            retry_after=retry_after,
-                            tenant=record.tenant,
-                            stream=name,
-                        )
+            if kept.size:
+                self._charge(name, record, sheddable, kept.size, "{} points")
+                self._count(ADMITTED_METRIC, record, int(kept.size))
             record.shed_offset += size
             if shed:
                 with self._count_lock:
                     record.shed_points += shed
                 self._count(SHED_METRIC, record, shed)
-            if kept.size:
-                self._count(ADMITTED_METRIC, record, int(kept.size))
         return kept, shed
 
     def admit_retry(self, name: str, points: int) -> None:
@@ -598,23 +580,33 @@ class QoSController:
                     tenant=record.tenant,
                     stream=name,
                 )
-            cost = float(points)
-            if sheddable and self._level >= LEVEL_THROTTLE:
-                cost /= self.config.throttle_factor
-            bucket = self._bucket(record.tenant)
-            if bucket is not None:
-                retry_after = bucket.try_take(cost, self._clock())
-                if retry_after > 0.0:
-                    self._count(THROTTLED_METRIC, record, points)
-                    raise QuotaExceededError(
-                        f"tenant {record.tenant!r} over quota on stream "
-                        f"{name!r}: dead-letter retry of {points} points "
-                        f"refused; retry in {retry_after:.3f}s",
-                        retry_after=retry_after,
-                        tenant=record.tenant,
-                        stream=name,
-                    )
+            self._charge(
+                name, record, sheddable, points, "dead-letter retry of {} points"
+            )
             self._count(ADMITTED_METRIC, record, points)
+
+    def _charge(
+        self, name: str, record: _StreamRecord, sheddable: bool, points: int,
+        refused: str,
+    ) -> None:
+        """Take ``points`` from the tenant's bucket (a sheddable stream's
+        cost inflated at ``throttle``); a refusal counts as throttled and
+        raises :class:`QuotaExceededError` naming the points by the
+        ``refused`` template.  Caller holds ``self._lock``."""
+        cost = float(points)
+        if sheddable and self._level >= LEVEL_THROTTLE:
+            cost /= self.config.throttle_factor
+        bucket = self._bucket(record.tenant)
+        if bucket is None:
+            return
+        retry_after = bucket.try_take(cost, self._clock())
+        if retry_after > 0.0:
+            self._count(THROTTLED_METRIC, record, points)
+            raise QuotaExceededError(
+                f"tenant {record.tenant!r} over quota on stream {name!r}: "
+                f"{refused.format(points)} refused; retry in {retry_after:.3f}s",
+                retry_after=retry_after, tenant=record.tenant, stream=name,
+            )
 
     def _bucket(self, tenant: str) -> _TokenBucket | None:
         bucket = self._buckets.get(tenant)

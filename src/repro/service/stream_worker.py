@@ -749,6 +749,12 @@ class StreamWorker:
         with self._view_lock:
             self._view = replace(view, stale=True)
 
+    def adopt_replay(self, batches: list[tuple[int, np.ndarray]]) -> None:
+        """Start the replay log (before :meth:`start`) with a predecessor's
+        batches from before the snapshot this worker restored."""
+        self._replay = list(batches)
+        self._replay_points = sum(int(batch.size) for _, batch in batches)
+
     # ------------------------------------------------------------------
     # Dead-letter retry
     # ------------------------------------------------------------------

@@ -14,8 +14,9 @@ supervisor rebuilds the stream:
    previous generation when the newest is corrupt;
 3. the replay suffix (every batch ingested since that snapshot) and the
    pending queue are staged ahead of live traffic, the dead worker's
-   last view is adopted (marked stale) so queries keep answering, and
-   the replacement worker starts.
+   last view is adopted (marked stale) so queries keep answering, its
+   older batches start the new replay log (a later crash may fall back
+   past that snapshot), and the replacement worker starts.
 
 Because the synopses are deterministic and replay re-feeds the exact
 same points at the exact same arrival positions, the recovered stream
@@ -236,6 +237,7 @@ class StreamSupervisor:
                 name,
             )
         replay_suffix = [batch for start, batch in replay if start >= arrivals]
+        carried = [(start, batch) for start, batch in replay if start < arrivals]
         covered_from = min((start for start, _ in replay), default=arrivals)
         lossy = covered_from > arrivals
         if lossy:
@@ -254,6 +256,7 @@ class StreamSupervisor:
         seeded = worker.view()
         if stale is not None and (seeded is None or stale.arrivals >= seeded.arrivals):
             worker.adopt_view(stale)
+        worker.adopt_replay(carried)
         worker.preload(replay_suffix + pending)
         with self._cond:
             self._restarts[name] = count + 1

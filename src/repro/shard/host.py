@@ -31,10 +31,9 @@ expect.  ``reject`` / ``drop_oldest`` streams never surface exceptions
 across the boundary -- refusals happen inside the shard and are visible
 through the same worker counters as in the threaded service.
 
-The internal service runs supervised by default, so worker-thread
-deaths inside a shard heal locally; whole-process deaths are the
-router's job (respawn + restore + replay, see
-:mod:`repro.shard.router`).
+The internal service always runs supervised, so worker-thread deaths
+inside a shard heal locally; whole-process deaths are the router's job
+(respawn + restore + replay, see :mod:`repro.shard.router`).
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from dataclasses import asdict
 
 from ..service.service import StreamService, StreamSpec, UnknownStreamError
 from ..service.stream_worker import BackpressureError, WorkerFailedError
-from ..service.supervisor import RestartPolicy, StreamFailedError
+from ..service.supervisor import StreamFailedError
 from .framing import (
     KIND_DATA,
     KIND_REPLY,
@@ -62,6 +61,12 @@ __all__ = ["ShardHost", "shard_main"]
 #: How long a shard-side barrier waits for the data thread to catch up
 #: before the verb fails (the router's request timeout is longer).
 BARRIER_TIMEOUT = 60.0
+
+#: Control verbs whose arguments are the service method's own.
+_FORWARDED = frozenset({
+    "drop_stream", "streams", "health", "stats", "range_sum", "quantile",
+    "histogram", "accuracy", "retry_dead_letters", "metrics", "certify",
+})
 
 #: Ingest failures that are stream-local telemetry, not shard faults.
 _REFUSALS = (
@@ -106,9 +111,8 @@ class _Watermark:
 
 
 def _build_service(options: dict) -> StreamService:
-    policy = options.get("restart_policy")
     kwargs = dict(
-        supervise=bool(options.get("supervise", True)),
+        supervise=True,
         snapshot_keep=int(options.get("snapshot_keep", 2)),
         # The router's injector crosses the fork with the options, so
         # shard-internal ingest faults (slow/crash) stay schedulable.
@@ -116,8 +120,6 @@ def _build_service(options: dict) -> StreamService:
         # router, and double-metering would shed admitted points twice.
         fault_injector=options.get("fault_injector"),
     )
-    if policy is not None and kwargs["supervise"]:
-        kwargs["restart_policy"] = RestartPolicy(**policy)
     snapshot_dir = options["snapshot_dir"]
     if options.get("restore"):
         return StreamService.restore(snapshot_dir, **kwargs)
@@ -185,6 +187,8 @@ class ShardHost:
     def dispatch(self, verb: str, args: dict):
         """Answer one control verb against the internal service."""
         service = self.service
+        if verb in _FORWARDED:
+            return getattr(service, verb)(**args)
         if verb == "ping":
             return {
                 "shard": self.shard_id,
@@ -205,13 +209,6 @@ class ShardHost:
                 args["name"], spec=StreamSpec.from_dict(args["spec"])
             )
             return None
-        if verb == "drop_stream":
-            service.drop_stream(args["name"], drain=args.get("drain", True))
-            return None
-        if verb == "streams":
-            return service.streams()
-        if verb == "spec":
-            return service.spec(args["name"]).to_dict()
         if verb == "flush":
             # Unlike checkpoint, an unfinished flush is a False return
             # (threaded flush(timeout) semantics), not an error.
@@ -225,35 +222,15 @@ class ShardHost:
             if upto and not self._watermark.wait(upto, wait):
                 return False
             return service.flush(args.get("name"), timeout=timeout)
-        if verb == "health":
-            return service.health(args.get("name"))
-        if verb == "stats":
-            return service.stats(args.get("name"))
-        if verb == "range_sum":
-            return service.range_sum(
-                args["name"], int(args["start"]), int(args["end"])
-            )
-        if verb == "quantile":
-            return service.quantile(args["name"], float(args["fraction"]))
-        if verb == "histogram":
-            return service.histogram(args["name"])
-        if verb == "accuracy":
-            return service.accuracy(args["name"])
         if verb == "dead_letters":
             return [
                 asdict(record) for record in service.dead_letters(args["name"])
             ]
-        if verb == "retry_dead_letters":
-            return service.retry_dead_letters(args["name"])
-        if verb == "metrics":
-            return service.metrics()
         if verb == "spans":
             return [
                 asdict(span)
                 for span in service.spans(args.get("stage"), args.get("name"))
             ]
-        if verb == "certify":
-            return service.certify(args.pop("name"), **args)
         if verb == "checkpoint":
             self._barrier(args)
             name = args.get("name")

@@ -111,57 +111,48 @@ _REMOTE_ERRORS: dict[str, type[Exception]] = {
 }
 
 
-#: Verbs allowed the full ``request_timeout``: they do real work whose
-#: duration scales with hosted state (barriers, snapshots, fuzzing).
-_LONG_VERBS = frozenset(
-    {"flush", "checkpoint", "certify", "restore_report", "stop"}
-)
-
-#: Control deadlines in seconds for everything else, by how much work
-#: the verb does shard-side; unlisted short verbs get _DEFAULT_DEADLINE.
+#: Each control verb's deadline in seconds (None: the full
+#: REQUEST_TIMEOUT, for barriers whose work scales with hosted state) and
+#: whether a timed-out call may be resent (read-only verbs, and barriers
+#: whose re-execution is a no-op; a timed-out create may have applied).
 #: A health probe against a wedged shard must fail in ~2 s, not 120.
-VERB_DEADLINES: dict[str, float] = {
-    "ping": 2.0,
-    "health": 2.0,
-    "stats": 5.0,
-    "streams": 5.0,
-    "spec": 5.0,
-    "accuracy": 5.0,
-    "dead_letters": 5.0,
-    "metrics": 10.0,
-    "spans": 10.0,
-    "range_sum": 10.0,
-    "quantile": 10.0,
-    "histogram": 10.0,
-    "create_stream": 30.0,
-    "drop_stream": 30.0,
-    "retry_dead_letters": 30.0,
+VERBS: dict[str, tuple[float | None, bool]] = {
+    "ping": (2.0, True),
+    "health": (2.0, True),
+    "stats": (5.0, True),
+    "streams": (5.0, True),
+    "accuracy": (5.0, True),
+    "dead_letters": (5.0, True),
+    "metrics": (10.0, True),
+    "spans": (10.0, True),
+    "range_sum": (10.0, True),
+    "quantile": (10.0, True),
+    "histogram": (10.0, True),
+    "create_stream": (30.0, False),
+    "drop_stream": (30.0, False),
+    "retry_dead_letters": (30.0, False),
+    "flush": (None, True),
+    "checkpoint": (None, True),
+    "restore_report": (None, True),
+    "certify": (None, False),
+    "stop": (None, False),
 }
 
-_DEFAULT_DEADLINE = 30.0
+#: The rule of a verb missing from :data:`VERBS`.
+UNKNOWN_VERB: tuple[float | None, bool] = (30.0, False)
 
-#: Verbs safe to resend after a timeout (read-only, or barriers whose
-#: re-execution is a no-op).  Mutating verbs never retry: a timed-out
-#: create may have applied, and resending would double-apply.
-_IDEMPOTENT_VERBS = frozenset(
-    {
-        "ping",
-        "health",
-        "stats",
-        "streams",
-        "spec",
-        "metrics",
-        "spans",
-        "accuracy",
-        "dead_letters",
-        "range_sum",
-        "quantile",
-        "histogram",
-        "flush",
-        "restore_report",
-        "checkpoint",
-    }
-)
+#: Cap on every control deadline, in seconds.
+REQUEST_TIMEOUT = 120.0
+#: How long a caller waits for a dead shard to recover, in seconds.
+RECOVERY_WAIT = 30.0
+#: Resends of a timed-out resendable verb, the first after CTRL_BACKOFF
+#: seconds and each later one after twice the previous wait.
+CTRL_RETRIES = 2
+CTRL_BACKOFF = 0.05
+#: Consecutive control failures that open a shard's breaker, and the
+#: seconds before its half-open probe.
+BREAKER_THRESHOLD = 3
+BREAKER_RESET = 5.0
 
 
 def _frame_points(record: tuple[int, str, bytes]) -> int:
@@ -170,7 +161,8 @@ def _frame_points(record: tuple[int, str, bytes]) -> int:
 
 
 class ShardDownError(RuntimeError):
-    """The owning shard is down and did not recover within the wait."""
+    """The owning shard is down: its channel broke mid-verb (the router
+    recovers it), or it did not recover within the wait."""
 
 
 class ShardRemoteError(RuntimeError):
@@ -234,8 +226,6 @@ class ShardRouter(ServiceProtocol):
         that only bounds the replay log (see *Barriers* in the module
         notes): ``checkpoint()`` and ``restore()`` are unavailable, and
         ``close()`` removes the directory.
-    virtual_nodes:
-        Ring points per shard (placement granularity).
     restart_policy:
         Shard-process respawn budget/backoff (defaults to
         :class:`RestartPolicy`'s defaults, same as worker supervision).
@@ -246,9 +236,9 @@ class ShardRouter(ServiceProtocol):
         writes a full or a delta, and the router keeps the stream's
         frames back to the oldest full the shard still keeps, so a
         truncated delta chain can always be re-derived from frames.
-    supervise_workers:
-        Whether each shard's internal service supervises its worker
-        threads (on by default; shard *process* supervision is always on).
+
+    Each shard supervises its worker threads; the control plane's timing
+    is :data:`VERBS` and the constants beside it.
     """
 
     def __init__(
@@ -256,16 +246,8 @@ class ShardRouter(ServiceProtocol):
         num_shards: int = 4,
         snapshot_dir=None,
         *,
-        virtual_nodes: int = DEFAULT_VIRTUAL_NODES,
         restart_policy: RestartPolicy | None = None,
         snapshot_keep: int = 2,
-        supervise_workers: bool = True,
-        request_timeout: float = 120.0,
-        recovery_wait: float = 30.0,
-        ctrl_retries: int = 2,
-        ctrl_backoff: float = 0.05,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 5.0,
         fault_injector: FaultInjector | None = None,
         qos: QoSConfig | QoSController | None = None,
         _restore: bool = False,
@@ -280,16 +262,7 @@ class ShardRouter(ServiceProtocol):
             )
         self._ctx = multiprocessing.get_context("fork")
         self._snapshot_keep = int(snapshot_keep)
-        self._supervise_workers = bool(supervise_workers)
         self._restart_policy = restart_policy or RestartPolicy()
-        self._request_timeout = float(request_timeout)
-        self._recovery_wait = float(recovery_wait)
-        if ctrl_retries < 0:
-            raise ValueError("ctrl_retries must be >= 0")
-        self._ctrl_retries = int(ctrl_retries)
-        self._ctrl_backoff = float(ctrl_backoff)
-        self._breaker_threshold = int(breaker_threshold)
-        self._breaker_reset = float(breaker_reset)
         self._injector = fault_injector
         # Without the caller's directory the shards' stores live in a
         # private one, so the frame log always has a full to trim to.
@@ -301,6 +274,7 @@ class ShardRouter(ServiceProtocol):
         self._stop_event = threading.Event()
 
         restoring = bool(_restore)
+        virtual_nodes = DEFAULT_VIRTUAL_NODES
         if restoring:
             manifest = self._read_manifest()
             num_shards = int(manifest["num_shards"])
@@ -320,8 +294,8 @@ class ShardRouter(ServiceProtocol):
         for handle in self._shards.values():
             handle.breaker = CircuitBreaker(
                 shard=str(handle.shard_id),
-                failure_threshold=self._breaker_threshold,
-                reset_timeout=self._breaker_reset,
+                failure_threshold=BREAKER_THRESHOLD,
+                reset_timeout=BREAKER_RESET,
                 registry=self.registry,
             )
             self._add_schedule(
@@ -359,7 +333,6 @@ class ShardRouter(ServiceProtocol):
         ctrl_parent, ctrl_child = socket.socketpair()
         options = {
             "snapshot_dir": self._shard_dir(handle.shard_id),
-            "supervise": self._supervise_workers,
             "snapshot_keep": self._snapshot_keep,
             "restore": bool(restore),
             # The injector object crosses the fork (like the sockets),
@@ -375,7 +348,6 @@ class ShardRouter(ServiceProtocol):
         process.start()
         data_child.close()
         ctrl_child.close()
-        ctrl_parent.settimeout(self._request_timeout)
         handle.process = process
         handle.data_sock = data_parent
         handle.ctrl_sock = ctrl_parent
@@ -403,7 +375,7 @@ class ShardRouter(ServiceProtocol):
         with self._cond:
             self._cond.wait_for(
                 lambda: handle.state in ("up", "failed", "closed"),
-                timeout=self._recovery_wait,
+                timeout=RECOVERY_WAIT,
             )
             if handle.state == "up":
                 return
@@ -417,7 +389,7 @@ class ShardRouter(ServiceProtocol):
                 raise RuntimeError("router is closed")
             raise ShardDownError(
                 f"shard {handle.shard_id} did not recover within "
-                f"{self._recovery_wait:.0f}s (state {handle.state!r})"
+                f"{RECOVERY_WAIT:.0f}s (state {handle.state!r})"
             )
 
     def _recover(self, handle: _ShardHandle) -> None:
@@ -504,22 +476,16 @@ class ShardRouter(ServiceProtocol):
     # Control channel
     # ------------------------------------------------------------------
 
-    def _verb_deadline(self, verb: str) -> float:
-        """Per-verb control deadline, never above ``request_timeout``."""
-        if verb in _LONG_VERBS:
-            return self._request_timeout
-        return min(VERB_DEADLINES.get(verb, _DEFAULT_DEADLINE),
-                   self._request_timeout)
-
     def _request_raw(self, handle: _ShardHandle, verb: str, args: dict):
         """One request/reply on the control channel (no recovery retry).
 
-        Applies the per-verb deadline; the reply loop's seq matching
-        also skims off stale replies a previous timed-out request left
-        behind, so one slow verb cannot poison the channel.
+        Applies the verb's deadline (:data:`VERBS`); the reply loop's seq
+        matching also skims off stale replies a previous timed-out
+        request left behind, so one slow verb cannot poison the channel.
         """
+        deadline = VERBS.get(verb, UNKNOWN_VERB)[0] or REQUEST_TIMEOUT
         with handle.ctrl_lock:
-            handle.ctrl_sock.settimeout(self._verb_deadline(verb))
+            handle.ctrl_sock.settimeout(min(deadline, REQUEST_TIMEOUT))
             handle.ctrl_seq += 1
             seq = handle.ctrl_seq
             send_frame(
@@ -545,14 +511,27 @@ class ShardRouter(ServiceProtocol):
             f"shard {handle.shard_id} {verb} failed: {error_type}: {message}"
         )
 
+    def _call(self, handle: _ShardHandle, verb: str, args: dict):
+        """:meth:`_request_raw` with its failures classified.  A timeout
+        (slow, not dead: respawning a live shard would lose its state for
+        nothing) counts against the breaker and re-raises; a broken
+        channel marks the shard dead and raises :class:`ShardDownError`.
+        Records no success: only :meth:`_request` may close the breaker.
+        """
+        try:
+            return self._request_raw(handle, verb, args)
+        except TimeoutError:
+            handle.breaker.record_failure()
+            raise
+        except (OSError, FramingError) as error:
+            self._note_dead(handle)
+            raise ShardDownError(
+                f"shard {handle.shard_id} died during {verb!r}"
+            ) from error
+
     def _request(self, handle: _ShardHandle, verb: str, args: dict):
         """Request with recovery ride-across, breaker gate, and bounded
-        retry-with-backoff after timeouts (idempotent verbs only).
-
-        A timeout means the shard is slow, not dead -- it feeds the
-        breaker, never the dead-shard recovery path (respawning a live
-        shard would lose its unsnapshot state for nothing).
-        """
+        retry-with-backoff after timeouts (resendable verbs only)."""
         attempt = 0
         while True:
             if handle.state != "up":
@@ -564,22 +543,24 @@ class ShardRouter(ServiceProtocol):
                     f"{handle.breaker.reset_timeout:.1f}s"
                 )
             try:
-                result = self._request_raw(handle, verb, args)
+                result = self._call(handle, verb, args)
             except TimeoutError:
-                handle.breaker.record_failure()
-                if verb in _IDEMPOTENT_VERBS and attempt < self._ctrl_retries:
-                    time.sleep(self._ctrl_backoff * 2**attempt)
-                    attempt += 1
-                    continue
-                raise
-            except (OSError, FramingError):
-                self._note_dead(handle)
+                if not VERBS.get(verb, UNKNOWN_VERB)[1] or attempt >= CTRL_RETRIES:
+                    raise
+                time.sleep(CTRL_BACKOFF * 2**attempt)
+                attempt += 1
+            except ShardDownError:
+                pass  # resent once the shard has recovered
             else:
                 handle.breaker.record_success()
                 return result
 
     def _owner_handle(self, name: str) -> _ShardHandle:
         return self._involved(name)[0]
+
+    def _ask(self, name: str, verb: str, **args):
+        """Send ``verb`` about stream ``name`` to the shard that owns it."""
+        return self._request(self._owner_handle(name), verb, {"name": name, **args})
 
     def _unit_of(self, name: str) -> int:
         return self._ring.owner(name)
@@ -610,21 +591,18 @@ class ShardRouter(ServiceProtocol):
     def _host_stream(self, name: str, spec: StreamSpec) -> None:
         """Create a registered stream on its owner shard (placement is hashed)."""
         handle = self._shards[self._ring.owner(name)]
+        if handle.state != "up":
+            self._await_up(handle)
         try:
-            if handle.state != "up":
-                self._await_up(handle)
-            self._request_raw(
+            self._call(
                 handle, "create_stream",
                 {"name": name, "spec": self._shard_spec(name)},
             )
-        except TimeoutError:
-            # Slow shard: the create WAS sent and the control channel is
-            # serial, so it will still apply; registration stands.
-            handle.breaker.record_failure()
-        except (OSError, FramingError):
-            # The shard died mid-create; recovery re-creates every owned
-            # stream from the spec map, so registration stands.
-            self._note_dead(handle)
+        except (TimeoutError, ShardDownError):
+            # Registration stands: a slow shard was sent the create and
+            # its serial channel will still apply it, and recovery
+            # re-creates every owned stream from the spec map.
+            pass
         self._cache_route(name)
         self._write_manifest()
 
@@ -721,30 +699,20 @@ class ShardRouter(ServiceProtocol):
 
     def range_sum(self, name: str, start: int, end: int) -> float:
         """Estimated sum over window positions ``[start, end]``."""
-        return self._request(
-            self._owner_handle(name), "range_sum",
-            {"name": name, "start": int(start), "end": int(end)},
-        )
+        return self._ask(name, "range_sum", start=int(start), end=int(end))
 
     def quantile(self, name: str, fraction: float) -> float:
         """Approximate ``fraction``-quantile of the summarized values."""
-        return self._request(
-            self._owner_handle(name), "quantile",
-            {"name": name, "fraction": float(fraction)},
-        )
+        return self._ask(name, "quantile", fraction=float(fraction))
 
     def histogram(self, name: str) -> dict:
         """JSON-friendly rendering of the stream's synopsis."""
-        return self._request(
-            self._owner_handle(name), "histogram", {"name": name}
-        )
+        return self._ask(name, "histogram")
 
     def stats(self, name: str | None = None) -> dict:
         """Ingest/maintenance/queue telemetry (one stream or all)."""
         if name is not None:
-            return self._request(
-                self._owner_handle(name), "stats", {"name": name}
-            )
+            return self._ask(name, "stats")
         merged: dict = {}
         for handle in self._involved(None):
             merged.update(self._request(handle, "stats", {}))
@@ -752,14 +720,10 @@ class ShardRouter(ServiceProtocol):
 
     def dead_letters(self, name: str) -> list[dict]:
         """Quarantined poison records (as dicts; they crossed a process)."""
-        return self._request(
-            self._owner_handle(name), "dead_letters", {"name": name}
-        )
+        return self._ask(name, "dead_letters")
 
     def _redeliver_dead_letters(self, name: str) -> dict:
-        return self._request(
-            self._owner_handle(name), "retry_dead_letters", {"name": name}
-        )
+        return self._ask(name, "retry_dead_letters")
 
     # ------------------------------------------------------------------
     # QoS signals
@@ -798,19 +762,12 @@ class ShardRouter(ServiceProtocol):
         if name is None:
             reports: dict = {}
             for handle in self._involved(None):
+                shard_reports = None
                 if handle.state == "up":
                     try:
-                        shard_reports = self._request_raw(handle, "health", {})
-                    except TimeoutError:
-                        # Slow, not dead: the wedged shard's streams
-                        # render degraded and the breaker accumulates.
-                        handle.breaker.record_failure()
-                        shard_reports = None
-                    except (OSError, FramingError):
-                        self._note_dead(handle)
-                        shard_reports = None
-                else:
-                    shard_reports = None
+                        shard_reports = self._call(handle, "health", {})
+                    except (TimeoutError, ShardDownError):
+                        pass  # slow or dead: its streams render degraded
                 for stream in self._unit_streams(handle.shard_id):
                     if shard_reports is not None and stream in shard_reports:
                         reports[stream] = self._annotate_health(
@@ -823,15 +780,10 @@ class ShardRouter(ServiceProtocol):
         if handle.state != "up":
             return self._down_health(name, handle)
         try:
-            record = self._request_raw(handle, "health", {"name": name})
-        except TimeoutError:
-            # The regression contract: a hung shard fails health() in
-            # ~the health deadline, never the flat request timeout --
-            # and is NOT routed into dead-shard recovery (it is alive).
-            handle.breaker.record_failure()
-            raise
-        except (OSError, FramingError):
-            self._note_dead(handle)
+            # A hung shard raises TimeoutError in ~the health deadline,
+            # never the flat request timeout (the regression contract).
+            record = self._call(handle, "health", {"name": name})
+        except ShardDownError:
             return self._down_health(name, handle)
         return self._annotate_health(record, handle)
 
@@ -888,14 +840,8 @@ class ShardRouter(ServiceProtocol):
             if handle.state != "up":
                 continue
             try:
-                shard_samples = self._request_raw(handle, "metrics", {})
-            except TimeoutError:
-                handle.breaker.record_failure()
-                continue
-            except (OSError, FramingError):
-                self._note_dead(handle)
-                continue
-            except (StreamFailedError, ShardDownError):
+                shard_samples = self._call(handle, "metrics", {})
+            except (TimeoutError, ShardDownError, StreamFailedError):
                 continue
             samples.extend(
                 {
@@ -930,9 +876,7 @@ class ShardRouter(ServiceProtocol):
 
     def accuracy(self, name: str) -> dict | None:
         """The stream's accuracy-monitor summary (None if unconfigured)."""
-        return self._request(
-            self._owner_handle(name), "accuracy", {"name": name}
-        )
+        return self._ask(name, "accuracy")
 
     # ------------------------------------------------------------------
     # Certification
@@ -949,10 +893,7 @@ class ShardRouter(ServiceProtocol):
         """
         if name is not None:
             self.flush(name, timeout=kwargs.get("timeout"))
-            report = self._request(
-                self._owner_handle(name), "certify",
-                {"name": name, **kwargs},
-            )
+            report = self._ask(name, "certify", **kwargs)
             report["shard"] = self._ring.owner(name)
             return report
         streams = {
@@ -1029,14 +970,8 @@ class ShardRouter(ServiceProtocol):
             with handle.send_lock:
                 upto = handle.next_seq - 1
             try:
-                reply = self._request_raw(
-                    handle, "checkpoint", {"upto_seq": upto}
-                )
-            except TimeoutError:
-                handle.breaker.record_failure()
-                raise
-            except (OSError, FramingError):
-                self._note_dead(handle)
+                reply = self._call(handle, "checkpoint", {"upto_seq": upto})
+            except ShardDownError:
                 continue
             cut = int(reply["applied_seq"])
             with handle.send_lock:

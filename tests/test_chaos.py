@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.datasets import att_utilization_stream
 from repro.runtime import StreamPipeline, make_maintainer
 from repro.service import (
     FaultInjector,
@@ -32,6 +33,7 @@ from repro.service import (
     StreamFailedError,
     StreamService,
 )
+from repro.service.queries import view_histogram
 
 from .conftest import BACKEND_PARAMS as BACKEND_KWARGS
 
@@ -121,6 +123,48 @@ class TestCrashRecoveryEquivalence:
             assert counters["fallback_loads"] >= 1
             served = service.synopsis("s")
         assert_same_synopsis(served, direct_run(backend, stream))
+
+    def test_second_crash_meets_a_corrupt_newest_full(self, tmp_path):
+        """A replacement worker keeps its predecessor's replay batches
+        from before the snapshot it restored, so a second crash that
+        finds that snapshot corrupt falls back to the older full and
+        still replays every point since it."""
+        stream = att_utilization_stream(4096, seed=3)
+        params = {"epsilon": 0.05}
+        injector = FaultInjector().crash_at(1800).crash_at(2600)
+        with StreamService(
+            tmp_path, supervise=True, restart_policy=FAST_RESTARTS,
+            fault_injector=injector,
+        ) as service:
+            service.create_stream(
+                "s", backend="gk_quantiles", params=params,
+                maintain_every=64, checkpoint_every=512,
+            )
+            for start in range(0, stream.size, 64):
+                service.ingest("s", stream[start : start + 64])
+                # Each automatic checkpoint lands before the next batch.
+                assert service.flush("s") is True
+                if start + 64 == 1856:
+                    # The first crash healed from the newest full.
+                    assert service.health("s")["restarts"] == 1
+                    newest = [
+                        path for path in service._store.generations("s")
+                        if path.suffix == ".snap"
+                    ][-1]
+                    with open(newest, "r+b") as handle:
+                        handle.write(b"\0" * 16)
+                    # The checkpoints due at 2048 and 2560 write no newer
+                    # full, so the second crash must fall back past it.
+                    injector.fail_snapshot_write(stream="s", times=2)
+            health = service.health("s")
+            assert health["restarts"] == 2
+            assert health["lossy_recovery"] is False
+            assert service._store.counters["fallback_loads"] >= 1
+            assert service.stats("s")["arrivals"] == stream.size
+            served = service.histogram("s")
+        maintainer = make_maintainer("gk_quantiles", **params)
+        StreamPipeline([maintainer], maintain_every=64).run(stream)
+        assert served == view_histogram(reference_synopsis(maintainer))
 
     def test_crash_without_snapshots_replays_from_scratch(self):
         stream = integer_stream(600, seed=5)

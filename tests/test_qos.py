@@ -11,9 +11,11 @@ every overload and wedge in here is deterministic.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -42,9 +44,16 @@ from repro.service.qos import (
     THROTTLED_METRIC,
     TRANSITIONS_METRIC,
 )
-from repro.shard import CircuitBreaker, ShardRouter, ShardUnavailableError
+from repro.shard import (
+    CircuitBreaker,
+    ShardHost,
+    ShardRouter,
+    ShardUnavailableError,
+)
+from repro.shard import host as host_module
+from repro.shard import router as router_module
 from repro.shard.breaker import STATE_CLOSED, STATE_HALF_OPEN, STATE_OPEN
-from repro.shard.router import _IDEMPOTENT_VERBS, VERB_DEADLINES
+from repro.shard.router import REQUEST_TIMEOUT, UNKNOWN_VERB, VERBS
 
 GK = dict(epsilon=0.1)
 #: A window_size above every stream's length here: each GK check is exact.
@@ -578,20 +587,37 @@ class TestCircuitBreaker:
 
 @pytest.mark.shard
 class TestRouterControlPlane:
-    def test_per_verb_deadline_table(self):
-        assert VERB_DEADLINES["ping"] == 2.0
-        assert VERB_DEADLINES["health"] == 2.0
-        assert "flush" not in VERB_DEADLINES  # long verbs keep the flat cap
-        assert "health" in _IDEMPOTENT_VERBS
-        assert "create_stream" not in _IDEMPOTENT_VERBS
-        with ShardRouter(num_shards=1) as router:
-            assert router._verb_deadline("ping") == 2.0
-            assert router._verb_deadline("stats") == 5.0
-            assert router._verb_deadline("metrics") == 10.0
-            assert router._verb_deadline("create_stream") == 30.0
-            assert router._verb_deadline("no_such_verb") == 30.0
-            assert router._verb_deadline("flush") == pytest.approx(120.0)
-            assert router._verb_deadline("checkpoint") == pytest.approx(120.0)
+    def test_per_verb_deadline_table(self, tmp_path):
+        """One table holds each verb's deadline and resend rule; the
+        control socket carries the deadline of the verb it last sent."""
+        assert VERBS["ping"] == (2.0, True)
+        assert VERBS["health"] == (2.0, True)
+        assert VERBS["stats"] == (5.0, True)
+        assert VERBS["metrics"] == (10.0, True)
+        assert VERBS["create_stream"] == (30.0, False)
+        assert UNKNOWN_VERB == (30.0, False)
+        assert "no_such_verb" not in VERBS
+        # Long verbs keep the full cap.
+        for verb in ("flush", "checkpoint", "certify", "restore_report", "stop"):
+            assert VERBS[verb][0] is None
+        assert REQUEST_TIMEOUT == 120.0
+        with ShardRouter(num_shards=1, snapshot_dir=tmp_path) as router:
+            router.create_stream("s", backend="gk_quantiles", params=GK)
+            handle = router._shards[0]
+            assert handle.ctrl_sock.gettimeout() == 30.0
+            router.health("s")
+            assert handle.ctrl_sock.gettimeout() == 2.0
+            router.stats("s")
+            assert handle.ctrl_sock.gettimeout() == 5.0
+            router.metrics()
+            assert handle.ctrl_sock.gettimeout() == 10.0
+            with pytest.raises(ValueError, match="unknown shard verb"):
+                router._request(handle, "no_such_verb", {})
+            assert handle.ctrl_sock.gettimeout() == 30.0
+            router.flush()
+            assert handle.ctrl_sock.gettimeout() == REQUEST_TIMEOUT
+            router.checkpoint()
+            assert handle.ctrl_sock.gettimeout() == REQUEST_TIMEOUT
 
     def test_hung_shard_fails_health_fast(self):
         """The regression contract: a wedged shard fails ``health()`` in
@@ -611,14 +637,15 @@ class TestRouterControlPlane:
             # renders the wedged shard's streams degraded instead.
             assert router.shard_states()[0]["state"] == "up"
 
-    def test_wedged_shard_trips_breaker_then_recovers(self):
+    def test_wedged_shard_trips_breaker_then_recovers(self, monkeypatch):
+        monkeypatch.setattr(router_module, "REQUEST_TIMEOUT", 1.0)
+        monkeypatch.setattr(router_module, "CTRL_RETRIES", 0)
+        monkeypatch.setattr(router_module, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(router_module, "BREAKER_RESET", 0.5)
         injector = FaultInjector().slow_control_at(
             "stats", seconds=3.0, times=1
         )
-        with ShardRouter(
-            num_shards=1, request_timeout=1.0, ctrl_retries=0,
-            breaker_threshold=1, breaker_reset=0.5, fault_injector=injector,
-        ) as router:
+        with ShardRouter(num_shards=1, fault_injector=injector) as router:
             router.create_stream("s", backend="gk_quantiles", params=GK)
             router.ingest("s", _stream(64))
             started = time.monotonic()
@@ -636,6 +663,73 @@ class TestRouterControlPlane:
             assert router.shard_states()[0]["breaker"] == "closed"
             assert router.shard_states()[0]["state"] == "up"
             assert router.shard_states()[0]["restarts"] == 0
+
+    def test_every_verb_in_the_table_is_answered(self, tmp_path, monkeypatch):
+        """A shard host answers every verb of the table (``stop`` ends its
+        control loop instead), each verb the router sends has a rule in
+        the table, and each verb the host forwards names a public
+        StreamService method that takes the arguments the router sends."""
+        data_host, data_router = socket.socketpair()
+        ctrl_host, ctrl_router = socket.socketpair()
+        host = ShardHost(
+            0, data_host, ctrl_host, {"snapshot_dir": str(tmp_path / "host")}
+        )
+        try:
+            with pytest.raises(ValueError, match="unknown shard verb"):
+                host.dispatch("no_such_verb", {})
+            for verb in sorted(set(VERBS) - {"stop"}):
+                try:
+                    host.dispatch(verb, {})
+                except Exception as error:  # missing arguments are fine
+                    assert "unknown shard verb" not in str(error), verb
+        finally:
+            host.service.close(checkpoint=False)
+            for sock in (data_host, data_router, ctrl_host, ctrl_router):
+                sock.close()
+
+        sent: dict[str, set[tuple[str, ...]]] = {}
+        request_raw = ShardRouter._request_raw
+
+        def record(router, handle, verb, args):
+            sent.setdefault(verb, set()).add(tuple(sorted(args)))
+            return request_raw(router, handle, verb, args)
+
+        monkeypatch.setattr(ShardRouter, "_request_raw", record)
+        snapshots = tmp_path / "router"
+        with ShardRouter(num_shards=1, snapshot_dir=snapshots) as router:
+            router.create_stream(
+                "q", backend="gk_quantiles", params=GK, accuracy=ACCURACY
+            )
+            router.create_stream(
+                "w", backend="exact", params=dict(window_size=64)
+            )
+            router.ingest("q", _stream(128))
+            router.ingest("w", _stream(128, seed=1))
+            assert router.flush() is True
+            router.range_sum("w", 0, 31)
+            router.quantile("q", 0.5)
+            router.histogram("q")
+            router.stats("q")
+            router.stats()
+            router.health("q")
+            router.health()
+            router.accuracy("q")
+            router.dead_letters("q")
+            router.retry_dead_letters("q")
+            router.metrics()
+            router.spans()
+            assert router.certify("q", points=64)["passed"] is True
+            assert router.placement_audit()["passed"] is True
+            router.checkpoint()
+            router.drop_stream("w")
+        ShardRouter.restore(snapshots).close(checkpoint=False)
+        assert set(sent) <= set(VERBS)
+        assert host_module._FORWARDED <= set(sent)
+        for verb in sorted(host_module._FORWARDED):
+            assert not verb.startswith("_")
+            method = getattr(StreamService, verb)
+            for names in sent[verb]:
+                inspect.signature(method).bind(None, **dict.fromkeys(names))
 
     def test_caller_built_controller_records_into_router_registry(self):
         ctrl = make_controller()

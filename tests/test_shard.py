@@ -1013,8 +1013,9 @@ class TestServiceConfig:
     def test_cli_restore_keeps_the_durability_settings(self, tmp_path):
         """A restored router keeps the config's retention: three full
         generations, with the deltas the shape rule wrote between them.
-        The config still names the retired ``snapshot_base_every``; it
-        loads, and the key is ignored."""
+        The config still names the retired ``snapshot_base_every`` and
+        ``virtual_nodes``, and ``supervise``, which a sharded service
+        ignores (its shards always supervise); it loads and runs."""
         from repro.service.__main__ import main
 
         path = tmp_path / "svc.json"
@@ -1023,6 +1024,8 @@ class TestServiceConfig:
             "shards": 1,
             "snapshot_dir": str(tmp_path / "snap"),
             "snapshot_base_every": 4,
+            "virtual_nodes": 64,
+            "supervise": False,
             "snapshot_keep": 3,
             "streams": [{
                 "name": "w", "backend": "exact",
